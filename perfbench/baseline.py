@@ -1,18 +1,17 @@
 """One-shot re-timing of the ROADMAP baseline table (not a workload).
 
-    python3 perfbench/run.py --baseline --repeats 5
+    python3 perfbench/run.py --baseline
 
-Times each case ``repeats`` times in this process (the interpreter start-up
-cases in fresh interpreters) and prints a markdown table with the median and
-the quartiles.  Inputs are seeded; every call's result is checked so that a
-broken case cannot pass for a fast one.
+Times each case BASELINE_REPEATS times in this process (the interpreter
+start-up cases in fresh interpreters) and prints a markdown table with the
+median and the quartiles.  Inputs are seeded; every call's result is checked
+so that a broken case cannot pass for a fast one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import math
 import os
 import random
 import statistics
@@ -28,6 +27,9 @@ from tmdesign.spherical import SphericalConfig, certify_antipodal, verify_spheri
 from workloads import unit_exact, unit_float
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Timed calls per case, after one untimed warm-up call.
+BASELINE_REPEATS = 5
 
 
 def _antipodal(d: int, n: int, exact: bool, seed: int = 0) -> SphericalConfig:
@@ -81,7 +83,7 @@ def _fresh(code):
     return call
 
 
-def run(repeats: int) -> int:
+def run() -> int:
     cases = [
         ("`verify_spherical_Tm`, float, d=3, n=200, m=3", lambda: _verify(_antipodal(3, 200, False), 3)),
         ("same, exact", lambda: _verify(_antipodal(3, 200, True), 3)),
@@ -103,10 +105,10 @@ def run(repeats: int) -> int:
         call = prepare()  # inputs are built outside the timer
         call()  # warm-up
         times = []
-        for _ in range(repeats):
+        for _ in range(BASELINE_REPEATS):
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
-        q1, med, q3 = statistics.quantiles(times, n=4) if repeats > 1 else (math.nan, times[0], math.nan)
-        print(f"| {name} | {med:.4f} | {q1:.4f} | {q3:.4f} | {repeats} |", flush=True)
+        q1, med, q3 = statistics.quantiles(times, n=4)
+        print(f"| {name} | {med:.4f} | {q1:.4f} | {q3:.4f} | {BASELINE_REPEATS} |", flush=True)
     return 0

@@ -1,18 +1,18 @@
 """tmdesign CLI benchmark: seeded job streams through ``tmdesign.cli.main``.
 
     python3 perfbench/run.py --workload construct --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --baseline [--repeats 5]
+    python3 perfbench/run.py --baseline
 
 Run from the root of a checkout (the package is imported from ``src/``).
-One process, one thread, one client: a closed loop that starts the next job
-only when the previous one has returned.  The workload's documents are
-written before timing, one untimed pass warms up and feeds the outcome
-oracle, and then whole passes over the same job list are timed until at
-least ``--seconds`` have been planned and at least 100 jobs run.  Every
+One process, one thread, one client, pinned to one CPU: a closed loop that
+starts the next job only when the previous one has returned.  The workload's
+documents are written before timing, one untimed pass warms up and feeds the
+outcome oracle, and then whole passes over the same job list are timed until
+at least ``--seconds`` have been planned and at least 100 jobs run.  Every
 timed job must return the expected exit code and the byte-identical stdout
-that passed the oracle.  Reported times are scaled to reference speed by a
-short fixed loop timed between jobs (``ReferenceClock``), because the speed
-of a shared machine drifts by itself.
+that passed the oracle.  Reported times are scaled to reference speed
+(``ReferenceClock``, ``measure_setup``), because the speed of a shared
+machine drifts by itself; the raw figures are printed beside them.
 
 The last line of stdout is one JSON object: the end-to-end metrics with
 ``--trace 0``, the per-layer metrics (from a traced loop, next to an
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -45,16 +46,20 @@ SRC = ROOT / "src"
 #: Fewest timed jobs per run, so that >= 10 samples lie beyond p90.
 MIN_JOBS = 100
 
-#: Fresh interpreters started per run to measure set-up time.
-SETUP_REPEATS = 9
+#: Fresh ``tmdesign`` interpreters started per run to measure set-up time.
+SETUP_REPEATS = 15
 
-#: Time of ``reference_loop`` that defines reference speed.  Every reported
-#: time is scaled to it: on the 2-core machine this benchmark was written on,
-#: the loop's own time moved between 0.27 and 0.41 ms within minutes, and
-#: unscaled job times moved with it by up to 40% between runs.
+#: CPU time of a bare interpreter start (``python -c pass``) that defines
+#: reference speed for ``setup_s``.
+BARE_START_S = 0.05
+
+#: Time of ``reference_loop`` that defines reference speed for job times.
+#: On the 2-core machine this benchmark was written on, the loop's own time
+#: moved between 0.2 and 0.4 ms on a scale of half a second, and unscaled
+#: job times moved with it by up to 40% between runs.
 REFERENCE_S = 300e-6
 
-#: Reference loops whose median scales one timing.
+#: Reference loops whose median gives the machine's speed at one moment.
 REFERENCE_WINDOW = 5
 
 #: What a fresh ``tmdesign`` invocation pays before any work: interpreter
@@ -68,52 +73,78 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 def reference_loop() -> float:
-    """Seconds taken by a fixed mix of Fraction, float and dict work (~0.3 ms)."""
-    t0 = time.perf_counter()
-    f = Fraction(1, 3)
-    for i in range(1, 40):
-        f = f * Fraction(i + 2, i + 1) - Fraction(1, i)
-    x = 0.0
-    for i in range(300):
-        x += math.cos(i * 0.01)
-    counts: dict[int, int] = {}
-    for i in range(300):
-        counts[i % 17] = counts.get(i % 17, 0) + i
-    return time.perf_counter() - t0
+    """Seconds taken by a fixed mix of Fraction, float and dict work (~0.3 ms).
+
+    The garbage collector is off while it runs, so that its time depends on
+    the machine alone and not on the heap that the code under test left.
+    """
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        f = Fraction(1, 3)
+        for i in range(1, 40):
+            f = f * Fraction(i + 2, i + 1) - Fraction(1, i)
+        x = 0.0
+        for i in range(300):
+            x += math.cos(i * 0.01)
+        counts: dict[int, int] = {}
+        for i in range(300):
+            counts[i % 17] = counts.get(i % 17, 0) + i
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 class ReferenceClock:
     """Scales each timing to reference speed.
 
-    ``reference_loop`` runs before the first timing and after each one; a
-    timing is multiplied by REFERENCE_S over the median of the last
-    REFERENCE_WINDOW loop times, the one right after it included.  This
-    takes out the speed changes of the machine itself, which move every
-    timing alike, and keeps those of the code under test; the median keeps a
-    loop that was preempted from scaling a job.
+    The machine's speed is the median of REFERENCE_WINDOW reference loops,
+    taken before the first timing and after each one.  A timing is
+    multiplied by REFERENCE_S over the mean of the speeds right before and
+    right after it.  This takes out the speed changes of the machine itself,
+    which move every timing alike, and keeps those of the code under test.
+    The loops run in the benchmark process, between jobs, on the same CPU.
     """
 
     def __init__(self):
-        self.loops = [reference_loop()]
+        self.loops = [self._speed()]
+
+    @staticmethod
+    def _speed() -> float:
+        return statistics.median(reference_loop() for _ in range(REFERENCE_WINDOW))
 
     def scale(self, seconds: float) -> float:
-        self.loops.append(reference_loop())
-        return seconds * REFERENCE_S / statistics.median(self.loops[-REFERENCE_WINDOW:])
+        self.loops.append(self._speed())
+        return seconds * REFERENCE_S * 2 / (self.loops[-2] + self.loops[-1])
+
+
+def _child_cpu(code: str, env: dict) -> float:
+    """User + system CPU seconds of one fresh interpreter running ``code``."""
+    r0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True, timeout=60,
+    )
+    r1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime
 
 
 def measure_setup() -> tuple[float, float]:
-    """Median (scaled, raw) seconds of a fresh ``tmdesign`` interpreter."""
+    """Median (scaled, raw) CPU seconds of a fresh ``tmdesign`` interpreter.
+
+    Each ``tmdesign`` start is scaled by the bare interpreter starts
+    (``python -c pass``) right before and after it, on the same CPU: its
+    CPU time times BARE_START_S over their mean.  A reference loop in this
+    process would not do, because the machine's speed changes within the
+    time of one start, and differently for start-up work than for loops.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    clock = ReferenceClock()
+    bare = [_child_cpu("pass", env)]
     scaled, raw = [], []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", SETUP_CODE],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True, timeout=60,
-        )
-        raw.append(time.perf_counter() - t0)
-        scaled.append(clock.scale(raw[-1]))
+        raw.append(_child_cpu(SETUP_CODE, env))
+        bare.append(_child_cpu("pass", env))
+        scaled.append(raw[-1] * BARE_START_S * 2 / (bare[-2] + bare[-1]))
     return statistics.median(scaled), statistics.median(raw)
 
 
@@ -210,7 +241,7 @@ def _rate_and_percentiles(latencies, ok) -> tuple[float, float, float]:
     return ok.count(True) / total, _percentile(ordered, 0.5), _percentile(ordered, 0.9)
 
 
-def _end_to_end(t: Timing, setup: tuple[float, float]) -> dict:
+def _end_to_end(t: Timing, setup: tuple[float, float], rss_kb: int) -> dict:
     n = len(t.ok)
     rate, p50, p90 = _rate_and_percentiles(t.scaled, t.ok)
     raw_rate, raw_p50, raw_p90 = _rate_and_percentiles(t.raw, t.ok)
@@ -221,7 +252,6 @@ def _end_to_end(t: Timing, setup: tuple[float, float]) -> dict:
           f"({1e6 * min(t.loops):.1f}-{1e6 * max(t.loops):.1f}) vs {1e6 * REFERENCE_S:.0f} us")
     print(f"raw, unscaled: setup {setup[1]:.4f} s, {raw_rate:.4f} jobs/s, "
           f"p50 {1e3 * raw_p50:.3f} ms, p90 {1e3 * raw_p90:.3f} ms")
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "setup_s": (setup[0], "s"),
         "jobs_per_s": (rate, "1/s"),
@@ -239,7 +269,6 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--baseline", action="store_true",
                     help="one-shot: re-time the ROADMAP baseline cases")
-    ap.add_argument("--repeats", type=int, default=5, help="repeats per baseline case")
     args = ap.parse_args(argv)
 
     if not (SRC / "tmdesign" / "cli.py").is_file():
@@ -250,9 +279,13 @@ def main(argv=None) -> int:
     if args.baseline:
         import baseline
 
-        return baseline.run(args.repeats)
+        return baseline.run()
     if args.workload is None:
         ap.error("--workload is required")
+
+    # One CPU for the whole run, set-up children included: the reference
+    # timings then run where the timed work runs.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     import tmdesign.cli as cli
     import oracle
@@ -284,25 +317,14 @@ def main(argv=None) -> int:
               f"warm-up pass {warm_s:.3f} s")
         print(f"output digest sha256={digest.hexdigest()}")
 
-        # Known defects run untimed, once per run: the timed stream holds
-        # only jobs that pass, but each probe's outcome is shown here.
-        still = 0
-        for job in probes:
-            code, out, error, _ = runner.run(job)
-            why = oracle.check(job, code, out, error)
-            still += why is not None
-            print(f"known-defect probe {' '.join(job.argv[:2])} {job.facts}: "
-                  f"{'now passes' if why is None else 'fails: ' + why}")
-        if probes:
-            share = still / (len(jobs) + len(probes))
-            print(f"known-defect share: {still} of {len(jobs) + len(probes)} jobs per pass "
-                  f"still fail ({share:.6f}) if the probes joined the stream")
-
         passes = max(math.ceil(MIN_JOBS / len(jobs)), round(args.seconds / warm_s), 1)
         if args.trace == 0:
             timing = runner.loop(jobs, refs, passes)
+            # Read before the probes run, so the peak covers set-up, the
+            # warm-up pass and the timed passes over the same job list.
+            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             _by_kind(jobs, timing.raw)
-            metrics = _end_to_end(timing, setup)
+            metrics = _end_to_end(timing, setup, rss_kb)
         else:
             # Untraced and traced passes alternate, so that both see the
             # same machine state and their ratio is the tracing overhead.
@@ -328,6 +350,21 @@ def main(argv=None) -> int:
             print(f"traced job wall time {tracer.root_ns / 1e9 / half:.4f} s per pass "
                   f"= 100% base of the self shares; root span covers "
                   f"{100 * tracer.root_ns / 1e9 / sum(traced_timing.raw):.2f}% of the timed latency")
+
+        # Known defects run untimed, once per run, after the timed passes:
+        # the timed stream holds only jobs that pass, but each probe's
+        # outcome is shown here.
+        still = 0
+        for job in probes:
+            code, out, error, _ = runner.run(job)
+            why = oracle.check(job, code, out, error)
+            still += why is not None
+            print(f"known-defect probe {' '.join(job.argv[:2])} {job.facts}: "
+                  f"{'now passes' if why is None else 'fails: ' + why}")
+        if probes:
+            share = still / (len(jobs) + len(probes))
+            print(f"known-defect share: {still} of {len(jobs) + len(probes)} jobs per pass "
+                  f"still fail ({share:.6f}) if the probes joined the stream")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):

@@ -1,10 +1,11 @@
-"""Run one workload over several seeds and report each metric's spread.
+"""Run one workload on seeds 1..10 and report each end-to-end metric's spread.
 
-    python3 perfbench/spread.py --workload sphere --seeds 1-10 [--seconds 20]
+    python3 perfbench/spread.py --workload sphere
 
-Spread is the distance between the first and third quartile of the values
-(``statistics.quantiles(values, n=4)``) as a share of their median; it is
-compared with a third of the metric's bound from BENCHMARK.json.  Runs are
+Each run is the benchmark command of BENCHMARK.json with its run_seconds and
+--trace 0.  Spread is the distance between the first and third quartile of
+the ten values (``statistics.quantiles(values, n=4)``) as a share of their
+median; it is compared with a third of the metric's bound.  Runs are
 sequential, so they never compete with each other for the CPU.
 """
 
@@ -19,27 +20,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+SEEDS = range(1, 11)
+
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", default="1-10", help="range a-b or comma list")
-    ap.add_argument("--seconds", type=int, default=None)
-    ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    if "-" in args.seeds:
-        lo, hi = map(int, args.seeds.split("-"))
-        seeds = list(range(lo, hi + 1))
-    else:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     values: dict[str, list[float]] = {}
-    for seed in seeds:
+    for seed in SEEDS:
         cmd = spec["command"] + ["--workload", args.workload, "--seed", str(seed),
-                                 "--seconds", str(seconds), "--trace", str(args.trace)]
+                                 "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
         lines = proc.stdout.strip().splitlines()
         digest = next((ln.split("=", 1)[1] for ln in lines if ln.startswith("output digest")), "-")
@@ -53,11 +47,10 @@ def main() -> int:
     for name, vals in values.items():
         med = statistics.median(vals)
         q1, _, q3 = statistics.quantiles(vals, n=4)
-        spread = (q3 - q1) / med if med else float("nan")
-        bound = bounds.get(name)
-        verdict = "" if bound is None else ("ok" if spread < bound / 3 else "WIDE")
-        print(f"{name}: median {med:.5g} spread {spread:.4f} bound/3 "
-              f"{'-' if bound is None else f'{bound / 3:.4f}'} {verdict}")
+        spread = (q3 - q1) / med
+        bound = bounds[name]
+        print(f"{name}: median {med:.5g} spread {spread:.4f} bound/3 {bound / 3:.4f} "
+              f"{'ok' if spread < bound / 3 else 'WIDE'}")
     return 0
 
 
