@@ -38,7 +38,7 @@ from .interval_design import (
     verify_interval_design,
     verify_weighted_design,
 )
-from .scalars import DEFAULT_TOL, format_scalar, parse_scalar
+from .scalars import DEFAULT_TOL, format_scalar, parse_nonnegative, parse_scalar
 from .spherical import (
     DEFAULT_SPHERE_TOL,
     SphericalConfig,
@@ -65,10 +65,25 @@ def _load(path: str) -> dict:
         raise DomainError(f"cannot read JSON input {path!r}: {exc}") from exc
 
 
+def _document(args) -> dict:
+    """The input document, with --mode applied.
+
+    A tolerance comes from --tol or from the document, never from both;
+    approximate mode needs one.
+    """
+    doc = _load(args.file)
+    if isinstance(doc, dict):  # anything else is rejected by from_json
+        if "tolerance" in doc and args.tol is not None:
+            raise DomainError("tolerance given both by --tol and in the document")
+        if args.mode == "approximate" and "tolerance" not in doc and args.tol is None:
+            raise DomainError("approximate mode requires an explicit --tol")
+        if args.mode:
+            doc = dict(doc, mode=args.mode)
+    return doc
+
+
 def _tolerance(args, default: float) -> float:
-    if getattr(args, "mode", None) == "approximate" and args.tol is None:
-        raise DomainError("approximate mode requires an explicit --tol")
-    return default if args.tol is None else float(args.tol)
+    return default if args.tol is None else parse_nonnegative(args.tol, "--tol")
 
 
 def cmd_construct(args) -> int:
@@ -125,9 +140,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     if args.m is None:
         raise DomainError("verify requires --m")
-    doc = _load(args.file)
-    if args.mode:
-        doc = dict(doc, mode=args.mode)
+    doc = _document(args)
     if args.kind == "interval":
         config = Configuration.from_json(doc, tolerance=_tolerance(args, DEFAULT_TOL))
         report = verify_interval_design(config, args.m)
@@ -150,9 +163,7 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     if args.m is None:
         raise DomainError("certify requires --m")
-    doc = _load(args.file)
-    if args.mode:
-        doc = dict(doc, mode=args.mode)
+    doc = _document(args)
     try:
         if args.kind == "symmetry":
             config = Configuration.from_json(
@@ -185,8 +196,8 @@ def cmd_certify(args) -> int:
 
 def cmd_identities(args) -> int:
     if args.kind == "binom-sum":
-        if args.n is None:
-            raise DomainError("identities binom-sum requires --n")
+        if args.n is None or args.n < 1:
+            raise DomainError("identities binom-sum requires --n >= 1")
         doc = {
             f"s={s}": format_scalar(binom_alternating_sum(args.n, s))
             for s in range(args.n)
@@ -222,8 +233,9 @@ def cmd_identities(args) -> int:
 def cmd_search(args) -> int:
     if args.kind != "six-point":
         raise DomainError(f"unknown search kind {args.kind!r}")
-    tol = DEFAULT_SPHERE_TOL if args.tol is None else float(args.tol)
-    report = six_point_search(args.trials, args.seed, float(args.margin), tol)
+    tol = _tolerance(args, DEFAULT_SPHERE_TOL)
+    margin = parse_nonnegative(args.margin, "--margin")
+    report = six_point_search(args.trials, args.seed, margin, tol)
     _emit(report.to_json(), args.out)
     return 0
 

@@ -43,7 +43,14 @@ from .polyroot import (
     refine_root,
     sturm_root_count,
 )
-from .scalars import Scalar, as_fraction, cos_turn, decimal_string, format_scalar
+from .scalars import (
+    Scalar,
+    as_fraction,
+    cos_turn,
+    decimal_string,
+    format_scalar,
+    mode_zero,
+)
 
 #: Default halving start for the perturbation search.
 DEFAULT_EPSILON_START = Fraction(1, 16)
@@ -267,7 +274,7 @@ def pad_with_antipodal_pairs(
 
 def add_zero(config: Configuration) -> Configuration:
     """Append the point 0; odd power sums are unchanged."""
-    zero: Scalar = Fraction(0) if config.is_exact else 0.0
+    zero = mode_zero(config.mode)
     return Configuration(
         config.points + (zero,), tolerance=config.tolerance, mode=config.mode
     )

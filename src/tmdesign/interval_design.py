@@ -24,20 +24,15 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .scalars import DEFAULT_TOL, Scalar, all_exact, format_scalar, parse_scalar
-from .symfun import extend_odd_power_sums, power_scale, power_sums, residual_is_zero
-
-_MODES = ("auto", "exact", "approximate")
-
-
-def _resolve_mode(mode: str, values: Sequence[Scalar], what: str) -> str:
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}")
-    if mode == "auto":
-        return "exact" if all_exact(values) else "approximate"
-    if mode == "exact" and not all_exact(values):
-        raise DomainError(f"exact mode rejects float {what}")
-    return mode
+from .scalars import (
+    DEFAULT_TOL,
+    Scalar,
+    format_scalar,
+    near,
+    read_document,
+    resolve_mode,
+)
+from .symfun import extend_odd_power_sums, power_scale, power_sums
 
 
 @dataclass(frozen=True)
@@ -57,17 +52,20 @@ class Configuration:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(
-            self, "mode", _resolve_mode(self.mode, self.points, "points")
+            self, "mode", resolve_mode(self.mode, self.points, "points")
         )
         for x in self.points:
-            if self.is_exact and not -1 <= x <= 1:
+            if not near(x, max(-1, min(x, 1)), self.near_tol):
                 raise DomainError(f"point {format_scalar(x)} outside [-1, 1]")
-            if not self.is_exact and abs(float(x)) > 1 + self.tolerance:
-                raise DomainError(f"point {x!r} outside [-1, 1] beyond tolerance")
 
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
+
+    @property
+    def near_tol(self) -> float | None:
+        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
+        return None if self.is_exact else self.tolerance
 
     def __len__(self) -> int:
         return len(self.points)
@@ -80,11 +78,9 @@ class Configuration:
 
     @staticmethod
     def from_json(doc: dict, tolerance: float = DEFAULT_TOL) -> "Configuration":
-        mode = doc.get("mode", "auto")
-        pts = [
-            parse_scalar(str(x), exact_only=(mode == "exact")) for x in doc["points"]
-        ]
-        return Configuration(tuple(pts), tolerance=doc.get("tolerance", tolerance), mode=mode)
+        mode, tolerance, parse = read_document(doc, ("points",), tolerance)
+        pts = tuple(parse(x) for x in doc["points"])
+        return Configuration(pts, tolerance=tolerance, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -102,25 +98,26 @@ class WeightedConfiguration:
         if len(self.support) != len(self.weights):
             raise DomainError("support and weights must have equal lengths")
         values = self.support + self.weights
-        object.__setattr__(self, "mode", _resolve_mode(self.mode, values, "values"))
+        object.__setattr__(self, "mode", resolve_mode(self.mode, values, "values"))
+        tol = self.near_tol
         for x in self.support:
-            if self.is_exact and not -1 <= x <= 1:
+            if not near(x, max(-1, min(x, 1)), tol):
                 raise DomainError(f"support point {format_scalar(x)} outside [-1, 1]")
-            if not self.is_exact and abs(float(x)) > 1 + self.tolerance:
-                raise DomainError(f"support point {x!r} outside [-1, 1]")
         for i, xi in enumerate(self.support):
             for xj in self.support[i + 1 :]:
-                dup = xi == xj if self.is_exact else abs(float(xi) - float(xj)) <= self.tolerance
-                if dup:
-                    raise DomainError(f"duplicate support point {xi!r}")
-        for w in self.weights:
-            zero = w == 0 if self.is_exact else abs(float(w)) <= self.tolerance
-            if zero:
-                raise DomainError("weights must be nonzero")
+                if near(xi, xj, tol):
+                    raise DomainError(f"duplicate support point {format_scalar(xi)}")
+        if any(near(w, 0, tol) for w in self.weights):
+            raise DomainError("weights must be nonzero")
 
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
+
+    @property
+    def near_tol(self) -> float | None:
+        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
+        return None if self.is_exact else self.tolerance
 
     def __len__(self) -> int:
         return len(self.support)
@@ -134,12 +131,11 @@ class WeightedConfiguration:
 
     @staticmethod
     def from_json(doc: dict, tolerance: float = DEFAULT_TOL) -> "WeightedConfiguration":
-        mode = doc.get("mode", "auto")
-        exact_only = mode == "exact"
+        mode, tolerance, parse = read_document(doc, ("support", "weights"), tolerance)
         return WeightedConfiguration(
-            tuple(parse_scalar(str(x), exact_only=exact_only) for x in doc["support"]),
-            tuple(parse_scalar(str(w), exact_only=exact_only) for w in doc["weights"]),
-            tolerance=doc.get("tolerance", tolerance),
+            tuple(parse(x) for x in doc["support"]),
+            tuple(parse(w) for w in doc["weights"]),
+            tolerance=tolerance,
             mode=mode,
         )
 
@@ -163,13 +159,9 @@ class SymmetryCertificate:
     def check_multiset(self, points: Sequence[Scalar], tol: float | None = None) -> bool:
         if not self.covers(len(points)):
             return False
-        if tol is None:
-            return all(points[i] == -points[j] for i, j in self.pairs) and all(
-                points[i] == 0 for i in self.fixed
-            )
-        return all(
-            abs(float(points[i]) + float(points[j])) <= tol for i, j in self.pairs
-        ) and all(abs(float(points[i])) <= tol for i in self.fixed)
+        return all(near(points[i], -points[j], tol) for i, j in self.pairs) and all(
+            near(points[i], 0, tol) for i in self.fixed
+        )
 
     def check_weighted(
         self,
@@ -179,16 +171,11 @@ class SymmetryCertificate:
     ) -> bool:
         if not self.covers(len(support)):
             return False
-        if tol is None:
-            return all(
-                support[i] == -support[j] and weights[i] == weights[j]
-                for i, j in self.pairs
-            ) and all(support[i] == 0 for i in self.fixed)
         return all(
-            abs(float(support[i]) + float(support[j])) <= tol
-            and abs(float(weights[i]) - float(weights[j])) <= tol * (1 + abs(float(weights[i])))
+            near(support[i], -support[j], tol)
+            and near(weights[i], weights[j], tol, 1 + abs(float(weights[i])))
             for i, j in self.pairs
-        ) and all(abs(float(support[i])) <= tol for i in self.fixed)
+        ) and all(near(support[i], 0, tol) for i in self.fixed)
 
     def to_json(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs], "fixed": list(self.fixed)}
@@ -216,15 +203,21 @@ def _sorted_pairs(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
 
 
+def _moment_scale(xs: Sequence[Scalar], ws: Sequence[Scalar], k: int) -> float:
+    """Scale 1 + sum |x|^k |w| of a weighted power-sum residual."""
+    return 1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(xs, ws))
+
+
 def verify_interval_design(config: Configuration, m: int) -> DesignReport:
     """Residuals p_1, p_3, ..., p_{2m-1} of the points, and whether all vanish.
 
-    Approximate mode uses the scale-aware test |p_k| <= tol*(1 + sum |x|^k).
+    Exact mode tests p_k == 0; approximate mode tests |p_k| <= tol * scale
+    with scale 1 + sum |x|^k.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     if m == 0:
-        return DesignReport((), (), True, None if config.is_exact else config.tolerance)
+        return DesignReport((), (), True, config.near_tol)
     if len(config) == 0:
         raise DomainError("empty configuration")
     pts = config.points
@@ -232,12 +225,10 @@ def verify_interval_design(config: Configuration, m: int) -> DesignReport:
     index_set = tuple(range(1, 2 * m, 2))
     residuals = tuple(p.p(k) for k in index_set)
     ok = all(
-        residual_is_zero(r, config.is_exact, power_scale(pts, k), config.tolerance)
+        near(r, 0, config.near_tol, power_scale(pts, k))
         for k, r in zip(index_set, residuals)
     )
-    return DesignReport(
-        index_set, residuals, ok, None if config.is_exact else config.tolerance
-    )
+    return DesignReport(index_set, residuals, ok, config.near_tol)
 
 
 def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
@@ -246,9 +237,10 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     Follows the forcing argument: first the odd power sums are extended to
     all orders (they vanish identically once the first m do), then points are
     repeatedly removed from the top of the |value| order, either as a zero or
-    together with their antipodal partner.  Approximate mode matches greedily
-    with the per-pair gap test |x + y| <= tol; a best gap within 10*tol fails
-    as "pairing ambiguous", anything worse as "hypothesis approximately
+    together with their antipodal partner.  Exact mode tests x == 0 and
+    x == -y; approximate mode tests |x| <= tol and |x + y| <= tol, pairing
+    each point with its closest candidate.  A best gap within 10*tol fails as
+    "pairing ambiguous", anything worse as "hypothesis approximately
     violated".
     """
     n = len(config)
@@ -257,10 +249,10 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
     pts = config.points
-    tol = config.tolerance
+    tol = config.near_tol
     # Verifies the design hypothesis (raising with the smallest failing odd
     # index) and certifies that all higher odd power sums vanish with it.
-    extend_odd_power_sums(pts, m, max(n, 1), tol=tol)
+    extend_odd_power_sums(pts, m, max(n, 1), tol=config.tolerance)
 
     remaining = sorted(range(n), key=lambda i: (-abs(float(pts[i])), i))
     pairs: list[tuple[int, int]] = []
@@ -268,19 +260,16 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     while remaining:
         i = remaining.pop(0)
         v = pts[i]
+        if near(v, 0, tol):
+            fixed.append(i)
+            continue
         if config.is_exact:
-            if v == 0:
-                fixed.append(i)
-                continue
             j = next((c for c in remaining if pts[c] == -v), None)
             if j is None:
                 raise InternalDefectError(
                     f"verified design has no partner for value {format_scalar(v)}"
                 )
         else:
-            if abs(float(v)) <= tol:
-                fixed.append(i)
-                continue
             gap, j = min(
                 ((abs(float(v) + float(pts[c])), c) for c in remaining),
                 default=(float("inf"), None),
@@ -309,9 +298,7 @@ def verify_weighted_design(wconfig: WeightedConfiguration, m: int) -> DesignRepo
     if m < 0:
         raise DomainError("m must be >= 0")
     if m == 0:
-        return DesignReport(
-            (), (), True, None if wconfig.is_exact else wconfig.tolerance
-        )
+        return DesignReport((), (), True, wconfig.near_tol)
     xs, ws = wconfig.support, wconfig.weights
     index_set = tuple(range(1, 2 * m, 2))
     residuals = []
@@ -322,19 +309,9 @@ def verify_weighted_design(wconfig: WeightedConfiguration, m: int) -> DesignRepo
             powers = [pw * x for pw, x in zip(powers, xs)]
         if k % 2 == 1:
             residuals.append(sum(pw * w for pw, w in zip(powers, ws)))
-            scales.append(
-                1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(xs, ws))
-            )
-    ok = all(
-        residual_is_zero(r, wconfig.is_exact, s, wconfig.tolerance)
-        for r, s in zip(residuals, scales)
-    )
-    return DesignReport(
-        index_set,
-        tuple(residuals),
-        ok,
-        None if wconfig.is_exact else wconfig.tolerance,
-    )
+            scales.append(_moment_scale(xs, ws, k))
+    ok = all(near(r, 0, wconfig.near_tol, s) for r, s in zip(residuals, scales))
+    return DesignReport(index_set, tuple(residuals), ok, wconfig.near_tol)
 
 
 def certify_weighted_symmetry(
@@ -351,13 +328,9 @@ def certify_weighted_symmetry(
     """
     xs, ws = wconfig.support, wconfig.weights
     exact = wconfig.is_exact
-    tol = wconfig.tolerance
+    tol = wconfig.near_tol
 
-    fixed = [
-        i
-        for i, x in enumerate(xs)
-        if (x == 0 if exact else abs(float(x)) <= tol)
-    ]
+    fixed = [i for i, x in enumerate(xs) if near(x, 0, tol)]
     active = [i for i in range(len(xs)) if i not in fixed]
     if len(active) > m:
         raise PreconditionError(
@@ -368,12 +341,7 @@ def certify_weighted_symmetry(
         k = next(
             k
             for k, r in zip(report.index_set, report.residuals)
-            if not residual_is_zero(
-                r,
-                exact,
-                1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(xs, ws)),
-                tol,
-            )
+            if not near(r, 0, tol, _moment_scale(xs, ws, k))
         )
         raise HypothesisError(
             f"weighted design residual at index {k} is nonzero", failing_index=k
@@ -381,28 +349,23 @@ def certify_weighted_symmetry(
 
     pairs: list[tuple[int, int]] = []
 
+    def gap(pair: tuple[int, int]) -> float:
+        return abs(float(xs[pair[0]]) + float(xs[pair[1]]))
+
     def reduce(items: list[int]) -> None:
         if not items:
             return
-        best: tuple[int, int] | None = None
-        best_gap = float("inf")
-        for a_pos, a in enumerate(items):
-            for b in items[a_pos + 1 :]:
-                if exact:
-                    if xs[a] == -xs[b]:
-                        best = (a, b)
-                        break
-                else:
-                    gap = abs(float(xs[a]) + float(xs[b]))
-                    if gap < best_gap:
-                        best, best_gap = (a, b), gap
-            if exact and best is not None:
-                break
-        if best is None or (not exact and best_gap > tol):
+        cands = ((a, b) for k, a in enumerate(items) for b in items[k + 1 :])
+        if exact:
+            best = next(((a, b) for a, b in cands if xs[a] == -xs[b]), None)
+        else:
+            best = min(cands, key=gap, default=None)
+        if best is None or not near(xs[best[0]], -xs[best[1]], tol):
             if exact:
                 raise InternalDefectError(
                     "verified weighted design has no antipodal support pair"
                 )
+            best_gap = float("inf") if best is None else gap(best)
             reason = (
                 "pairing ambiguous"
                 if best_gap <= 10 * tol
@@ -413,15 +376,13 @@ def certify_weighted_symmetry(
                 reason=reason,
             )
         a, b = best
-        merged = ws[a] - ws[b]
-        if exact:
-            if merged != 0:
+        if not near(ws[a], ws[b], tol, 1 + abs(float(ws[a]))):
+            if exact:
                 raise InternalDefectError(
                     "antipodal support pair of a verified design has unequal weights"
                 )
-        elif abs(float(merged)) > tol * (1 + abs(float(ws[a]))):
             raise ToleranceError(
-                f"weights at +-{xs[a]!r} differ by {float(merged):.3e}",
+                f"weights at +-{xs[a]!r} differ by {float(ws[a] - ws[b]):.3e}",
                 reason="hypothesis approximately violated",
             )
         pairs.append((a, b))
@@ -449,7 +410,7 @@ def is_symmetric(
 
 
 def _is_symmetric_multiset(config: Configuration):
-    pts = config.points
+    pts, tol = config.points, config.near_tol
     n = len(pts)
     order = sorted(range(n), key=lambda i: (float(pts[i]), i))
     lo, hi = 0, n - 1
@@ -458,19 +419,14 @@ def _is_symmetric_multiset(config: Configuration):
     while lo <= hi:
         if lo == hi:
             i = order[lo]
-            zero = pts[i] == 0 if config.is_exact else abs(float(pts[i])) <= config.tolerance
-            if not zero:
+            if not near(pts[i], 0, tol):
                 return False, None
             fixed.append(i)
             break
         i, j = order[lo], order[hi]
-        if config.is_exact:
-            ok = pts[i] == -pts[j]
-        else:
-            ok = abs(float(pts[i]) + float(pts[j])) <= config.tolerance
-        if not ok:
+        if not near(pts[i], -pts[j], tol):
             return False, None
-        if config.is_exact and pts[i] == 0:
+        if near(pts[i], 0, tol) and near(pts[j], 0, tol):
             # both ends are zeros; report them as fixed points
             fixed.extend([i, j])
         else:
@@ -482,6 +438,7 @@ def _is_symmetric_multiset(config: Configuration):
 
 def _is_symmetric_weighted(w: WeightedConfiguration):
     xs, ws = w.support, w.weights
+    tol = w.near_tol
     n = len(xs)
     used = [False] * n
     pairs: list[tuple[int, int]] = []
@@ -490,32 +447,20 @@ def _is_symmetric_weighted(w: WeightedConfiguration):
         if used[i]:
             continue
         used[i] = True
+        if near(xs[i], 0, tol):
+            fixed.append(i)
+            continue
+        free = [j for j in range(n) if not used[j]]
         if w.is_exact:
-            if xs[i] == 0:
-                fixed.append(i)
-                continue
-            j = next(
-                (j for j in range(n) if not used[j] and xs[j] == -xs[i]), None
-            )
-            if j is None or ws[i] != ws[j]:
-                return False, None
+            j = next((j for j in free if xs[j] == -xs[i]), None)
         else:
-            if abs(float(xs[i])) <= w.tolerance:
-                fixed.append(i)
-                continue
-            cands = [
-                (abs(float(xs[i]) + float(xs[j])), j)
-                for j in range(n)
-                if not used[j]
-            ]
-            gap, j = min(cands, default=(float("inf"), None))
-            if (
-                j is None
-                or gap > w.tolerance
-                or abs(float(ws[i]) - float(ws[j]))
-                > w.tolerance * (1 + abs(float(ws[i])))
-            ):
-                return False, None
+            j = min(free, key=lambda j: abs(float(xs[i]) + float(xs[j])), default=None)
+        if (
+            j is None
+            or not near(xs[i], -xs[j], tol)
+            or not near(ws[i], ws[j], tol, 1 + abs(float(ws[i])))
+        ):
+            return False, None
         used[j] = True
         pairs.append((i, j))
     return True, SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))

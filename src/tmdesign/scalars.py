@@ -8,9 +8,10 @@ unconditional.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, TypeAlias
+from typing import Callable, Iterable, TypeAlias
 
 import mpmath
 
@@ -24,6 +25,8 @@ DEFAULT_TOL = 1e-10
 #: Working precision (bits) for trigonometric constants before rounding.
 _TRIG_PREC = 80
 
+_MODES = ("auto", "exact", "approximate")
+
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -31,6 +34,33 @@ def is_exact(x: Scalar) -> bool:
 
 def all_exact(values: Iterable[Scalar]) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def resolve_mode(mode: str, values: Iterable[Scalar], what: str) -> str:
+    """"exact" or "approximate": ``mode``, with "auto" decided by ``values``."""
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}")
+    if mode == "auto":
+        return "exact" if all_exact(values) else "approximate"
+    if mode == "exact" and not all_exact(values):
+        raise DomainError(f"exact mode rejects float {what}")
+    return mode
+
+
+def mode_zero(mode: str) -> Scalar:
+    """The zero of a mode's arithmetic: Fraction(0) when exact, else 0.0."""
+    return Fraction(0) if mode == "exact" else 0.0
+
+
+def near(a: Scalar, b: Scalar, tol: float | None, scale: float = 1.0) -> bool:
+    """The one comparison rule of both modes.
+
+    ``tol is None`` (exact mode) means equality; otherwise the operands are
+    converted to float and compared as |a - b| <= tol * scale.
+    """
+    if tol is None:
+        return a == b
+    return abs(float(a) - float(b)) <= tol * scale
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -42,7 +72,7 @@ def parse_scalar(text: str, *, exact_only: bool = False) -> Scalar:
     """Parse ``"p/q"``, integer, or decimal literals.
 
     ``"p/q"`` and plain integers parse to Fraction; anything else parses to
-    float unless ``exact_only``, in which case it is rejected.
+    a finite float unless ``exact_only``, in which case it is rejected.
     """
     s = text.strip()
     try:
@@ -55,9 +85,45 @@ def parse_scalar(text: str, *, exact_only: bool = False) -> Scalar:
     if exact_only:
         raise DomainError(f"exact mode rejects non-rational literal {text!r}")
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise DomainError(f"cannot parse scalar literal {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite scalar literal {text!r}")
+    return value
+
+
+def parse_nonnegative(text: str, what: str) -> float:
+    """A finite, nonnegative scalar literal (a tolerance, a margin) as a float."""
+    value = parse_scalar(text)
+    if value < 0:
+        raise DomainError(f"{what} {text!r} is negative")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} {text!r} is too large") from None
+
+
+def read_document(
+    doc: object, fields: tuple[str, ...], tolerance: float
+) -> tuple[str, float, Callable[[object], Scalar]]:
+    """(mode, tolerance, entry parser) of a JSON configuration document.
+
+    The document must be an object holding a list under each name in
+    ``fields``.  Its optional "tolerance" overrides ``tolerance``; the entry
+    parser is ``parse_scalar``, exact-only when the document asks for exact
+    mode.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError("input document must be a JSON object")
+    for name in fields:
+        if not isinstance(doc.get(name), list):
+            raise DomainError(f"input document needs a list {name!r}")
+    mode = doc.get("mode", "auto")
+    if "tolerance" in doc:
+        tolerance = parse_nonnegative(str(doc["tolerance"]), "tolerance")
+    exact_only = mode == "exact"
+    return mode, tolerance, lambda x: parse_scalar(str(x), exact_only=exact_only)
 
 
 def format_scalar(x: Scalar) -> str:

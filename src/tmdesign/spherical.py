@@ -39,10 +39,12 @@ from .errors import (
 from .interval_design import Configuration, certify_symmetry
 from .scalars import (
     Scalar,
-    all_exact,
     cos_turn,
     format_scalar,
-    parse_scalar,
+    mode_zero,
+    near,
+    read_document,
+    resolve_mode,
     sin_turn,
 )
 
@@ -71,27 +73,19 @@ class SphericalConfig:
         if any(len(p) != d for p in pts):
             raise DomainError("points must share one dimension")
         flat = [c for p in pts for c in p]
-        if self.mode not in ("auto", "exact", "approximate"):
-            raise DomainError("mode must be auto, exact or approximate")
-        resolved = (
-            ("exact" if all_exact(flat) else "approximate")
-            if self.mode == "auto"
-            else self.mode
-        )
-        if resolved == "exact" and not all_exact(flat):
-            raise DomainError("exact mode rejects float coordinates")
-        object.__setattr__(self, "mode", resolved)
+        object.__setattr__(self, "mode", resolve_mode(self.mode, flat, "coordinates"))
         for p in pts:
-            nrm = sum(c * c for c in p)
-            if self.is_exact:
-                if nrm != 1:
-                    raise DomainError(f"point {p!r} is not a unit vector")
-            elif abs(float(nrm) - 1.0) > self.tolerance:
-                raise DomainError(f"point {p!r} is not a unit vector within tolerance")
+            if not near(sum(c * c for c in p), 1, self.near_tol):
+                raise DomainError(f"point {p!r} is not a unit vector")
 
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
+
+    @property
+    def near_tol(self) -> float | None:
+        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
+        return None if self.is_exact else self.tolerance
 
     @property
     def dim(self) -> int:
@@ -109,12 +103,11 @@ class SphericalConfig:
 
     @staticmethod
     def from_json(doc: dict, tolerance: float = DEFAULT_SPHERE_TOL) -> "SphericalConfig":
-        mode = doc.get("mode", "auto")
-        pts = tuple(
-            tuple(parse_scalar(str(c), exact_only=(mode == "exact")) for c in p)
-            for p in doc["points"]
-        )
-        return SphericalConfig(pts, tolerance=doc.get("tolerance", tolerance), mode=mode)
+        mode, tolerance, parse = read_document(doc, ("points",), tolerance)
+        if not all(isinstance(p, list) for p in doc["points"]):
+            raise DomainError("each point must be a list of coordinates")
+        pts = tuple(tuple(parse(c) for c in p) for p in doc["points"])
+        return SphericalConfig(pts, tolerance=tolerance, mode=mode)
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -123,6 +116,15 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 def _neg(p: Point) -> Point:
     return tuple(-c for c in p)
+
+
+def _are_negations(p: Point, q: Point, tol: float | None) -> bool:
+    return all(near(a, -b, tol) for a, b in zip(p, q))
+
+
+def _tol(X: "SphericalConfig", tol: float | None) -> float | None:
+    """X's ``near`` tolerance, overridden by ``tol`` in approximate mode."""
+    return X.near_tol if tol is None or X.is_exact else tol
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def verify_spherical_Tm(
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    tol = X.tolerance if tol is None else tol
+    tol = _tol(X, tol)
     exact = X.is_exact
     n = len(X)
     checks = []
@@ -316,21 +318,13 @@ def verify_spherical_Tm(
     for t in range(1, 2 * m, 2):
         pair = harmonic_index_residual(X, t)
         geg_res = Fraction(pair, n * n) if exact else pair / (n * n)
-        geg_ok = geg_res == 0 if exact else abs(float(geg_res)) <= tol
+        geg_ok = near(geg_res, 0, tol)
         worst: Scalar = 0
-        mom_ok = True
         for raw, norm in _moment_residuals(X, t):
             scaled = raw if exact else raw / norm
-            if exact:
-                if scaled != 0:
-                    mom_ok = False
-                if abs(scaled) > abs(worst):
-                    worst = scaled
-            else:
-                if abs(float(scaled)) > abs(float(worst)):
-                    worst = scaled
-        if not exact:
-            mom_ok = abs(float(worst)) <= tol
+            if abs(scaled) > abs(worst):
+                worst = scaled
+        mom_ok = near(worst, 0, tol)
         if mom_ok and not geg_ok:
             # the moment at t dominates the degree-t component; this
             # direction cannot happen outside numerical artifacts
@@ -352,7 +346,7 @@ def verify_spherical_Tm(
         geg_verdict and mom_verdict,
         geg_verdict,
         mom_verdict,
-        None if exact else tol,
+        tol,
         _CONVENTIONS,
         tuple(diagnostics),
     )
@@ -460,15 +454,8 @@ class AntipodalCertificate:
         seen = sorted(i for p in self.pairs for i in p)
         if seen != list(range(len(X))):
             return False
-        tol = X.tolerance if tol is None else tol
-        for i, j in self.pairs:
-            for ci, cj in zip(X.points[i], X.points[j]):
-                if X.is_exact:
-                    if ci != -cj:
-                        return False
-                elif abs(float(ci) + float(cj)) > tol:
-                    return False
-        return True
+        tol = _tol(X, tol)
+        return all(_are_negations(X.points[i], X.points[j], tol) for i, j in self.pairs)
 
     def to_json(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs]}
@@ -478,7 +465,7 @@ def is_antipodal(
     X: SphericalConfig, tol: float | None = None
 ) -> tuple[bool, AntipodalCertificate | None]:
     """Direct check that X is a union of pairs {x, -x} (design-free oracle)."""
-    tol = X.tolerance if tol is None else tol
+    tol = _tol(X, tol)
     n = len(X)
     used = [False] * n
     pairs = []
@@ -486,22 +473,9 @@ def is_antipodal(
         if used[i]:
             continue
         used[i] = True
-        partner = None
-        for j in range(i + 1, n):
-            if used[j]:
-                continue
-            if X.is_exact:
-                if X.points[j] == _neg(X.points[i]):
-                    partner = j
-                    break
-            else:
-                gap = max(
-                    abs(float(ci) + float(cj))
-                    for ci, cj in zip(X.points[i], X.points[j])
-                )
-                if gap <= tol:
-                    partner = j
-                    break
+        x = X.points[i]
+        free = (j for j in range(i + 1, n) if not used[j])
+        partner = next((j for j in free if _are_negations(x, X.points[j], tol)), None)
         if partner is None:
             return False, None
         used[partner] = True
@@ -519,10 +493,13 @@ def certify_antipodal(
     its symmetry certificate must pair the value <x, x> = 1 with a value -1,
     and the point realizing -1 is -x itself (equality in Cauchy-Schwarz).
     """
-    tol = X.tolerance if tol is None else tol
+    tol = _tol(X, tol)
     n = len(X)
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
+    # A pair found through a projection is only known to be negations up to
+    # the square root of the projection's tolerance.
+    pair_tol = None if tol is None else 2 * math.sqrt(tol) + tol
     report = verify_spherical_Tm(X, m, tol)
     if not report.verdict:
         bad = next(
@@ -556,18 +533,15 @@ def certify_antipodal(
                 f"candidate partner {partner} of point {i} is already matched",
                 reason="pairing ambiguous",
             )
-        y = X.points[partner]
-        for ci, cj in zip(x, y):
+        if not _are_negations(x, X.points[partner], pair_tol):
             if X.is_exact:
-                if ci != -cj:
-                    raise InternalDefectError(
-                        "projection paired two points that are not negations"
-                    )
-            elif abs(float(ci) + float(cj)) > 2 * math.sqrt(tol) + tol:
-                raise ToleranceError(
-                    f"points {i} and {partner} are not negations within tolerance",
-                    reason="hypothesis approximately violated",
+                raise InternalDefectError(
+                    "projection paired two points that are not negations"
                 )
+            raise ToleranceError(
+                f"points {i} and {partner} are not negations within tolerance",
+                reason="hypothesis approximately violated",
+            )
         matched[i] = matched[partner] = True
         pairs.append((i, partner))
     return AntipodalCertificate(tuple(sorted(pairs)))
@@ -601,8 +575,7 @@ def embed(X: SphericalConfig, d_target: int) -> SphericalConfig:
     """
     if d_target <= X.dim:
         raise DomainError(f"target dimension must exceed {X.dim}")
-    zero: Scalar = Fraction(0) if X.is_exact else 0.0
-    pad = (zero,) * (d_target - X.dim)
+    pad = (mode_zero(X.mode),) * (d_target - X.dim)
     return SphericalConfig(
         tuple(p + pad for p in X.points), tolerance=X.tolerance, mode=X.mode
     )
@@ -617,12 +590,6 @@ def pad_with_antipodal_pairs_spherical(
         vv = tuple(v)
         if len(vv) != X.dim:
             raise DomainError("pair vector dimension mismatch")
-        nrm = sum(c * c for c in vv)
-        if X.is_exact:
-            if nrm != 1:
-                raise DomainError(f"pair vector {vv!r} is not a unit vector")
-        elif abs(float(nrm) - 1.0) > X.tolerance:
-            raise DomainError(f"pair vector {vv!r} is not a unit vector")
         for w in (vv, _neg(vv)):
             for p in new_points:
                 gap = max(abs(float(a) - float(b)) for a, b in zip(w, p))
@@ -777,8 +744,7 @@ class SixPointSearchReport:
     Each trial runs projected gradient descent on the squared T_2 residual
     over six circle angles, with the non-antipodality margin enforced as a
     hard constraint after every step.  Randomness is derived from
-    (seed, trial index), so serial and parallel execution agree and the
-    report is byte-reproducible.
+    (seed, trial index), so the report is byte-reproducible.
     """
 
     trials: int
@@ -816,7 +782,7 @@ def six_point_search(
     """
     if trials < 1:
         raise DomainError("trials must be a positive integer")
-    if margin < 0:
+    if not margin >= 0:
         raise DomainError("margin must be nonnegative")
     results: list[tuple[TrialResult, tuple[float, ...]]] = []
     for trial in range(trials):

@@ -28,7 +28,7 @@ from .errors import (
     InternalDefectError,
     PreconditionError,
 )
-from .scalars import DEFAULT_TOL, Scalar, all_exact
+from .scalars import DEFAULT_TOL, Scalar, all_exact, near
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,6 @@ def power_scale(values: Sequence[Scalar], k: int) -> float:
     return 1.0 + float(sum(abs(float(v)) ** k for v in values))
 
 
-def residual_is_zero(value: Scalar, exact: bool, scale: float, tol: float) -> bool:
-    if exact:
-        return value == 0
-    return abs(value) <= tol * scale
-
-
 @dataclass(frozen=True)
 class OddEquivalence:
     odd_p_all_zero: bool
@@ -182,11 +176,12 @@ def odd_equivalence_check(
     if 2 * m - 1 > n:
         raise PreconditionError(f"requires 2m-1 <= n; got 2m-1={2 * m - 1} > n={n}")
     exact = all_exact(vals)
+    tol = None if exact else tol
     p = power_sums(vals, 2 * m - 1)
     e = elementary_symmetric(vals, 2 * m - 1)
     odd = range(1, 2 * m, 2)
-    p_zero = all(residual_is_zero(p.p(k), exact, power_scale(vals, k), tol) for k in odd)
-    e_zero = all(residual_is_zero(e.e(k), exact, _elem_scale(vals, k), tol) for k in odd)
+    p_zero = all(near(p.p(k), 0, tol, power_scale(vals, k)) for k in odd)
+    e_zero = all(near(e.e(k), 0, tol, _elem_scale(vals, k)) for k in odd)
     if exact and p_zero != e_zero:
         raise InternalDefectError(
             "odd power sums and odd elementary symmetric values disagree "
@@ -223,11 +218,12 @@ def extend_odd_power_sums(
     if n > 2 * m:
         raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
     exact = all_exact(vals)
+    tol = None if exact else tol
 
     direct = power_sums(vals, max(2 * K - 2, 2 * m - 1, 1))
     for k in range(1, m + 1):
         idx = 2 * k - 1
-        if not residual_is_zero(direct.p(idx), exact, power_scale(vals, idx), tol):
+        if not near(direct.p(idx), 0, tol, power_scale(vals, idx)):
             raise HypothesisError(
                 f"odd power sum p_{idx} = {direct.p(idx)} is nonzero",
                 failing_index=idx,

@@ -119,6 +119,55 @@ class TestVerify:
         assert code == 0 and doc["verdict"] is True
 
 
+# The documents of the benchmark's known-defect probes for the certify
+# workload, with the argv each probe runs.
+MALFORMED = [
+    ({"pts": ["1/2", "-1/2"]}, ["certify", "symmetry", "--m", "1"]),
+    (["1/2", "-1/2"], ["verify", "interval", "--m", "1"]),
+    (
+        {"points": ["0.25", "-0.25"], "tolerance": "1e-9"},
+        ["certify", "symmetry", "--m", "1", "--mode", "approximate", "--tol", "1e-9"],
+    ),
+    (
+        {"points": ["nan", "0.5", "-0.5"]},
+        ["verify", "interval", "--m", "2", "--mode", "approximate", "--tol", "1e-9"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    MALFORMED,
+    ids=["missing-points", "top-level-list", "tolerance-twice", "nan-point"],
+)
+def test_malformed_document_exits_two(tmp_path, capsys, doc, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv[:2], str(path), *argv[2:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDocumentTolerance:
+    def test_string_tolerance_is_used(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"points": ["0.25", "-0.25"], "tolerance": "1e-9"}))
+        code, doc, _ = run_json(
+            capsys, "certify", "symmetry", str(path), "--m", "1", "--mode", "approximate"
+        )
+        assert code == 0
+        assert doc == {"pairs": [[0, 1]], "fixed": []}
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "1e-9x"])
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"points": ["0.25", "-0.25"], "tolerance": tol}))
+        code, _, err = run(capsys, "verify", "interval", str(path), "--m", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+
+
 class TestCertify:
     def test_symmetry_pairs(self, tmp_path, capsys):
         path = tmp_path / "sym.json"
@@ -182,6 +231,11 @@ class TestIdentities:
         assert code == 0
         assert doc == {"s=0": "-3", "s=1": "0"}
 
+    def test_binom_sum_n0_exits_two(self, capsys):
+        code, out, err = run(capsys, "identities", "binom-sum", "--n", "0")
+        assert code == 2
+        assert out == "" and "--n" in err
+
     def test_newton_tables(self, capsys):
         code, doc, _ = run_json(
             capsys, "identities", "newton", "--roots", "1,2,3", "--k", "3"
@@ -214,6 +268,12 @@ class TestSearch:
         )
         assert code == 0
         assert doc["found_below_tolerance"] is True
+
+    @pytest.mark.parametrize("margin", ["nan", "-0.1", "0.1x"])
+    def test_bad_margin_exits_two(self, capsys, margin):
+        code, out, err = run(capsys, "search", "six-point", "--margin", margin)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_margin_blocks_solution(self, capsys):
         code, doc, _ = run_json(

@@ -1,0 +1,156 @@
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from tmdesign import (
+    Configuration,
+    DomainError,
+    SphericalConfig,
+    WeightedConfiguration,
+    certify_antipodal,
+    certify_symmetry,
+    certify_weighted_symmetry,
+    is_antipodal,
+    is_symmetric,
+    verify_interval_design,
+    verify_spherical_Tm,
+    verify_weighted_design,
+)
+from tmdesign.scalars import near, parse_scalar
+
+#: Exact rationals; exact rationals forced into approximate mode; floats.
+ARITHMETICS = ("exact", "forced", "float")
+
+
+def _values(values, arith):
+    return tuple(float(v) if arith == "float" else v for v in values)
+
+
+def _mode(arith):
+    return "approximate" if arith == "forced" else "auto"
+
+
+def interval(arith, points, tol=1e-10):
+    return Configuration(_values(points, arith), tolerance=tol, mode=_mode(arith))
+
+
+def weighted(arith, support, weights, tol=1e-10):
+    return WeightedConfiguration(
+        _values(support, arith), _values(weights, arith), tolerance=tol, mode=_mode(arith)
+    )
+
+
+def sphere(arith, points, tol=1e-9):
+    pts = tuple(_values(p, arith) for p in points)
+    return SphericalConfig(pts, tolerance=tol, mode=_mode(arith))
+
+
+def _symmetric_outcome(kind, arith):
+    """(verdict, certificates) of one symmetric input of each kind."""
+    if kind == "interval":
+        X = interval(arith, (F(-3, 4), F(1, 4), 0, F(3, 4), 0, F(-1, 4)))
+        return verify_interval_design(X, 3).verdict, (
+            certify_symmetry(X, 3),
+            is_symmetric(X),
+        )
+    if kind == "weighted":
+        W = weighted(arith, (F(1, 2), 0, F(-1, 4), F(-1, 2), F(1, 4)), (3, 5, 2, 3, 2))
+        return verify_weighted_design(W, 4).verdict, (
+            certify_weighted_symmetry(W, 4),
+            is_symmetric(W),
+        )
+    S = sphere(arith, ((1, 0), (F(3, 5), F(4, 5)), (-1, 0), (F(-3, 5), F(-4, 5))))
+    return verify_spherical_Tm(S, 2).verdict, (certify_antipodal(S, 2), is_antipodal(S))
+
+
+def _builds(make):
+    try:
+        make()
+    except DomainError:
+        return False
+    return True
+
+
+def _boundary_verdicts(kind, arith, tol):
+    """Two verdicts, each on an input whose gap is exactly tol * scale when
+    tol = 2**-20: a power-sum residual, then a point or pair gap."""
+    if kind == "interval":
+        # p_1 = 2**-19 against the scale 1 + |x_1| + |x_2| = 2
+        residual = interval(arith, (F(1, 2) + F(1, 2**20), F(1, 2**20) - F(1, 2)), tol)
+        # the pair gap |1/2 + (-1/2 + 2**-20)| against the scale 1
+        pair = interval(arith, (F(1, 2), F(1, 2**20) - F(1, 2)), tol)
+        return verify_interval_design(residual, 1).verdict, is_symmetric(pair)[0]
+    if kind == "weighted":
+        # the residual 2**-19 against the scale 1 + sum |x| |w| = 2
+        residual = weighted(
+            arith, (F(1, 2), F(-1, 2)), (1 + F(1, 2**19), 1 - F(1, 2**19)), tol
+        )
+        # the weights 1 and 1 + 2**-19 against the scale 1 + |1| = 2
+        pair = weighted(arith, (F(1, 2), F(-1, 2)), (1, 1 + F(1, 2**19)), tol)
+        return verify_weighted_design(residual, 1).verdict, is_symmetric(pair)[0]
+    # |x|^2 = 1 + 2**-20 against the scale 1
+    x = (1, F(1, 2**10))
+    unit = _builds(lambda: sphere(arith, (x, tuple(-c for c in x)), tol))
+    # the coordinate gap |1 + (-1 + 2**-20)| against the scale 1
+    pair = sphere(arith, ((1, 0), (F(1, 2**20) - 1, 0)), 2.0**-19)
+    return unit, is_antipodal(pair, tol)[0]
+
+
+@pytest.mark.parametrize("kind", ["interval", "weighted", "sphere"])
+def test_one_comparison_rule_in_every_mode(kind):
+    outcomes = [_symmetric_outcome(kind, arith) for arith in ARITHMETICS]
+    assert outcomes[0][0] is True
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    tol = 2.0**-20
+    for arith in ("forced", "float"):
+        assert _boundary_verdicts(kind, arith, tol) == (True, True)
+        assert _boundary_verdicts(kind, arith, math.nextafter(tol, 0)) == (False, False)
+
+
+def test_near():
+    assert near(F(1, 3), F(1, 3), None)
+    assert not near(F(1, 3), F(1, 3) + F(1, 10**30), None)
+    assert near(0.5, 0.5 + 2.0**-20, 2.0**-20)
+    assert not near(0.5, 0.5 + 2.0**-19, 2.0**-20)
+    assert near(1.0, 1.0 + 2.0**-19, 2.0**-20, scale=2.0)
+    assert not near(float("nan"), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_parse_scalar_rejects_non_finite(text):
+    with pytest.raises(DomainError, match="non-finite"):
+        parse_scalar(text)
+
+
+def test_nan_points_rejected():
+    nan = float("nan")
+    with pytest.raises(DomainError, match="outside"):
+        Configuration((nan, 0.5, -0.5), tolerance=1e-9)
+    with pytest.raises(DomainError, match="unit vector"):
+        SphericalConfig(((nan, 0.0), (1.0, 0.0)))
+
+
+def test_document_tolerance_parsed():
+    doc = {"points": ["1/4", "-1/4"], "tolerance": "1e-9"}
+    assert Configuration.from_json(doc).tolerance == 1e-9
+    assert Configuration.from_json(dict(doc, tolerance=1e-7)).tolerance == 1e-7
+    for bad in ("-1e-9", "nan", True):
+        with pytest.raises(DomainError):
+            Configuration.from_json(dict(doc, tolerance=bad))
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (Configuration, ["1/2", "-1/2"]),
+        (Configuration, {"pts": ["1/2"]}),
+        (Configuration, {"points": "1/2"}),
+        (WeightedConfiguration, {"support": ["1/2"]}),
+        (SphericalConfig, {"points": [["1", "0"], "0"]}),
+    ],
+)
+def test_malformed_documents_rejected(cls, doc):
+    with pytest.raises(DomainError):
+        cls.from_json(doc)

@@ -315,6 +315,10 @@ class TestSixPointSearch:
         assert not report.found_below_tolerance
         assert report.best.min_pair_distance >= 0.1 - 1e-9
 
+    def test_nan_margin_rejected(self):
+        with pytest.raises(DomainError, match="margin"):
+            six_point_search(trials=1, seed=7, margin=float("nan"))
+
     def test_determinism(self):
         a = six_point_search(trials=4, seed=11, margin=0.1)
         b = six_point_search(trials=4, seed=11, margin=0.1)
