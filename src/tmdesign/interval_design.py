@@ -14,6 +14,7 @@ preserved) so certificates can cite positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,6 +108,8 @@ class WeightedConfiguration:
             for xj in self.support[i + 1 :]:
                 if near(xi, xj, tol):
                     raise DomainError(f"duplicate support point {format_scalar(xi)}")
+        if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
+            raise DomainError("weights must be finite")
         if any(near(w, 0, tol) for w in self.weights):
             raise DomainError("weights must be nonzero")
 
@@ -252,7 +255,7 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     tol = config.near_tol
     # Verifies the design hypothesis (raising with the smallest failing odd
     # index) and certifies that all higher odd power sums vanish with it.
-    extend_odd_power_sums(pts, m, max(n, 1), tol=config.tolerance)
+    extend_odd_power_sums(pts, m, max(n, 1), tol=tol)
 
     remaining = sorted(range(n), key=lambda i: (-abs(float(pts[i])), i))
     pairs: list[tuple[int, int]] = []

@@ -16,8 +16,9 @@ explicit pairing.
 Verification always runs both routes - the Gegenbauer pair sum and a
 deterministic moment probe (all coordinate vectors plus all sign vectors,
 with the full symmetric moment tensor assembled when d <= 4) - and requires
-agreement.  Sphere polynomials are normalized to Q_{d,t}(1) = 1; zero sets
-and parity do not depend on that choice.
+agreement.  Each route makes one pass for all of T_m: one recurrence per
+Gram entry <x, y>, one set of inner products per probe.  Sphere polynomials
+are normalized to Q_{d,t}(1) = 1; zero sets and parity do not depend on it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from functools import reduce
+from itertools import product
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -111,11 +114,11 @@ class SphericalConfig:
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _neg(p: Point) -> Point:
-    return tuple(-c for c in p)
+def _coincide(p: Point, q: Point, tol: float | None) -> bool:
+    return all(near(a, b, tol) for a, b in zip(p, q))
 
 
 def _are_negations(p: Point, q: Point, tol: float | None) -> bool:
@@ -138,44 +141,40 @@ class GegenbauerEvaluator:
     d = 2 uses the cosine polynomials T_t (value cos(t*theta) at cos(theta));
     d >= 3 runs the classical three-term recurrence with parameter
     (d - 2)/2 and divides by the value at 1.  Odd t gives an odd polynomial.
-    Rational inputs are evaluated exactly.
+    Both have integer coefficients (floats on float input): rational inputs
+    are evaluated exactly.
     """
 
     def __init__(self, d: int):
         if d < 2:
             raise DomainError("dimension must be at least 2")
         self.d = d
-        self._norms: dict[int, Fraction] = {}
+        # raw_j = (a_j s raw_(j-1) - b_j raw_(j-2)) / c_j: (a_j, b_j, c_j, raw_j(1))
+        self._steps: list[tuple] = [(0, 0, 1, Fraction(1))]
+        self._fsteps: list[tuple] = [(0.0, 0.0, 1.0, 1.0)]
 
-    def _raw(self, t: int, s: Scalar) -> Scalar:
-        lam = Fraction(self.d - 2, 2)
-        if t == 0:
-            return 1 if isinstance(s, (int, Fraction)) else 1.0
-        prev, cur = 1, 2 * lam * s
-        for j in range(2, t + 1):
-            prev, cur = cur, (2 * (j + lam - 1) * s * cur - (j + 2 * lam - 2) * prev) / j
-        return cur
-
-    def _norm(self, t: int) -> Fraction:
-        if t not in self._norms:
-            self._norms[t] = Fraction(self._raw(t, Fraction(1)))
-        return self._norms[t]
+    def values(self, top: int, s: Scalar) -> list[Scalar]:
+        """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
+        if top < 0:
+            raise DomainError("degree must be nonnegative")
+        d, steps = self.d, self._steps
+        for j in range(len(steps), top + 1):
+            a, b, c = (2 * j + d - 4, j + d - 4, j) if d > 2 else (min(j, 2), 1, 1)
+            norm = Fraction(a * steps[-1][3] - b * (steps[-2][3] if j > 1 else 0), c)
+            steps.append((a, b, c, norm))
+            self._fsteps.append((float(a), float(b), float(c), float(norm)))
+        if isinstance(s, float):
+            steps, prev, cur = self._fsteps, 0.0, 1.0
+        else:
+            prev, cur, s = 0, 1, Fraction(s)
+        out = [cur]
+        for a, b, c, norm in steps[1 : top + 1]:
+            prev, cur = cur, (a * s * cur - b * prev) / c
+            out.append(cur / norm)
+        return out
 
     def value(self, t: int, s: Scalar) -> Scalar:
-        if t < 0:
-            raise DomainError("degree must be nonnegative")
-        if self.d == 2:
-            if t == 0:
-                return 1 if isinstance(s, (int, Fraction)) else 1.0
-            prev, cur = 1, s
-            for _ in range(t - 1):
-                prev, cur = cur, 2 * s * cur - prev
-            return cur
-        if t == 0:
-            return 1 if isinstance(s, (int, Fraction)) else 1.0
-        raw = self._raw(t, s)
-        nrm = self._norm(t)
-        return raw / nrm if isinstance(raw, (int, Fraction)) else raw / float(nrm)
+        return self.values(t, s)[t]
 
 
 def gegenbauer_value(
@@ -187,14 +186,21 @@ def gegenbauer_value(
     return GegenbauerEvaluator(d).value(t, s)
 
 
+def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
+    """Ordered pair sums of Q_{d,t} for each t in ts: one recurrence per
+    unordered pair, the n^2 terms added in row order, as a double loop."""
+    ev = GegenbauerEvaluator(X.dim)
+    pts, top, upper = X.points, max(ts, default=0), []
+    for i, x in enumerate(pts):  # upper[i][k] holds the pair (i, i + k)
+        upper.append([ev.values(top, _dot(x, y)) for y in pts[i:]])
+    n = len(pts)
+    rows = [upper[min(i, j)][abs(i - j)] for i in range(n) for j in range(n)]
+    return [reduce(add, (v[t] for v in rows), 0) for t in ts]
+
+
 def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
     """The raw pair sum over ordered pairs (diagonal included) of Q_{d,t}."""
-    ev = GegenbauerEvaluator(X.dim)
-    acc: Scalar = 0
-    for x in X.points:
-        for y in X.points:
-            acc = acc + ev.value(t, _dot(x, y))
-    return acc
+    return _pair_sums(X, (t,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,41 +209,41 @@ def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
 
 
 def _probe_vectors(d: int) -> list[tuple[int, ...]]:
-    """Coordinate vectors then all sign vectors: d + 2^d deterministic probes.
-
-    Probes are integer vectors (not normalized); the moment condition is
-    homogeneous, so residuals are scaled by ||a||^t afterwards.
-    """
+    """Coordinate vectors then all sign vectors: d + 2^d integer probes."""
     probes = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
     probes.extend(product((1, -1), repeat=d))
     return probes
 
 
-def _moment_residuals(X: SphericalConfig, t: int) -> list[tuple[Scalar, float]]:
-    """(raw residual, normalizer) pairs for the degree-t moment check.
-
-    Probe entries are sum_x <x, a>^t; when d <= 4 the full symmetric tensor
-    entries sum_x x^alpha (|alpha| = t) are appended, which makes the check
-    complete.  Everything is normalized per point (by n alone; the probes are
-    max-norm-1 vectors), so zero-padding the configuration into a larger
-    dimension reproduces the residual family exactly.
-    """
-    n = len(X)
-    out: list[tuple[Scalar, float]] = []
-    for a in _probe_vectors(X.dim):
-        ip = [_dot(x, a) for x in X.points]
-        raw = sum(v**t for v in ip)
-        out.append((raw, float(n)))
-    if X.dim <= 4:
-        for alpha in combinations_with_replacement(range(X.dim), t):
-            raw = 0
-            for x in X.points:
-                term = 1
-                for i in alpha:
-                    term = term * x[i]
-                raw = raw + term
-            out.append((raw, float(n)))
-    return out
+def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
+    """The worst degree-t moment entry for each t in ts: the first of largest
+    modulus among the probe sums sum_x <x, a>^t and, when d <= 4, the full
+    symmetric tensor sum_x x^alpha (|alpha| = t), which makes the check
+    complete.  Approximate entries are divided by n alone (the probes have
+    max-norm 1), so zero-padding into a larger dimension keeps them."""
+    d, top, pts = X.dim, max(ts, default=0), X.points
+    if X.is_exact:  # clear denominators: every entry is an integer over L^t
+        L = math.lcm(*(c.denominator for p in pts for c in p))
+        pts = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
+    raws: dict[int, list] = {t: [] for t in ts}
+    for a in _probe_vectors(d):
+        ip = [_dot(x, a) for x in pts]
+        for t in ts:
+            raws[t].append(sum(v**t for v in ip))
+    if d <= 4:  # prefix products x^alpha in combinations_with_replacement order
+        tensor: dict[int, list] = {}
+        for x in pts:
+            level = [(1, 0)]  # (x^alpha, last index of alpha)
+            for k in range(1, top + 1):
+                level = [(p * x[i], i) for p, lo in level for i in range(lo, d)]
+                if k in raws:
+                    acc = tensor.get(k, [0] * len(level))
+                    tensor[k] = [s + p for s, (p, _) in zip(acc, level)]
+        for t in ts:
+            raws[t] += tensor[t]
+    if X.is_exact:
+        return [Fraction(max([0] + raws[t], key=abs), L**t) for t in ts]
+    return [max([0] + [r / float(len(X)) for r in raws[t]], key=abs) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -310,21 +316,11 @@ def verify_spherical_Tm(
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    tol = _tol(X, tol)
-    exact = X.is_exact
-    n = len(X)
-    checks = []
-    diagnostics = []
-    for t in range(1, 2 * m, 2):
-        pair = harmonic_index_residual(X, t)
-        geg_res = Fraction(pair, n * n) if exact else pair / (n * n)
-        geg_ok = near(geg_res, 0, tol)
-        worst: Scalar = 0
-        for raw, norm in _moment_residuals(X, t):
-            scaled = raw if exact else raw / norm
-            if abs(scaled) > abs(worst):
-                worst = scaled
-        mom_ok = near(worst, 0, tol)
+    tol, n, ts = _tol(X, tol), len(X), range(1, 2 * m, 2)
+    checks, diagnostics = [], []
+    for t, pair, worst in zip(ts, _pair_sums(X, ts), _moment_residuals(X, ts)):
+        geg_res = Fraction(pair, n * n) if X.is_exact else pair / (n * n)
+        geg_ok, mom_ok = near(geg_res, 0, tol), near(worst, 0, tol)
         if mom_ok and not geg_ok:
             # the moment at t dominates the degree-t component; this
             # direction cannot happen outside numerical artifacts
@@ -341,14 +337,8 @@ def verify_spherical_Tm(
             f"{'pass' if mom_verdict else 'fail'}"
         )
     return SphericalDesignReport(
-        tuple(range(1, 2 * m, 2)),
-        tuple(checks),
-        geg_verdict and mom_verdict,
-        geg_verdict,
-        mom_verdict,
-        tol,
-        _CONVENTIONS,
-        tuple(diagnostics),
+        tuple(ts), tuple(checks), geg_verdict and mom_verdict, geg_verdict,
+        mom_verdict, tol, _CONVENTIONS, tuple(diagnostics),
     )
 
 
@@ -590,11 +580,9 @@ def pad_with_antipodal_pairs_spherical(
         vv = tuple(v)
         if len(vv) != X.dim:
             raise DomainError("pair vector dimension mismatch")
-        for w in (vv, _neg(vv)):
-            for p in new_points:
-                gap = max(abs(float(a) - float(b)) for a, b in zip(w, p))
-                if gap <= X.tolerance:
-                    raise DomainError(f"duplicate point {w!r}")
+        for w in (vv, tuple(-c for c in vv)):
+            if any(_coincide(w, p, X.near_tol) for p in new_points):
+                raise DomainError(f"duplicate point {w!r}")
             new_points.append(w)
     return SphericalConfig(tuple(new_points), tolerance=X.tolerance, mode=X.mode)
 
@@ -613,14 +601,9 @@ def escalation_diagnostic(
     xv = tuple(x)
     if len(xv) != X.dim:
         raise DomainError("dimension mismatch")
-    tol = X.tolerance
-
-    def close(p: Point, q: Point) -> bool:
-        return max(abs(float(a) - float(b)) for a, b in zip(p, q)) <= tol
-
-    if not any(close(xv, p) for p in X.points):
+    if not any(_coincide(xv, p, X.near_tol) for p in X.points):
         raise DomainError("x must belong to the configuration")
-    if any(close(_neg(xv), p) for p in X.points):
+    if any(_are_negations(xv, p, X.near_tol) for p in X.points):
         raise PreconditionError(
             "diagnostic not applicable: -x belongs to the configuration"
         )

@@ -196,15 +196,17 @@ def _elem_scale(values: Sequence[Scalar], k: int) -> float:
 
 
 def extend_odd_power_sums(
-    values: Sequence[Scalar], m: int, K: int, tol: float = DEFAULT_TOL
+    values: Sequence[Scalar], m: int, K: int, tol: float | None = DEFAULT_TOL
 ) -> tuple[Scalar, ...]:
     """Odd power sums p_1, p_3, ..., p_{2K-1}, all certified zero.
 
-    Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m (verified here;
-    exactly for exact inputs, scale-aware otherwise).  The remaining odd sums
-    are then forced: for 2k-1 > n the k >= n recursion splits into a sum of
-    odd-index e's times even-index p's and a sum of even-index e's times
-    lower odd-index p's, and both families of odd-index factors vanish.
+    Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m (verified here
+    with ``near`` at tolerance ``tol``: scale-aware for a float, exactly for
+    None, which also checks that the forced odd e's and p's come out zero).
+    The remaining odd sums are then forced: for 2k-1 > n the k >= n
+    recursion splits into a sum of odd-index e's times even-index p's and a
+    sum of even-index e's times lower odd-index p's, and both families of
+    odd-index factors vanish.
 
     Returns the K odd sums in order; entry k-1 is p_{2k-1}.  Raises with the
     smallest violating odd index if the hypothesis fails.
@@ -217,9 +219,7 @@ def extend_odd_power_sums(
         raise DomainError("K must be a positive integer")
     if n > 2 * m:
         raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
-    exact = all_exact(vals)
-    tol = None if exact else tol
-
+    exact = tol is None
     direct = power_sums(vals, max(2 * K - 2, 2 * m - 1, 1))
     for k in range(1, m + 1):
         idx = 2 * k - 1

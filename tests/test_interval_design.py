@@ -130,6 +130,15 @@ class TestCertifySymmetry:
             certify_symmetry(skewed(2e-10), 2)
         assert exc.value.reason == "pairing ambiguous"
 
+    def test_forced_approximate_rationals_use_the_tolerance(self):
+        # the mode, not the arithmetic of the values, decides exactness
+        pts = (F(1, 2), F(-1, 2) + F(1, 10**12))
+        config = Configuration(pts, mode="approximate", tolerance=1e-9)
+        assert verify_interval_design(config, 1).verdict
+        assert certify_symmetry(config, 1).pairs == ((0, 1),)
+        with pytest.raises(HypothesisError, match="p_1"):
+            certify_symmetry(Configuration(pts), 1)
+
     def test_soundness_on_random_symmetric_multisets(self):
         rng = random.Random(4242)
         for _ in range(200):
@@ -156,6 +165,15 @@ class TestWeightedConfiguration:
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError, match="nonzero"):
             WeightedConfiguration((F(1, 2), F(-1, 2)), (1, 0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            WeightedConfiguration((0.5, -0.5), (bad, 1.0), tolerance=1e-9)
+
+    def test_huge_rational_weight_accepted(self):
+        config = WeightedConfiguration((F(1, 2), F(-1, 2)), (F(10**400), 1))
+        assert config.is_exact
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -46,6 +47,128 @@ def random_antipodal_config(rng, d, npairs):
         pts.append(tuple(-float(c) for c in w))
     rng.shuffle(pts)
     return SphericalConfig(tuple(pts))
+
+
+def unit_exact(rng, d):
+    """Inverse stereographic projection of a seeded rational point."""
+    u = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d - 1)]
+    s = sum(c * c for c in u)
+    return tuple(2 * c / (s + 1) for c in u) + ((s - 1) / (s + 1),)
+
+
+def unit_float(rng, d):
+    v = [rng.gauss(0, 1) for _ in range(d)]
+    norm = math.sqrt(sum(c * c for c in v))
+    return tuple(c / norm for c in v)
+
+
+def reference_pair_sum(X, t):
+    """Per-t pair sum: Fraction lambda, one recurrence per ordered pair."""
+    lam = F(X.dim - 2, 2)
+
+    def raw(s):
+        if X.dim == 2:
+            prev, cur = 1, s
+            for _ in range(t - 1):
+                prev, cur = cur, 2 * s * cur - prev
+            return cur
+        prev, cur = 1, 2 * lam * s
+        for j in range(2, t + 1):
+            prev, cur = cur, (2 * (j + lam - 1) * s * cur - (j + 2 * lam - 2) * prev) / j
+        return cur
+
+    def q(s):
+        if t == 0:
+            return 1 if isinstance(s, (int, F)) else 1.0
+        r, nrm = raw(s), F(raw(F(1)))
+        return r / nrm if isinstance(r, (int, F)) else r / float(nrm)
+
+    acc = 0
+    for x in X.points:
+        for y in X.points:
+            acc = acc + q(sum(a * b for a, b in zip(x, y)))
+    return acc
+
+
+def reference_moment_residual(X, t):
+    """Per-t moment check: worst normalized probe entry, then tensor entry."""
+    d = X.dim
+    probes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    raws = [
+        sum(sum(a * b for a, b in zip(x, p)) ** t for x in X.points)
+        for p in probes + list(product((1, -1), repeat=d))
+    ]
+    for alpha in combinations_with_replacement(range(d), t) if d <= 4 else ():
+        raw = 0
+        for x in X.points:
+            term = 1
+            for i in alpha:
+                term = term * x[i]
+            raw = raw + term
+        raws.append(raw)
+    worst = 0
+    for raw in raws:
+        scaled = raw if X.is_exact else raw / float(len(X))
+        if abs(scaled) > abs(worst):
+            worst = scaled
+    return worst
+
+
+def same(a, b):
+    """Equal values, and floats equal bit for bit."""
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and repr(a) == repr(b)
+    return a == b
+
+
+def pinned_configs():
+    rng = random.Random(1977)
+    for d in (2, 3, 5, 8):
+        for unit in (unit_float, unit_exact):
+            n = rng.randint(4, 10)
+            half = [unit(rng, d) for _ in range(n // 2)]
+            anti = half + [tuple(-c for c in p) for p in half]
+            rng.shuffle(anti)
+            yield SphericalConfig(tuple(anti))
+            yield SphericalConfig(tuple(unit(rng, d) for _ in range(n)))
+    loose = tuple(unit_exact(rng, 3) for _ in range(5))
+    yield SphericalConfig(loose, mode="approximate")  # rationals, float tests
+    yield polygon_on_circle(2, rotation=0.4)
+    yield embed(polygon_on_circle(3), 4)
+    yield embed(SphericalConfig(((F(3, 5), F(4, 5)), (F(0), F(-1)))), 3)
+
+
+class TestKernelPinned:
+    """The one-pass kernels reproduce the per-t recurrence and probe loop."""
+
+    @pytest.mark.parametrize(
+        "X", list(pinned_configs()), ids=lambda X: f"d{X.dim}n{len(X)}{X.mode[0]}"
+    )
+    def test_pair_sums_and_moments(self, X):
+        n, m = len(X), 3
+        report = verify_spherical_Tm(X, m)
+        for c in report.checks:
+            pair = reference_pair_sum(X, c.t)
+            geg = F(pair, n * n) if X.is_exact else pair / (n * n)
+            assert same(c.gegenbauer_residual, geg)
+            assert same(c.moment_residual, reference_moment_residual(X, c.t))
+        for t in range(2 * m + 1):  # even t too
+            assert same(harmonic_index_residual(X, t), reference_pair_sum(X, t))
+
+    def test_integer_coordinates_stay_exact(self):
+        X = SphericalConfig(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+        report = verify_spherical_Tm(X, 3)
+        for c in report.checks:
+            for r in (c.gegenbauer_residual, c.moment_residual):
+                assert isinstance(r, (int, F))
+            assert c.moment_residual == reference_moment_residual(X, c.t)
+        for t in range(6):
+            r = harmonic_index_residual(X, t)
+            assert isinstance(r, (int, F)) and r == reference_pair_sum(X, t)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            harmonic_index_residual(CROSS, -1)
 
 
 class TestGegenbauer:
@@ -279,6 +402,14 @@ class TestPadSpherical:
         with pytest.raises(DomainError):
             pad_with_antipodal_pairs_spherical(CROSS, [(0.5, 0.5)])
 
+    def test_exact_duplicate_test_is_equality(self):
+        # a rational unit vector within 1e-9 of (0, -1), but not equal to it
+        u = F(1, 10**10)
+        v = (2 * u / (1 + u * u), (u * u - 1) / (1 + u * u))
+        padded = pad_with_antipodal_pairs_spherical(CROSS, [v])
+        assert len(padded) == 6 and padded.is_exact
+        assert verify_spherical_Tm(padded, 2).verdict
+
 
 class TestEscalationDiagnostic:
     def test_pentagon_converges_to_one(self):
@@ -300,6 +431,12 @@ class TestEscalationDiagnostic:
     def test_membership_required(self):
         with pytest.raises(DomainError):
             escalation_diagnostic(CROSS, (F(3, 5), F(4, 5)), 3)
+
+    def test_exact_membership_is_equality(self):
+        u = F(1, 10**10)
+        near_member = (2 * u / (1 + u * u), (u * u - 1) / (1 + u * u))
+        with pytest.raises(DomainError, match="belong"):
+            escalation_diagnostic(CROSS, near_member, 3)
 
 
 class TestSixPointSearch:

@@ -137,6 +137,13 @@ class TestExtendOddPowerSums:
             extend_odd_power_sums([1, 2], 1, 2)
         assert exc.value.failing_index == 1
 
+    def test_tolerance_none_tests_exactly(self):
+        vals = [F(1, 2), F(-1, 2) + F(1, 10**12)]
+        with pytest.raises(HypothesisError):
+            extend_odd_power_sums(vals, 1, 2, tol=None)
+        # a float tolerance is scale-aware, whatever the arithmetic of the values
+        assert extend_odd_power_sums(vals, 1, 1, tol=1e-9) == (F(1, 10**12),)
+
     def test_too_many_points_rejected(self):
         with pytest.raises(PreconditionError):
             extend_odd_power_sums([F(1, 2), F(-1, 2), 0], 1, 3)
