@@ -58,8 +58,6 @@ DEFAULT_EPSILON_START = Fraction(1, 16)
 #: Default output precision of the perturbed design's approximate points.
 DEFAULT_PRECISION = Fraction(1, 10**12)
 
-_MAX_HALVINGS = 64
-
 
 def base_roots(m: int) -> list[Fraction]:
     """The 2m symmetric rationals +-(2k-1)/(2m), k = 1..m, ascending."""
@@ -85,9 +83,17 @@ def choose_epsilon(m: int, start: Scalar = DEFAULT_EPSILON_START) -> Fraction:
     """First epsilon in the halving sequence start, start/2, ... for which
     f + epsilon keeps 2m simple roots inside (-1 + 1/(2m), 1 - 1/(2m)).
 
-    Since the first valid epsilon is also the largest valid one visited, the
-    perturbed roots stay as well separated as the sequence allows.  The point
-    1/(2m) is automatically avoided: g(1/(2m)) = epsilon != 0.
+    The search always ends.  The window ends are the outer roots of f, and
+    f' has one root between each pair of neighbouring roots of f, so f < 0
+    between its roots exactly on m intervals, each with one local minimum.
+    Let eps* > 0 be the smallest |f| at these minima.  g = f + eps is
+    positive outside those intervals and has two simple roots in each when
+    eps < eps*; at eps = eps* a root is double, and beyond it at least two
+    roots are lost.  The valid epsilons are thus exactly (0, eps*), which
+    the halving sequence enters after finitely many steps, and the first
+    valid epsilon is also the largest valid one visited, so the perturbed
+    roots stay as well separated as the sequence allows.  The point 1/(2m)
+    is automatically avoided: g(1/(2m)) = epsilon != 0.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -95,13 +101,9 @@ def choose_epsilon(m: int, start: Scalar = DEFAULT_EPSILON_START) -> Fraction:
     if eps <= 0:
         raise DomainError("start must be positive")
     f = monic_from_roots(base_roots(m))
-    for _ in range(_MAX_HALVINGS):
-        if _window_root_count(f.plus_constant(eps), m) == 2 * m:
-            return eps
+    while _window_root_count(f.plus_constant(eps), m) != 2 * m:
         eps /= 2
-    raise InternalDefectError(
-        f"no valid epsilon found in {_MAX_HALVINGS} halvings from {format_scalar(start)}"
-    )
+    return eps
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,8 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     "pairing ambiguous", anything worse as "hypothesis approximately
     violated".
     """
+    if m < 0:
+        raise DomainError("m must be >= 0")
     n = len(config)
     if n == 0:
         return SymmetryCertificate((), ())
@@ -329,6 +331,8 @@ def certify_weighted_symmetry(
     difference as weight would otherwise leave an unpaired support point in
     the reduced design), and induction handles the remainder.
     """
+    if m < 0:
+        raise DomainError("m must be >= 0")
     xs, ws = wconfig.support, wconfig.weights
     exact = wconfig.is_exact
     tol = wconfig.near_tol

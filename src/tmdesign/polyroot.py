@@ -5,13 +5,15 @@ Polynomials are immutable tuples of Fractions in ascending degree order.
 Root counting works on a Sturm chain computed over Z (primitive
 pseudo-remainders with positive scale factors), so every count, every
 isolating interval and every refinement step is an exact certificate rather
-than a floating-point estimate.  Counts are for the half-open interval
-(lo, hi].
+than a floating-point estimate.  Every sign is decided by one integer test,
+``_eval_sign``, on primitive integer coefficients, a positive multiple of the
+polynomial: the chain at query points, the split points of isolation and
+each bisection step.  Counts are for the half-open interval (lo, hi].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -54,11 +56,6 @@ class RationalPolynomial:
             return RationalPolynomial.from_coeffs([cc])
         return RationalPolynomial.from_coeffs((self.coeffs[0] + cc,) + self.coeffs[1:])
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
     def to_json(self) -> dict:
         return {"coeffs": [format_scalar(c) for c in self.coeffs]}
 
@@ -75,19 +72,10 @@ class IsolatingInterval:
 
     lo: Fraction
     hi: Fraction
-    root_count: int = field(default=1)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError("isolating interval needs lo < hi")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 def monic_from_roots(roots: Sequence[Scalar]) -> RationalPolynomial:
@@ -154,8 +142,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _eval_sign(c: list[int], p: int, q: int) -> int:
-    """Sign of the polynomial at p/q (q > 0), via sum c_i p^i q^(d-i)."""
+def _eval_sign(c: list[int], x: Fraction) -> int:
+    """Sign of the polynomial at x = p/q (q > 0), via sum c_i p^i q^(d-i)."""
+    p, q = x.numerator, x.denominator
     d = len(c) - 1
     pows = [1]
     for _ in range(d):
@@ -169,10 +158,13 @@ def _eval_sign(c: list[int], p: int, q: int) -> int:
 
 
 class _SturmChain:
-    """Sturm chain of an integer polynomial, queried at rational points."""
+    """Sturm chain over Z of a nonzero squarefree polynomial, queried at
+    rational points; ``chain[0]`` is its primitive integer multiple."""
 
-    def __init__(self, int_coeffs: list[int]):
-        p0 = _primitive(list(int_coeffs))
+    def __init__(self, poly: RationalPolynomial):
+        if poly.is_zero:
+            raise DomainError("zero polynomial")
+        p0 = _int_coeffs(poly)
         chain = [p0]
         p1 = _primitive([i * c for i, c in enumerate(p0)][1:])
         if p1:
@@ -182,17 +174,16 @@ class _SturmChain:
                 if not r:
                     break
                 chain.append(_primitive([-x for x in r]))
-        self.chain = chain
-
-    @property
-    def squarefree(self) -> bool:
         # The chain ends at gcd(P, P') up to positive factors; a nontrivial
         # final degree means a repeated root.
-        return len(self.chain[-1]) <= 1
+        if len(chain[-1]) > 1:
+            raise NotSquarefreeError(
+                "polynomial has repeated roots; reduce to its squarefree part first"
+            )
+        self.chain = chain
 
     def variations_at(self, x: Fraction) -> int:
-        p, q = x.numerator, x.denominator
-        signs = [s for s in (_eval_sign(c, p, q) for c in self.chain) if s != 0]
+        signs = [s for s in (_eval_sign(c, x) for c in self.chain) if s != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
@@ -216,40 +207,25 @@ def sturm_root_count(poly: RationalPolynomial, lo: Scalar, hi: Scalar) -> int:
     flo, fhi = as_fraction(lo), as_fraction(hi)
     if not flo < fhi:
         raise DomainError("require lo < hi")
-    if poly.is_zero:
-        raise DomainError("zero polynomial")
-    if poly.degree == 0:
-        return 0
-    chain = _SturmChain(_int_coeffs(poly))
-    if not chain.squarefree:
-        raise NotSquarefreeError(
-            "polynomial has repeated roots; reduce to its squarefree part first"
-        )
-    return chain.count(flo, fhi)
+    return _SturmChain(poly).count(flo, fhi)
 
 
-def _split_point(poly: RationalPolynomial, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) that is not a root."""
+def _split_point(c: list[int], lo: Fraction, hi: Fraction) -> Fraction:
+    """A point near the middle of (lo, hi) that is not a root of c."""
     width = hi - lo
-    for j in range(poly.degree + 2):
+    for j in range(len(c) + 1):
         k = 64 + (j + 1) // 2 * (1 if j % 2 else -1)
         mid = lo + width * Fraction(k, 128)
-        if evaluate(poly, mid) != 0:
+        if _eval_sign(c, mid) != 0:
             return mid
     raise InternalDefectError("could not find a non-root split point")
 
 
 def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
     """Pairwise disjoint rational intervals, one per distinct real root."""
-    if poly.is_zero:
-        raise DomainError("zero polynomial")
+    chain = _SturmChain(poly)
     if poly.degree == 0:
         return []
-    chain = _SturmChain(_int_coeffs(poly))
-    if not chain.squarefree:
-        raise NotSquarefreeError(
-            "polynomial has repeated roots; reduce to its squarefree part first"
-        )
     bound = cauchy_root_bound(poly)
     stack = [(-bound, bound, chain.count(-bound, bound))]
     out: list[IsolatingInterval] = []
@@ -260,7 +236,7 @@ def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
         if cnt == 1:
             out.append(IsolatingInterval(lo, hi))
             continue
-        mid = _split_point(poly, lo, hi)
+        mid = _split_point(chain.chain[0], lo, hi)
         left = chain.count(lo, mid)
         stack.append((lo, mid, left))
         stack.append((mid, hi, cnt - left))
@@ -278,35 +254,36 @@ def refine_root(
     prec = as_fraction(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
+    c = _int_coeffs(poly)
     lo, hi = interval.lo, interval.hi
-    fhi = evaluate(poly, hi)
-    if fhi == 0:
+    shi = _eval_sign(c, hi)
+    if shi == 0:
         return hi
-    flo = evaluate(poly, lo)
-    if flo == 0:
+    slo = _eval_sign(c, lo)
+    if slo == 0:
         # lo itself is a root of the polynomial, just outside (lo, hi]; step
         # inside until the bracket regains a sign change.
         step = hi - lo
         while True:
             step /= 2
             cand = lo + step
-            fc = evaluate(poly, cand)
-            if fc == 0:
+            slo = _eval_sign(c, cand)
+            if slo == 0:
                 return cand
-            if fc * fhi < 0:
-                lo, flo = cand, fc
+            if slo != shi:
+                lo = cand
                 break
-    if flo * fhi > 0:
+    if slo == shi:
         raise DomainError("interval does not bracket a sign change")
     while hi - lo > prec:
         mid = (lo + hi) / 2
-        fm = evaluate(poly, mid)
-        if fm == 0:
+        sm = _eval_sign(c, mid)
+        if sm == 0:
             return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
+        if sm == shi:
+            hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     return (lo + hi) / 2
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterable, TypeAlias
+from typing import Callable, Iterable, Sequence, TypeAlias
 
 import mpmath
 
@@ -36,14 +36,24 @@ def all_exact(values: Iterable[Scalar]) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def resolve_mode(mode: str, values: Iterable[Scalar], what: str) -> str:
-    """"exact" or "approximate": ``mode``, with "auto" decided by ``values``."""
+def resolve_mode(mode: str, values: Sequence[Scalar], what: str) -> str:
+    """"exact" or "approximate": ``mode``, with "auto" decided by ``values``.
+
+    Approximate mode compares values as floats, so it rejects a rational too
+    large to convert to one.
+    """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
     if mode == "auto":
-        return "exact" if all_exact(values) else "approximate"
-    if mode == "exact" and not all_exact(values):
+        mode = "exact" if all_exact(values) else "approximate"
+    elif mode == "exact" and not all_exact(values):
         raise DomainError(f"exact mode rejects float {what}")
+    if mode == "approximate":
+        try:
+            for v in values:
+                float(v)
+        except OverflowError:
+            raise DomainError(f"{what} too large for approximate mode") from None
     return mode
 
 

@@ -483,6 +483,8 @@ def certify_antipodal(
     its symmetry certificate must pair the value <x, x> = 1 with a value -1,
     and the point realizing -1 is -x itself (equality in Cauchy-Schwarz).
     """
+    if m < 0:
+        raise DomainError("m must be >= 0")
     tol = _tol(X, tol)
     n = len(X)
     if n > 2 * m:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdesign.cli import main
 
@@ -28,6 +32,14 @@ class TestConstruct:
         assert len(doc["points"]) == 3
         assert doc["points"][-1] == "1"
         assert abs(float(doc["points"][0]) + 0.75) < 1e-11
+        assert doc["verification"]["verdict"] is True
+
+    @pytest.mark.parametrize("m, halvings", [(24, 65), (25, 68)])
+    def test_perturbed_past_64_halvings(self, capsys, m, halvings):
+        code, doc, _ = run_json(capsys, "construct", "perturbed", "--m", str(m))
+        assert code == 0
+        assert doc["epsilon"] == f"1/{16 * 2**halvings}"
+        assert doc["certificate"] == ["0"] * m
         assert doc["verification"]["verdict"] is True
 
     def test_binomial_n3(self, capsys):
@@ -308,3 +320,115 @@ def test_output_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_path.read_text()) == {"s=0": "-3", "s=1": "0"}
+
+
+# A valid document of each certify kind, run with a negative --m.
+NEGATIVE_M = [
+    ({"points": ["1/2", "-1/2"]}, "symmetry", "-1"),
+    ({"points": []}, "symmetry", "-2"),
+    ({"support": ["0"], "weights": ["1"]}, "weighted-symmetry", "-3"),
+    ({"support": ["1/2", "-1/2"], "weights": ["1", "1"]}, "weighted-symmetry", "-1"),
+    (
+        {"dim": 2, "points": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]},
+        "antipodal",
+        "-1",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, kind, m", NEGATIVE_M)
+def test_certify_negative_m_exits_two(tmp_path, capsys, doc, kind, m):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", kind, str(path), "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err == "error: m must be >= 0\n"
+
+
+# Entries of the fuzzed documents: valid rationals and floats in [-1, 1] drawn
+# twice as often as the rest, which holds bad literals, values out of range or
+# too large for a float, and JSON values of other types.
+_GOOD = ["1/2", "-1/2", "0", "1", "-1", "3/4", "-3/4", "1/3", "-1/3", "0.5", "-0.5",
+         0.25, -0.25, 1, -1, 0]
+_BAD = ["1/0", "nan", "inf", "-inf", "abc", "", "1e400", "2", 1e308, 10**30,
+        10**400, None, True, [], {}]
+_entries = st.one_of(st.sampled_from(_GOOD), st.sampled_from(_GOOD), st.sampled_from(_BAD))
+_extras = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(["exact", "approximate", "auto", "bogus", None]),
+        "tolerance": st.sampled_from(["1e-9", 0, 1e-12, 1e300, "-1", "nan", "x", None]),
+    },
+)
+_bodies = {
+    "interval": st.fixed_dictionaries({"points": st.lists(_entries, max_size=6)}),
+    "weighted": st.integers(0, 4).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "support": st.lists(_entries, min_size=n, max_size=n),
+                "weights": st.lists(_entries, min_size=n, max_size=n + 1),
+            }
+        )
+    ),
+    "spherical": st.integers(1, 3).flatmap(
+        lambda d: st.fixed_dictionaries(
+            {
+                "dim": st.sampled_from([d, "2", None]),
+                "points": st.lists(
+                    st.one_of(
+                        st.lists(_entries, min_size=d, max_size=d),
+                        st.sampled_from(
+                            [["1", "0"], ["-1", "0"], ["0", 1], ["0", -1],
+                             ["3/5", "4/5"], ["-3/5", "-4/5"], [0.6, 0.8], "1", None]
+                        ),
+                    ),
+                    max_size=6,
+                ),
+            }
+        )
+    ),
+}
+_KINDS = [
+    ("verify", "interval", "interval"),
+    ("verify", "weighted", "weighted"),
+    ("verify", "spherical", "spherical"),
+    ("certify", "symmetry", "interval"),
+    ("certify", "weighted-symmetry", "weighted"),
+    ("certify", "antipodal", "spherical"),
+]
+
+
+@st.composite
+def _cli_runs(draw):
+    command, kind, body = draw(st.sampled_from(_KINDS))
+    doc = draw(
+        st.one_of(
+            st.tuples(_bodies[body], _extras).map(lambda t: {**t[0], **t[1]}),
+            st.sampled_from([[], "x", 3, None, {"points": "1/2"}]),
+        )
+    )
+    options = ["--m", str(draw(st.integers(-2, 4)))]
+    if draw(st.booleans()):
+        options += ["--mode", draw(st.sampled_from(["exact", "approximate", "auto"]))]
+    if draw(st.booleans()):
+        options += ["--tol", draw(st.sampled_from(["1e-9", "0", "-1", "nan", "1e400"]))]
+    return [command, kind], doc, options
+
+
+@given(_cli_runs())
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_fuzz_verify_and_certify_exit_codes(tmp_path_factory, run_):
+    head, doc, options = run_
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main([*head, str(path), *options])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    if int(options[1]) < 0:
+        assert code == 2

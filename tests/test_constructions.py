@@ -6,6 +6,7 @@ import pytest
 from tmdesign import (
     Configuration,
     DomainError,
+    NotSquarefreeError,
     PreconditionError,
     add_zero,
     base_roots,
@@ -16,12 +17,15 @@ from tmdesign import (
     choose_epsilon,
     evaluate,
     is_symmetric,
+    monic_from_roots,
     pad_with_antipodal_pairs,
     perturbed_interval_design,
     polygon_weighted_design,
+    sturm_root_count,
     verify_interval_design,
     verify_weighted_design,
 )
+from tmdesign.constructions import DEFAULT_EPSILON_START
 
 
 class TestBaseRoots:
@@ -62,10 +66,25 @@ class TestChooseEpsilon:
     def test_window_point_never_a_root(self):
         for m in (1, 2, 3):
             eps = choose_epsilon(m)
-            from tmdesign import monic_from_roots
-
             g = monic_from_roots(base_roots(m)).plus_constant(eps)
             assert evaluate(g, F(1, 2 * m)) == eps
+
+    @staticmethod
+    def _leaves_2m_simple_roots(m, eps):
+        g = monic_from_roots(base_roots(m)).plus_constant(eps)
+        window = (F(1, 2 * m) - 1, 1 - F(1, 2 * m))
+        try:
+            return sturm_root_count(g, *window) == 2 * m
+        except NotSquarefreeError:
+            return False
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_first_valid_element_of_the_halving_sequence(self, m):
+        eps = choose_epsilon(m)
+        assert self._leaves_2m_simple_roots(m, eps)
+        assert eps == DEFAULT_EPSILON_START or not self._leaves_2m_simple_roots(
+            m, 2 * eps
+        )
 
 
 class TestPerturbedIntervalDesign:

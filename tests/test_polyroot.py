@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tmdesign import (
     DomainError,
+    IsolatingInterval,
     NotSquarefreeError,
     RationalPolynomial,
     cauchy_root_bound,
@@ -150,6 +151,50 @@ class TestRefineRoot:
         iv = isolate_real_roots(poly)[0]
         val = refine_root(poly, iv, F(1, 10**9))
         assert abs(float(val) - 3 ** (1 / 3)) < 1e-9
+
+
+class TestBisectionPinned:
+    """The exact intervals and rationals that isolation and bisection return.
+
+    Any change to the split points, the bisection steps or the step inside
+    from a root at ``lo`` changes these values.
+    """
+
+    def test_perturbed_sextic(self):
+        # g = f + 1/256 for the roots +-1/6, +-1/2, +-5/6 (the m = 3 design)
+        g = RationalPolynomial.from_coeffs(
+            [F(-19, 20736), 0, F(259, 1296), 0, F(-35, 36), 0, 1]
+        )
+        ivs = isolate_real_roots(g)
+        ends = [F(-71, 72), F(-71, 96), F(-71, 144), 0, F(71, 144), F(71, 96), F(71, 72)]
+        assert [(iv.lo, iv.hi) for iv in ivs] == list(zip(ends, ends[1:]))
+        positive = [
+            F(77117996011965, 1125899906842624),
+            F(5428402861105175, 10133099161583616),
+            F(8359318461184361, 10133099161583616),
+        ]
+        roots = [refine_root(g, iv, F(1, 64 * 10**12)) for iv in ivs]
+        assert roots == [-r for r in reversed(positive)] + positive
+
+    def test_cube_root_of_three(self):
+        poly = RationalPolynomial.from_coeffs([-3, 0, 0, 1])
+        (iv,) = isolate_real_roots(poly)
+        assert (iv.lo, iv.hi) == (-4, 4)
+        assert refine_root(poly, iv, F(1, 10**9)) == F(3097207369, 2147483648)
+
+    @pytest.mark.parametrize(
+        "other, expected", [(F(1, 2), F(1, 2)), (F(1, 3), F(2863311533, 8589934592))]
+    )
+    def test_root_at_lo(self, other, expected):
+        # lo = 0 is a root just outside (0, 1]: refinement steps inside first
+        poly = monic_from_roots([F(0), other])
+        iv = IsolatingInterval(F(0), F(1))
+        assert refine_root(poly, iv, F(1, 10**9)) == expected
+
+    def test_no_sign_change_rejected(self):
+        poly = monic_from_roots([F(1, 4), F(3, 4)])
+        with pytest.raises(DomainError, match="sign change"):
+            refine_root(poly, IsolatingInterval(F(0), F(1)), F(1, 10**9))
 
 
 class TestPowerSumsFromCoeffs:

@@ -132,6 +132,18 @@ def test_nan_points_rejected():
         SphericalConfig(((nan, 0.0), (1.0, 0.0)))
 
 
+def test_approximate_mode_rejects_rationals_too_large_for_a_float():
+    huge = F(10**400)
+    with pytest.raises(DomainError, match="too large"):
+        Configuration((0.5, huge))
+    with pytest.raises(DomainError, match="too large"):
+        WeightedConfiguration((0.5, -0.5), (1.0, huge))
+    with pytest.raises(DomainError, match="too large"):
+        SphericalConfig(((1.0, 0.0), (0.0, huge)))
+    with pytest.raises(DomainError, match="outside"):
+        Configuration((huge,))
+
+
 def test_document_tolerance_parsed():
     doc = {"points": ["1/4", "-1/4"], "tolerance": "1e-9"}
     assert Configuration.from_json(doc).tolerance == 1e-9
