@@ -281,7 +281,7 @@ class TestSearch:
         assert code == 0
         assert doc["found_below_tolerance"] is True
 
-    @pytest.mark.parametrize("margin", ["nan", "-0.1", "0.1x"])
+    @pytest.mark.parametrize("margin", ["nan", "-0.1", "0.1x", "3", "2.5"])
     def test_bad_margin_exits_two(self, capsys, margin):
         code, out, err = run(capsys, "search", "six-point", "--margin", margin)
         assert code == 2
@@ -431,4 +431,65 @@ def test_fuzz_verify_and_certify_exit_codes(tmp_path_factory, run_):
         code = exc.code
     assert code in (0, 1, 2)
     if int(options[1]) < 0:
+        assert code == 2
+
+
+# The commands that read no document, fuzzed over small pools of good and bad
+# option literals.  Each pool maps a literal to its value (None when it does
+# not parse), so the test can name the inputs that must exit 2.
+_MARGINS = {"0": 0.0, "0.1": 0.1, "1/3": 1 / 3, "1.9": 1.9, "2": 2.0, "2.5": 2.5,
+            "3": 3.0, "-0.1": -0.1, "nan": None, "inf": None, "1e400": None, "x": None}
+_TRIALS = {"-1": -1, "0": 0, "1": 1, "2": 2, "3": 3, "x": None}
+_SMALL_INTS = ["-2", "-1", "0", "1", "2", "3", "4", "5", "6", "x"]
+_RATIONALS = ["3/16", "1/64", "1/1000", "0", "1", "-1/2", "1/0", "0.1", "nan", "x", ""]
+_ROOTS = ["1", "2", "-1/2", "3/4", "0", "1/0", "0.5", "nan", "x", ""]
+
+
+@st.composite
+def _argv_runs(draw):
+    command = draw(st.sampled_from(["search", "construct", "identities", "quadrature"]))
+    must_fail = False
+
+    def option(flag, pool):
+        return [flag, draw(st.sampled_from(pool))] if draw(st.booleans()) else []
+
+    if command == "search":
+        trials = draw(st.sampled_from(sorted(_TRIALS)))
+        argv = ["search", "six-point", "--trials", trials]
+        argv += option("--seed", ["0", "7", "-3", "x"])
+        if draw(st.booleans()):
+            margin = draw(st.sampled_from(sorted(_MARGINS)))
+            argv += ["--margin", margin]
+            must_fail = _MARGINS[margin] is not None and _MARGINS[margin] > 2
+        argv += option("--tol", ["1e-9", "0", "-1", "nan"])
+        must_fail |= _TRIALS[trials] is not None and _TRIALS[trials] < 1
+    elif command == "construct":
+        kinds = ["perturbed", "binomial", "polygon-weighted", "spherical-polygon", "bogus"]
+        argv = ["construct", draw(st.sampled_from(kinds))]
+        argv += option("--m", _SMALL_INTS) + option("--n", _SMALL_INTS)
+        argv += option("--epsilon", _RATIONALS) + option("--precision", _RATIONALS)
+    elif command == "identities":
+        argv = ["identities", draw(st.sampled_from(["newton", "binom-sum", "bogus"]))]
+        argv += option("--n", _SMALL_INTS) + option("--k", _SMALL_INTS)
+        if draw(st.booleans()):
+            roots = draw(st.lists(st.sampled_from(_ROOTS), min_size=1, max_size=5))
+            argv += ["--roots", ",".join(roots)]
+    else:
+        argv = ["quadrature", *option("--n", _SMALL_INTS), *option("--k", _SMALL_INTS)]
+    return argv, must_fail
+
+
+@given(_argv_runs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzz_documentless_commands_exit_codes(run_):
+    argv, must_fail = run_
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    if must_fail:
         assert code == 2

@@ -23,6 +23,7 @@ from tmdesign import (
     verify_spherical_Tm,
     verify_spherical_t_design_full,
 )
+from tmdesign.spherical import antipodal_defect
 
 CROSS = SphericalConfig(
     ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))
@@ -456,6 +457,16 @@ class TestSixPointSearch:
         with pytest.raises(DomainError, match="margin"):
             six_point_search(trials=1, seed=7, margin=float("nan"))
 
+    @pytest.mark.parametrize("margin", [2.5, 3.0, math.inf])
+    def test_margin_above_two_rejected(self, margin):
+        # ||x_i + x_j|| <= 2 on the circle, so a larger margin cannot be met
+        with pytest.raises(DomainError, match="at most 2"):
+            six_point_search(trials=1, seed=7, margin=margin)
+
+    def test_margin_two_accepted(self):
+        report = six_point_search(trials=1, seed=7, margin=2.0)
+        assert report.best.min_pair_distance == 2.0
+
     def test_determinism(self):
         a = six_point_search(trials=4, seed=11, margin=0.1)
         b = six_point_search(trials=4, seed=11, margin=0.1)
@@ -466,3 +477,101 @@ class TestSixPointSearch:
         residuals = [t.residual for t in report.lowest]
         assert residuals == sorted(residuals)
         assert report.best.residual == residuals[0]
+
+
+# Reference search in its plain form: a generator sum per trig term, the
+# gradient as its own list, and a projection that sweeps until no pair is
+# found outside the margin (or 12 sweeps).  The search must match it bit for
+# bit, because every float of the report is printed.
+def reference_t2_terms(angles):
+    c1 = sum(math.cos(t) for t in angles)
+    s1 = sum(math.sin(t) for t in angles)
+    c3 = sum(math.cos(3 * t) for t in angles)
+    s3 = sum(math.sin(3 * t) for t in angles)
+    return c1, s1, c3, s3
+
+
+def reference_t2_gradient(angles):
+    c1, s1, c3, s3 = reference_t2_terms(angles)
+    out = []
+    for t in angles:
+        out.append(
+            2.0 * (s1 * math.cos(t) - c1 * math.sin(t))
+            + 6.0 * (s3 * math.cos(3 * t) - c3 * math.sin(3 * t))
+        )
+    return out
+
+
+def reference_project_margin(angles, margin):
+    if margin <= 0:
+        return angles
+    psi_max = 2.0 * math.acos(min(1.0, margin / 2.0))
+    n = len(angles)
+    for _ in range(12):
+        moved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                psi = math.remainder(angles[i] - angles[j], math.tau)
+                if abs(psi) > psi_max:
+                    target = math.copysign(psi_max, psi)
+                    delta = (target - psi) / 2.0
+                    angles[i] += delta
+                    angles[j] -= delta
+                    moved = True
+        if not moved:
+            break
+    return angles
+
+
+def reference_search_json(trials, seed, margin, tolerance=1e-9):
+    results = []
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        angles = reference_project_margin(
+            [rng.uniform(0.0, math.tau) for _ in range(6)], margin
+        )
+        step = 0.1
+        for _ in range(900):
+            grad = reference_t2_gradient(angles)
+            angles = [t - step * g for t, g in zip(angles, grad)]
+            angles = reference_project_margin(angles, margin)
+            step *= 0.997
+        c1, s1, c3, s3 = reference_t2_terms(angles)
+        residual = max(c1 * c1 + s1 * s1, c3 * c3 + s3 * s3) / 36.0
+        distance = min(
+            2.0 * abs(math.cos((angles[i] - angles[j]) / 2.0))
+            for i in range(6)
+            for j in range(i + 1, 6)
+        )
+        row = {
+            "trial": trial,
+            "residual": repr(residual),
+            "min_pair_distance": repr(distance),
+            "antipodal_defect": repr(antipodal_defect(angles)),
+        }
+        results.append((residual, trial, row, angles))
+    results.sort(key=lambda r: r[:2])
+    return {
+        "trials": trials,
+        "seed": seed,
+        "margin": repr(margin),
+        "tolerance": repr(tolerance),
+        "best": results[0][2],
+        "best_angles": [repr(a) for a in results[0][3]],
+        "lowest": [r[2] for r in results[:5]],
+        "found_below_tolerance": results[0][0] < tolerance,
+    }
+
+
+class TestSearchPinned:
+    """The one-trig-pass step and the early-stopping projection reproduce the
+    reference search bit for bit."""
+
+    @pytest.mark.parametrize(
+        "margin, seed, trials",
+        [(0.0, 3, 2), (0.0, 11, 4), (0.01, 17, 2), (0.1, 5, 3), (0.1, 404, 2),
+         (0.5, 9, 2), (0.5, 2, 3), (1.9, 21, 2)],
+    )
+    def test_reports_match_reference(self, margin, seed, trials):
+        report = six_point_search(trials, seed, margin)
+        assert report.to_json() == reference_search_json(trials, seed, margin)
