@@ -13,8 +13,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeAlias
 
-import mpmath
-
 from .errors import DomainError
 
 Scalar: TypeAlias = int | Fraction | float
@@ -158,11 +156,15 @@ def decimal_string(x: Scalar, digits: int = 17) -> str:
 
 def cos_turn(j: int, q: int, offset: float = 0.0) -> float:
     """cos(offset + 2*pi*j/q), computed at 80-bit precision, one rounding."""
+    import mpmath  # on first use: most commands never need it
+
     with mpmath.workprec(_TRIG_PREC):
         return float(mpmath.cos(offset + 2 * mpmath.pi * mpmath.mpf(j) / q))
 
 
 def sin_turn(j: int, q: int, offset: float = 0.0) -> float:
     """sin(offset + 2*pi*j/q), computed at 80-bit precision, one rounding."""
+    import mpmath
+
     with mpmath.workprec(_TRIG_PREC):
         return float(mpmath.sin(offset + 2 * mpmath.pi * mpmath.mpf(j) / q))

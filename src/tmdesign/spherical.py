@@ -16,9 +16,16 @@ explicit pairing.
 Verification always runs both routes - the Gegenbauer pair sum and a
 deterministic moment probe (all coordinate vectors plus all sign vectors,
 with the full symmetric moment tensor assembled when d <= 4) - and requires
-agreement.  Each route makes one pass for all of T_m: one recurrence per
-Gram entry <x, y>, one set of inner products per probe.  Sphere polynomials
-are normalized to Q_{d,t}(1) = 1; zero sets and parity do not depend on it.
+agreement.  Each route makes one pass for all of T_m.  Exact input is
+cleared of denominators once: with L the lcm of all coordinate denominators,
+the integer Gram matrix G = <Lx, Ly> and its row power sums
+R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
+(S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
+row i holds the power sums of the projection onto x_i, which is all the
+antipodal pairing needs.  Float input runs one recurrence per Gram entry
+<x, y>.  The moment probes take one set of inner products per probe, on the
+cleared integer points in exact mode.  Sphere polynomials are normalized to
+Q_{d,t}(1) = 1; zero sets and parity do not depend on it.
 """
 
 from __future__ import annotations
@@ -97,6 +104,16 @@ class SphericalConfig:
     def __len__(self) -> int:
         return len(self.points)
 
+    def _gram_table(self, top: int) -> "_GramTable":
+        """The cleared Gram power table of exact points through degree top,
+        built on first use and kept with the (immutable) points, so one
+        verification and the pairing that follows it share one table."""
+        table = self.__dict__.get("_gram")
+        if table is None or len(table.rows[0]) <= top:
+            table = _GramTable.build(self.points, top)
+            object.__setattr__(self, "_gram", table)
+        return table
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -130,6 +147,38 @@ def _tol(X: "SphericalConfig", tol: float | None) -> float | None:
     return X.near_tol if tol is None or X.is_exact else tol
 
 
+@dataclass(frozen=True)
+class _GramTable:
+    """Rational points with their denominators cleared.
+
+    ``L`` is the lcm of all coordinate denominators, ``points`` the integer
+    points Lx, ``gram[i][j] = <Lx_i, Lx_j>`` and ``rows[i][k]`` the power sum
+    sum_j gram[i][j]^k for k = 0..top.  So sum_{x,y} <x, y>^k is
+    sum_i rows[i][k] / L^(2k), and rows[i][k] / L^(2k) is the k-th power sum
+    of the projection of the points onto x_i.
+    """
+
+    L: int
+    points: list[tuple[int, ...]]
+    gram: list[list[int]]
+    rows: list[list[int]]
+
+    @staticmethod
+    def build(pts: Sequence[Point], top: int) -> "_GramTable":
+        L = math.lcm(*(c.denominator for p in pts for c in p))
+        ipts = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
+        gram = [[_dot(x, y) for y in ipts] for x in ipts]
+        rows = []
+        for g in gram:
+            row, power = [len(g)], g
+            for k in range(1, top + 1):
+                if k > 1:
+                    power = list(map(mul, power, g))
+                row.append(sum(power))
+            rows.append(row)
+        return _GramTable(L, ipts, gram, rows)
+
+
 # ---------------------------------------------------------------------------
 # Sphere polynomials
 # ---------------------------------------------------------------------------
@@ -153,8 +202,7 @@ class GegenbauerEvaluator:
         self._steps: list[tuple] = [(0, 0, 1, Fraction(1))]
         self._fsteps: list[tuple] = [(0.0, 0.0, 1.0, 1.0)]
 
-    def values(self, top: int, s: Scalar) -> list[Scalar]:
-        """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
+    def _extend(self, top: int) -> None:
         if top < 0:
             raise DomainError("degree must be nonnegative")
         d, steps = self.d, self._steps
@@ -163,6 +211,26 @@ class GegenbauerEvaluator:
             norm = Fraction(a * steps[-1][3] - b * (steps[-2][3] if j > 1 else 0), c)
             steps.append((a, b, c, norm))
             self._fsteps.append((float(a), float(b), float(c), float(norm)))
+
+    def coefficients(self, top: int) -> list[list[int]]:
+        """Integer coefficient lists P_0, ..., P_top with
+        Q_{d,t}(s) = sum_k P_t[k] s^k / P_t(1).  The same step table as
+        ``values``, run on coefficient lists with the divisions by c_j
+        deferred: P_j = a_j s P_(j-1) - b_j c_(j-1) P_(j-2)."""
+        self._extend(top)
+        polys: list[list[int]] = [[], [1]]  # P_(-1), P_0
+        c_prev = 1
+        for a, b, c, _ in self._steps[1 : top + 1]:
+            older, last = polys[-2], [0] + polys[-1]
+            older = older + [0] * (len(last) - len(older))
+            polys.append([a * hi - b * c_prev * lo for hi, lo in zip(last, older)])
+            c_prev = c
+        return polys[1:]
+
+    def values(self, top: int, s: Scalar) -> list[Scalar]:
+        """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
+        self._extend(top)
+        steps = self._steps
         if isinstance(s, float):
             steps, prev, cur = self._fsteps, 0.0, 1.0
         else:
@@ -187,10 +255,23 @@ def gegenbauer_value(
 
 
 def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
-    """Ordered pair sums of Q_{d,t} for each t in ts: one recurrence per
-    unordered pair, the n^2 terms added in row order, as a double loop."""
+    """Ordered pair sums of Q_{d,t} for each t in ts.  Exact configurations
+    read them off the Gram power sums, sum_k q_{t,k} S_k / L^(2k); the
+    others run one recurrence per unordered pair and add the n^2 terms in
+    row order, as a double loop."""
     ev = GegenbauerEvaluator(X.dim)
-    pts, top, upper = X.points, max(ts, default=0), []
+    top = max(ts, default=0)
+    if X.is_exact:
+        polys = ev.coefficients(top)
+        table = X._gram_table(top)
+        L2, sums = table.L**2, [sum(col) for col in zip(*table.rows)]
+        out = []
+        for t in ts:  # sum_k P_t[k] S_k / L^(2k), over P_t(1)
+            terms = enumerate(zip(polys[t], sums))
+            num = sum(p * s_k * L2 ** (t - k) for k, (p, s_k) in terms)
+            out.append(Fraction(num, sum(polys[t]) * L2**t))
+        return out
+    pts, upper = X.points, []
     for i, x in enumerate(pts):  # upper[i][k] holds the pair (i, i + k)
         upper.append([ev.values(top, _dot(x, y)) for y in pts[i:]])
     n = len(pts)
@@ -222,9 +303,9 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     complete.  Approximate entries are divided by n alone (the probes have
     max-norm 1), so zero-padding into a larger dimension keeps them."""
     d, top, pts = X.dim, max(ts, default=0), X.points
-    if X.is_exact:  # clear denominators: every entry is an integer over L^t
-        L = math.lcm(*(c.denominator for p in pts for c in p))
-        pts = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
+    if X.is_exact:  # cleared points: every entry is an integer over L^t
+        table = X._gram_table(top)
+        L, pts = table.L, table.points
     raws: dict[int, list] = {t: [] for t in ts}
     for a in _probe_vectors(d):
         ip = [_dot(x, a) for x in pts]
@@ -354,7 +435,7 @@ class FullDesignReport:
     degree: int
     checks: tuple[FullDesignCheck, ...]
     verdict: bool
-    tolerance: float
+    tolerance: float | None
     conventions: tuple[tuple[str, str], ...]
 
     def to_json(self) -> dict:
@@ -365,7 +446,7 @@ class FullDesignReport:
                 for c in self.checks
             ],
             "verdict": self.verdict,
-            "tolerance": repr(self.tolerance),
+            "tolerance": None if self.tolerance is None else repr(self.tolerance),
             "conventions": dict(self.conventions),
         }
 
@@ -383,10 +464,12 @@ def verify_spherical_t_design_full(
     for even k, i.e. |X| times the surface average of <y, a>^k.  The report
     names this convention; variants without the |X| factor or with the
     denominator starting at d+2 exist in the literature and are not used.
+    Exact configurations pass only exact identities (tolerance None in the
+    report); the printed residual is the float scaled gap in both modes.
     """
     if t < 1:
         raise DomainError("t must be a positive integer")
-    tol = X.tolerance if tol is None else tol
+    tol = _tol(X, tol)
     n = len(X)
     d = X.dim
     checks = []
@@ -398,7 +481,7 @@ def verify_spherical_t_design_full(
                 num *= 2 * i + 1
                 den *= d + 2 * i
             const = Fraction(num, den)
-        worst = 0.0
+        worst, identities = 0.0, True
         for a in _probe_vectors(d):
             raw = sum(_dot(x, a) ** k for x in X.points)
             norm2 = sum(c * c for c in a)
@@ -408,7 +491,9 @@ def verify_spherical_t_design_full(
                 target = 0
             scaled = abs(float(raw - target)) / (n * float(norm2) ** (k / 2))
             worst = max(worst, scaled)
-        checks.append(FullDesignCheck(k, worst, worst <= tol))
+            identities = identities and near(raw, target, None)
+        ok = identities if tol is None else worst <= tol
+        checks.append(FullDesignCheck(k, worst, ok))
     conventions = _CONVENTIONS + (
         (
             "even_moment_target",
@@ -473,6 +558,53 @@ def is_antipodal(
     return True, AntipodalCertificate(tuple(sorted(pairs)))
 
 
+def _projection_partner(X: SphericalConfig, m: int, i: int, matched: list[bool]) -> int:
+    """Point i's partner in the symmetry certificate of the projection of X
+    onto x_i (approximate mode)."""
+    cert = certify_symmetry(project_to_line(X, X.points[i]), m)
+    partner = None
+    for a, b in cert.pairs:
+        if a == i:
+            partner = b
+        elif b == i:
+            partner = a
+    if partner is None or partner == i:
+        raise ToleranceError(
+            f"projection onto point {i} does not pair it with a partner",
+            reason="pairing ambiguous",
+        )
+    if matched[partner]:
+        raise ToleranceError(
+            f"candidate partner {partner} of point {i} is already matched",
+            reason="pairing ambiguous",
+        )
+    return partner
+
+
+def _gram_partner(X: SphericalConfig, m: int, i: int, matched: list[bool]) -> int:
+    """Point i's partner read off row i of the Gram power table (exact mode).
+
+    Row i holds the power sums of the projection onto x_i, scaled by L^(2k).
+    They vanish at every odd k <= 2m - 1 on a verified T_m set, so the
+    projection is a symmetric multiset and its value 1 has a partner -1: a
+    point with G[i][j] = -L^2.  The first unmatched one is the partner the
+    projection's greedy symmetry certificate picks, repeated points included.
+    """
+    table = X._gram_table(2 * m - 1)
+    if any(table.rows[i][k] for k in range(1, 2 * m, 2)):
+        raise InternalDefectError(
+            f"verified design projects onto point {i} with a nonzero odd power sum"
+        )
+    antipode = -(table.L**2)
+    partner = next(
+        (j for j, g in enumerate(table.gram[i]) if g == antipode and not matched[j]),
+        None,
+    )
+    if partner is None:
+        raise InternalDefectError(f"verified design has no antipode for point {i}")
+    return partner
+
+
 def certify_antipodal(
     X: SphericalConfig, m: int, tol: float | None = None
 ) -> AntipodalCertificate:
@@ -480,8 +612,11 @@ def certify_antipodal(
 
     Mirrors the forcing argument: for each unmatched x, project X onto the
     direction x; the projection is a T_m multiset of at most 2m values, so
-    its symmetry certificate must pair the value <x, x> = 1 with a value -1,
-    and the point realizing -1 is -x itself (equality in Cauchy-Schwarz).
+    it is symmetric and pairs the value <x, x> = 1 with a value -1, and the
+    point realizing -1 is -x itself (equality in Cauchy-Schwarz).  Exact
+    configurations read each projection's power sums and values off the
+    Gram power table that their verification built; approximate ones run
+    the interval symmetry certificate on each projection.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -501,31 +636,14 @@ def certify_antipodal(
             f"configuration fails the design condition at index {bad}",
             failing_index=bad,
         )
+    find_partner = _gram_partner if X.is_exact else _projection_partner
     matched = [False] * n
     pairs: list[tuple[int, int]] = []
     for i in range(n):
         if matched[i]:
             continue
-        x = X.points[i]
-        projection = project_to_line(X, x)
-        cert = certify_symmetry(projection, m)
-        partner = None
-        for a, b in cert.pairs:
-            if a == i:
-                partner = b
-            elif b == i:
-                partner = a
-        if partner is None or partner == i:
-            raise ToleranceError(
-                f"projection onto point {i} does not pair it with a partner",
-                reason="pairing ambiguous",
-            )
-        if matched[partner]:
-            raise ToleranceError(
-                f"candidate partner {partner} of point {i} is already matched",
-                reason="pairing ambiguous",
-            )
-        if not _are_negations(x, X.points[partner], pair_tol):
+        partner = find_partner(X, m, i, matched)
+        if not _are_negations(X.points[i], X.points[partner], pair_tol):
             if X.is_exact:
                 raise InternalDefectError(
                     "projection paired two points that are not negations"

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from tmdesign import (
     verify_spherical_Tm,
     verify_weighted_design,
 )
-from tmdesign.scalars import near, parse_scalar
+from tmdesign.scalars import cos_turn, near, parse_scalar, sin_turn
 
 #: Exact rationals; exact rationals forced into approximate mode; floats.
 ARITHMETICS = ("exact", "forced", "float")
@@ -166,3 +170,37 @@ def test_document_tolerance_parsed():
 def test_malformed_documents_rejected(cls, doc):
     with pytest.raises(DomainError):
         cls.from_json(doc)
+
+
+class TestTrigTurns:
+    #: (j, q, offset) -> (cos_turn, sin_turn), as computed with mpmath
+    #: imported at module level.
+    PINNED = {
+        (0, 5, 0.0): (1.0, 0.0),
+        (1, 5, 0.0): (0.30901699437494745, 0.9510565162951535),
+        (2, 7, 0.0): (-0.2225209339563144, 0.9749279121818236),
+        (3, 11, 0.4): (-0.516535271480183, 0.8562659127379144),
+        (5, 13, -1.25): (0.3932710260251439, 0.9194225905910354),
+        (1, 3, 0.0): (-0.5, 0.8660254037844386),
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED))
+    def test_values_unchanged(self, args):
+        j, q, offset = args
+        got = (cos_turn(j, q, offset=offset), sin_turn(j, q, offset=offset))
+        assert got == self.PINNED[args]
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, tmdesign.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -8,9 +8,11 @@ import pytest
 
 from tmdesign import (
     DomainError,
+    HypothesisError,
     PreconditionError,
     SphericalConfig,
     certify_antipodal,
+    certify_symmetry,
     embed,
     escalation_diagnostic,
     gegenbauer_value,
@@ -171,6 +173,20 @@ class TestKernelPinned:
         with pytest.raises(DomainError, match="nonnegative"):
             harmonic_index_residual(CROSS, -1)
 
+    @pytest.mark.parametrize("d", (2, 3, 4, 6))
+    def test_exact_gram_table_through_degree_eleven(self, d):
+        # odd and even t up to 11, with a repeated point and an antipode
+        rng = random.Random(600 + d)
+        pts = [unit_exact(rng, d) for _ in range(rng.randint(3, 6))]
+        pts += [pts[0], tuple(-c for c in pts[1])]
+        X = SphericalConfig(tuple(pts))
+        n = len(X)
+        for t in range(12):
+            r = harmonic_index_residual(X, t)
+            assert isinstance(r, (int, F)) and r == reference_pair_sum(X, t)
+        for c in verify_spherical_Tm(X, 6).checks:
+            assert c.gegenbauer_residual == F(reference_pair_sum(X, c.t), n * n)
+
 
 class TestGegenbauer:
     def test_degree_two_circle(self):
@@ -285,6 +301,18 @@ class TestFullDesignCheck:
         assert not verify_spherical_t_design_full(single, 1).verdict
 
 
+    def test_exact_verdict_is_an_identity(self):
+        # (1, 0) against the negation of a rational unit vector 2e-12 away
+        u = F(1, 10**12)
+        x = ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
+        X = SphericalConfig(((F(1), F(0)), (-x[0], -x[1])))
+        assert not verify_spherical_Tm(X, 1).verdict
+        report = verify_spherical_t_design_full(X, 1)
+        assert not report.verdict and report.tolerance is None
+        assert 0 < report.checks[0].residual < 1e-9  # the printed float gap
+        assert report.to_json()["tolerance"] is None
+
+
 class TestProjectToLine:
     def test_orthogonal_points_project_to_zero(self):
         config = SphericalConfig(((F(0), F(1)), (F(0), F(-1))))
@@ -335,6 +363,81 @@ class TestCertifyAntipodal:
             ok, direct = is_antipodal(config)
             assert ok
             assert direct.check(config)
+
+
+def reference_certify_antipodal(X, m):
+    """The per-projection pairing on exact input: the symmetry certificate
+    of the projection onto each unmatched point names its partner."""
+    n = len(X)
+    if n > 2 * m:
+        raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
+    report = verify_spherical_Tm(X, m)
+    if not report.verdict:
+        bad = next(c.t for c in report.checks if not (c.gegenbauer_ok and c.moment_ok))
+        raise HypothesisError(
+            f"configuration fails the design condition at index {bad}",
+            failing_index=bad,
+        )
+    matched, pairs = [False] * n, []
+    for i in range(n):
+        if matched[i]:
+            continue
+        cert = certify_symmetry(project_to_line(X, X.points[i]), m)
+        partner = None
+        for a, b in cert.pairs:
+            if a == i:
+                partner = b
+            elif b == i:
+                partner = a
+        assert partner is not None and partner != i and not matched[partner]
+        assert all(a == -b for a, b in zip(X.points[i], X.points[partner]))
+        matched[i] = matched[partner] = True
+        pairs.append((i, partner))
+    return tuple(sorted(pairs))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestCertifyAntipodalPinned:
+    """Exact pairing from the Gram power table, against the projections."""
+
+    def test_repeated_points_pair_first_unmatched_antipode(self):
+        x = (F(3, 5), F(4, 5))
+        minus = (-x[0], -x[1])
+        X = SphericalConfig((x, minus, minus, x))
+        assert certify_antipodal(X, 2).pairs == ((0, 1), (2, 3))
+        assert reference_certify_antipodal(X, 2) == ((0, 1), (2, 3))
+
+    def test_random_exact_sets(self):
+        rng = random.Random(1977)
+        kinds = {"antipodal": 0, "broken": 0, "too_many": 0}
+        for _ in range(60):
+            d = rng.choice((2, 3, 4, 6))
+            half = [unit_exact(rng, d) for _ in range(rng.randint(1, 4))]
+            half += [rng.choice(half) for _ in range(rng.randint(0, 2))]
+            pts = half + [tuple(-c for c in p) for p in half]
+            kind = rng.choice(sorted(kinds))
+            if kind == "broken":
+                pts[rng.randrange(len(pts))] = unit_exact(rng, d)
+            rng.shuffle(pts)
+            n = len(pts)
+            m = (n + 1) // 2 - 1 if kind == "too_many" else n // 2 + rng.randint(0, 2)
+            X = SphericalConfig(tuple(pts))
+            got = outcome(lambda: certify_antipodal(X, m).pairs)
+            want = outcome(reference_certify_antipodal, SphericalConfig(tuple(pts)), m)
+            assert got == want
+            kinds[kind] += 1
+            if kind == "antipodal":
+                assert isinstance(got, tuple)
+            else:
+                error = HypothesisError if kind == "broken" else PreconditionError
+                assert got[0] is error
+        assert min(kinds.values()) > 0
 
 
 class TestPolygonOnCircle:
