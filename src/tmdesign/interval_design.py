@@ -15,7 +15,9 @@ preserved) so certificates can cite positions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -28,6 +30,8 @@ from .errors import (
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    all_exact,
+    clear_denominators,
     format_scalar,
     near,
     read_document,
@@ -104,10 +108,18 @@ class WeightedConfiguration:
         for x in self.support:
             if not near(x, max(-1, min(x, 1)), tol):
                 raise DomainError(f"support point {format_scalar(x)} outside [-1, 1]")
-        for i, xi in enumerate(self.support):
-            for xj in self.support[i + 1 :]:
-                if near(xi, xj, tol):
-                    raise DomainError(f"duplicate support point {format_scalar(xi)}")
+        # Each message names the first support point that recurs later.
+        if tol is None:  # exact values are equal iff they count as one key
+            count = Counter(self.support)
+            dups = [x for x in self.support if count[x] > 1]
+        else:
+            dups = [
+                xi
+                for i, xi in enumerate(self.support)
+                if any(near(xi, xj, tol) for xj in self.support[i + 1 :])
+            ]
+        if dups:
+            raise DomainError(f"duplicate support point {format_scalar(dups[0])}")
         if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
             raise DomainError("weights must be finite")
         if any(near(w, 0, tol) for w in self.weights):
@@ -223,15 +235,16 @@ def verify_interval_design(config: Configuration, m: int) -> DesignReport:
         return DesignReport((), (), True, config.near_tol)
     if len(config) == 0:
         raise DomainError("empty configuration")
-    pts = config.points
+    pts, tol = config.points, config.near_tol
     p = power_sums(pts, 2 * m - 1)
     index_set = tuple(range(1, 2 * m, 2))
     residuals = tuple(p.p(k) for k in index_set)
+    # near ignores the scale in exact mode.
     ok = all(
-        near(r, 0, config.near_tol, power_scale(pts, k))
+        near(r, 0, tol, 1.0 if tol is None else power_scale(pts, k))
         for k, r in zip(index_set, residuals)
     )
-    return DesignReport(index_set, residuals, ok, config.near_tol)
+    return DesignReport(index_set, residuals, ok, tol)
 
 
 def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
@@ -299,24 +312,37 @@ def verify_weighted_design(wconfig: WeightedConfiguration, m: int) -> DesignRepo
 
     The 1/n averaging of the general definition is omitted: the uniform odd
     moments are zero, so it cannot affect the verdict.
+
+    Exact values run on integers: with a_i = L x_i and b_i = W w_i cleared
+    separately, the k-th residual is sum a_i^k b_i / (L^k W).
     """
     if m < 0:
         raise DomainError("m must be >= 0")
+    tol = wconfig.near_tol
     if m == 0:
-        return DesignReport((), (), True, wconfig.near_tol)
+        return DesignReport((), (), True, tol)
     xs, ws = wconfig.support, wconfig.weights
+    exact = all_exact(xs) and all_exact(ws)
+    if exact:
+        L, a = clear_denominators(xs)
+        W, b = clear_denominators(ws)
+    else:
+        a, b = xs, ws
     index_set = tuple(range(1, 2 * m, 2))
     residuals = []
-    scales = []
-    powers = list(xs)
+    powers = list(a)
     for k in range(1, 2 * m):
         if k > 1:
-            powers = [pw * x for pw, x in zip(powers, xs)]
+            powers = [pw * x for pw, x in zip(powers, a)]
         if k % 2 == 1:
-            residuals.append(sum(pw * w for pw, w in zip(powers, ws)))
-            scales.append(_moment_scale(xs, ws, k))
-    ok = all(near(r, 0, wconfig.near_tol, s) for r, s in zip(residuals, scales))
-    return DesignReport(index_set, tuple(residuals), ok, wconfig.near_tol)
+            r = sum(pw * w for pw, w in zip(powers, b))
+            residuals.append(Fraction(r, L**k * W) if exact else r)
+    # near ignores the scale in exact mode.
+    ok = all(
+        near(r, 0, tol, 1.0 if tol is None else _moment_scale(xs, ws, k))
+        for k, r in zip(index_set, residuals)
+    )
+    return DesignReport(index_set, tuple(residuals), ok, tol)
 
 
 def certify_weighted_symmetry(
@@ -348,7 +374,7 @@ def certify_weighted_symmetry(
         k = next(
             k
             for k, r in zip(report.index_set, report.residuals)
-            if not near(r, 0, tol, _moment_scale(xs, ws, k))
+            if not near(r, 0, tol, 1.0 if tol is None else _moment_scale(xs, ws, k))
         )
         raise HypothesisError(
             f"weighted design residual at index {k} is nonzero", failing_index=k

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalDefectError, NotSquarefreeError
-from .scalars import Scalar, as_fraction, format_scalar, parse_scalar
+from .scalars import (
+    Scalar,
+    as_fraction,
+    clear_denominators,
+    format_scalar,
+    parse_scalar,
+)
 from .symfun import ElemSymVector, PowerSumVector, newton_p_from_e
 
 
@@ -119,10 +125,7 @@ def _primitive(c: list[int]) -> list[int]:
 
 
 def _int_coeffs(poly: RationalPolynomial) -> list[int]:
-    den = 1
-    for c in poly.coeffs:
-        den = lcm(den, c.denominator)
-    return _primitive([int(c * den) for c in poly.coeffs])
+    return _primitive(clear_denominators(poly.coeffs)[1])
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:

@@ -71,6 +71,17 @@ def near(a: Scalar, b: Scalar, tol: float | None, scale: float = 1.0) -> bool:
     return abs(float(a) - float(b)) <= tol * scale
 
 
+def clear_denominators(values: Iterable[int | Fraction]) -> tuple[int, list[int]]:
+    """(L, [L*x for x in values]) with L the lcm of the denominators.
+
+    Exact values over one common denominator: integer kernels run on the
+    numerators and divide by a power of L once per result.
+    """
+    vals = list(values)
+    L = math.lcm(*(v.denominator for v in vals))
+    return L, [v.numerator * (L // v.denominator) for v in vals]
+
+
 def as_fraction(x: Scalar) -> Fraction:
     """Exact conversion; floats convert via their binary expansion."""
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -49,6 +49,7 @@ from .errors import (
 from .interval_design import Configuration, certify_symmetry
 from .scalars import (
     Scalar,
+    clear_denominators,
     cos_turn,
     format_scalar,
     mode_zero,
@@ -165,17 +166,26 @@ class _GramTable:
 
     @staticmethod
     def build(pts: Sequence[Point], top: int) -> "_GramTable":
-        L = math.lcm(*(c.denominator for p in pts for c in p))
-        ipts = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
-        gram = [[_dot(x, y) for y in ipts] for x in ipts]
-        rows = []
-        for g in gram:
-            row, power = [len(g)], g
+        """One pass over the upper triangle: each G_ij^k (i <= j) is added
+        to row i directly and to row j through the column sums ``cols[k]``,
+        which hold sum_{i < j} G_ij^k by the time row j is reached."""
+        d, n = len(pts[0]), len(pts)
+        L, flat = clear_denominators(c for p in pts for c in p)
+        ipts = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
+        gram = [[0] * n for _ in range(n)]
+        rows = [[n] + [0] * top for _ in range(n)]
+        cols = [[0] * n for _ in range(top + 1)]
+        for i, x in enumerate(ipts):
+            upper = [_dot(x, y) for y in ipts[i:]]
+            gram[i][i:] = upper
+            for j, g in enumerate(upper, i):
+                gram[j][i] = g
+            power = upper
             for k in range(1, top + 1):
                 if k > 1:
-                    power = list(map(mul, power, g))
-                row.append(sum(power))
-            rows.append(row)
+                    power = list(map(mul, power, upper))
+                rows[i][k] = cols[k][i] + sum(power)
+                cols[k][i + 1 :] = map(add, cols[k][i + 1 :], power[1:])
         return _GramTable(L, ipts, gram, rows)
 
 

@@ -12,8 +12,11 @@ points themselves.  A consequence used throughout this package: when
 2m-1 <= n, the odd power sums p_1, p_3, ..., p_{2m-1} vanish iff the odd
 elementary symmetric polynomials of the same indices do.
 
-All kernels are generic over exact (int/Fraction) and approximate (float)
-scalars; exact inputs yield exact outputs.
+Exact input (int/Fraction) runs on cleared integers: with L the lcm of the
+denominators and a_i = L x_i, p_k = p_k(a) / L^k and e_k = e_k(a) / L^k, so
+each result costs one division and every exact zero test is an integer
+test.  Float input runs the same loops on the values themselves.  Exact
+inputs yield exact outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     InternalDefectError,
     PreconditionError,
 )
-from .scalars import DEFAULT_TOL, Scalar, all_exact, near
+from .scalars import DEFAULT_TOL, Scalar, all_exact, clear_denominators, near
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,41 @@ class ElemSymVector:
         return self.entries[k]
 
 
+def _numerators(vals: tuple[Scalar, ...]) -> tuple[int | None, Sequence[Scalar]]:
+    """(L, a_i = L x_i) for exact values; (None, the values) otherwise."""
+    return clear_denominators(vals) if all_exact(vals) else (None, vals)
+
+
+def _over(L: int | None, nums: Sequence[Scalar], first: int) -> list[Scalar]:
+    """Entry k (counted from ``first``) of ``nums`` divided by L^k: the
+    values of homogeneous numerators of degree k.  As is when L is None."""
+    if L is None:
+        return list(nums)
+    out, Lk = [], L**first
+    for num in nums:
+        out.append(Fraction(num, Lk))
+        Lk *= L
+    return out
+
+
+def _power_sum_nums(nums: Sequence[Scalar], K: int) -> list[Scalar]:
+    out = []
+    powers = list(nums)
+    for k in range(1, K + 1):
+        if k > 1:
+            powers = [pw * v for pw, v in zip(powers, nums)]
+        out.append(sum(powers))
+    return out
+
+
+def _elem_nums(nums: Sequence[Scalar], K: int) -> list[Scalar]:
+    e: list[Scalar] = [1] + [0] * K
+    for v in nums:
+        for j in range(K, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
+    return e
+
+
 def power_sums(values: Sequence[Scalar], K: int) -> PowerSumVector:
     """Direct power sums p_1 .. p_K of a nonempty multiset."""
     vals = tuple(values)
@@ -72,13 +110,8 @@ def power_sums(values: Sequence[Scalar], K: int) -> PowerSumVector:
         raise DomainError("power sums of an empty multiset are undefined")
     if K < 1:
         raise DomainError("K must be a positive integer")
-    entries = []
-    powers = list(vals)
-    for k in range(1, K + 1):
-        if k > 1:
-            powers = [pw * v for pw, v in zip(powers, vals)]
-        entries.append(sum(powers))
-    return PowerSumVector(tuple(entries), all_exact(vals))
+    L, nums = _numerators(vals)
+    return PowerSumVector(tuple(_over(L, _power_sum_nums(nums, K), 1)), L is not None)
 
 
 def elementary_symmetric(values: Sequence[Scalar], K: int) -> ElemSymVector:
@@ -89,11 +122,8 @@ def elementary_symmetric(values: Sequence[Scalar], K: int) -> ElemSymVector:
     vals = tuple(values)
     if K < 1:
         raise DomainError("K must be a positive integer")
-    e: list[Scalar] = [1] + [0] * K
-    for v in vals:
-        for j in range(K, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return ElemSymVector(tuple(e), all_exact(vals))
+    L, nums = _numerators(vals)
+    return ElemSymVector(tuple(_over(L, _elem_nums(nums, K), 0)), L is not None)
 
 
 def newton_e_from_p(p: PowerSumVector, K: int) -> ElemSymVector:
@@ -180,8 +210,13 @@ def odd_equivalence_check(
     p = power_sums(vals, 2 * m - 1)
     e = elementary_symmetric(vals, 2 * m - 1)
     odd = range(1, 2 * m, 2)
-    p_zero = all(near(p.p(k), 0, tol, power_scale(vals, k)) for k in odd)
-    e_zero = all(near(e.e(k), 0, tol, _elem_scale(vals, k)) for k in odd)
+    # near ignores the scale in exact mode.
+    p_zero = all(
+        near(p.p(k), 0, tol, 1.0 if exact else power_scale(vals, k)) for k in odd
+    )
+    e_zero = all(
+        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(vals, k)) for k in odd
+    )
     if exact and p_zero != e_zero:
         raise InternalDefectError(
             "odd power sums and odd elementary symmetric values disagree "
@@ -208,6 +243,10 @@ def extend_odd_power_sums(
     sum of even-index e's times lower odd-index p's, and both families of
     odd-index factors vanish.
 
+    Exact values run on their cleared numerators P_k = L^k p_k and
+    E_j = L^j e_j.  The recursion is homogeneous of degree 2k-1 in them, so
+    it yields L^(2k-1) p_(2k-1), and every exact zero test is an integer one.
+
     Returns the K odd sums in order; entry k-1 is p_{2k-1}.  Raises with the
     smallest violating odd index if the hypothesis fails.
     """
@@ -220,34 +259,43 @@ def extend_odd_power_sums(
     if n > 2 * m:
         raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
     exact = tol is None
-    direct = power_sums(vals, max(2 * K - 2, 2 * m - 1, 1))
+    L, nums = _numerators(vals)
+
+    def value(num: Scalar, k: int) -> Scalar:
+        return num if L is None else Fraction(num, L**k)
+
+    P = _power_sum_nums(nums, max(2 * K - 2, 2 * m - 1, 1))
     for k in range(1, m + 1):
         idx = 2 * k - 1
-        if not near(direct.p(idx), 0, tol, power_scale(vals, idx)):
+        if exact:
+            ok = P[idx - 1] == 0
+        else:
+            ok = near(value(P[idx - 1], idx), 0, tol, power_scale(vals, idx))
+        if not ok:
             raise HypothesisError(
-                f"odd power sum p_{idx} = {direct.p(idx)} is nonzero",
+                f"odd power sum p_{idx} = {value(P[idx - 1], idx)} is nonzero",
                 failing_index=idx,
             )
 
-    e = elementary_symmetric(vals, n)
+    E = _elem_nums(nums, n)
     if exact:
         for j in range(1, n + 1, 2):
-            if e.e(j) != 0:
+            if E[j] != 0:
                 raise InternalDefectError(
                     f"e_{j} nonzero although all odd power sums through "
                     f"{2 * m - 1} vanish"
                 )
 
     def e_at(j: int) -> Scalar:
-        return e.e(j) if j <= n else 0
+        return E[j] if j <= n else 0
 
-    out: list[Scalar] = [direct.p(2 * k - 1) for k in range(1, min(m, K) + 1)]
+    out: list[Scalar] = [P[2 * k - 2] for k in range(1, min(m, K) + 1)]
     for k in range(m + 1, K + 1):
         acc: Scalar = 0
         for i in range(1, m + 1):
-            acc = acc + e_at(2 * i - 1) * direct.p(2 * (k - i))
+            acc = acc + e_at(2 * i - 1) * P[2 * (k - i) - 1]
             acc = acc - e_at(2 * i) * out[k - i - 1]
         out.append(acc)
         if exact and acc != 0:
             raise InternalDefectError(f"extended odd power sum p_{2 * k - 1} nonzero")
-    return tuple(out)
+    return tuple(value(num, 2 * k - 1) for k, num in enumerate(out, 1))

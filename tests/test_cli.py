@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -493,3 +497,56 @@ def test_fuzz_documentless_commands_exit_codes(run_):
     assert code in (0, 1, 2)
     if must_fail:
         assert code == 2
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _fresh_process(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmdesign.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout
+
+
+class TestSequentialCalls:
+    """Calls of ``main`` in one process behave as fresh processes would: no
+    default, option or output path carries over to the next call."""
+
+    def test_calls_in_sequence_match_fresh_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # one help layout in both
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"points": ["1/2", "-1/2"]}))
+        out_file = tmp_path / "out.json"
+        sequence = [
+            ["--help"],
+            ["verify", "sideways", str(doc), "--m", "1"],
+            ["identities", "binom-sum", "--n", "3", "--out", str(out_file)],
+            ["search", "six-point", "--trials", "1", "--margin", "0.5"],
+            ["search", "six-point", "--trials", "1"],
+            ["certify", "symmetry", str(doc), "--m", "1"],
+        ]
+        fresh = []
+        for argv in sequence:
+            fresh.append(_fresh_process(argv, env))
+            if "--out" in argv:
+                expected_file = out_file.read_text()
+                out_file.unlink()
+        in_process = [_in_process(argv) for argv in sequence]
+        assert in_process == fresh
+        assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0]
+        assert in_process[0][1].startswith("usage: tmdesign")
+        assert in_process[2][1] == "" and in_process[-1][1] != ""
+        assert out_file.read_text() == expected_file

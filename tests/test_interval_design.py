@@ -162,6 +162,18 @@ class TestWeightedConfiguration:
         with pytest.raises(DomainError, match="duplicate"):
             WeightedConfiguration((F(1, 2), F(1, 2)), (1, 2))
 
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_duplicate_named_by_first_repeated_position(self, mode):
+        a, b = F(1, 3), F(-2, 5)
+        with pytest.raises(DomainError, match="duplicate support point 1/3$"):
+            WeightedConfiguration((a, b, b, a), (1, 2, 2, 1), mode=mode)
+
+    def test_exact_duplicate_count_matches_equal_values(self):
+        # int and Fraction spellings of one value are one support point
+        with pytest.raises(DomainError, match="duplicate support point -1$"):
+            WeightedConfiguration((F(1, 2), -1, F(-1)), (1, 1, 1))
+        assert len(WeightedConfiguration((F(1, 2), F(-1, 2), 0), (1, 1, 1))) == 3
+
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError, match="nonzero"):
             WeightedConfiguration((F(1, 2), F(-1, 2)), (1, 0))
@@ -174,6 +186,12 @@ class TestWeightedConfiguration:
     def test_huge_rational_weight_accepted(self):
         config = WeightedConfiguration((F(1, 2), F(-1, 2)), (F(10**400), 1))
         assert config.is_exact
+
+    def test_huge_rational_weight_verified_exactly(self):
+        # exact tests read no float scale, so no weight is converted
+        w = WeightedConfiguration((F(1, 2), F(-1, 2)), (F(10**400), F(10**400)))
+        report = verify_weighted_design(w, 1)
+        assert report.verdict and report.residuals == (0,)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

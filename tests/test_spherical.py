@@ -25,7 +25,7 @@ from tmdesign import (
     verify_spherical_Tm,
     verify_spherical_t_design_full,
 )
-from tmdesign.spherical import antipodal_defect
+from tmdesign.spherical import _GramTable, antipodal_defect
 
 CROSS = SphericalConfig(
     ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))
@@ -186,6 +186,28 @@ class TestKernelPinned:
             assert isinstance(r, (int, F)) and r == reference_pair_sum(X, t)
         for c in verify_spherical_Tm(X, 6).checks:
             assert c.gegenbauer_residual == F(reference_pair_sum(X, c.t), n * n)
+
+
+def reference_gram_table(pts, top):
+    """The full-square build: both triangles of G and of its powers."""
+    L = math.lcm(*(c.denominator for p in pts for c in p))
+    ipts = [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in ipts] for x in ipts]
+    rows = [[sum(g**k for g in row) for k in range(top + 1)] for row in gram]
+    return L, ipts, gram, rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_half_triangle_gram_table_matches_full_build(seed):
+    rng = random.Random(8000 + seed)
+    for _ in range(10):
+        d, top = rng.randint(2, 6), rng.randint(0, 9)
+        pts = [unit_exact(rng, d) for _ in range(rng.randint(1, 12))]
+        pts += [pts[0], tuple(-c for c in pts[-1])]  # a repeat and an antipode
+        rng.shuffle(pts)
+        table = _GramTable.build(pts, top)
+        built = (table.L, table.points, table.gram, table.rows)
+        assert built == reference_gram_table(pts, top)
 
 
 class TestGegenbauer:

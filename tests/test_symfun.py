@@ -6,16 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmdesign import (
+    Configuration,
+    DesignError,
+    DesignReport,
     DomainError,
     HypothesisError,
+    InternalDefectError,
     PreconditionError,
+    WeightedConfiguration,
+    certify_symmetry,
+    certify_weighted_symmetry,
     elementary_symmetric,
     extend_odd_power_sums,
+    interval_design,
     newton_e_from_p,
     newton_p_from_e,
     odd_equivalence_check,
     power_sums,
+    symfun,
+    verify_interval_design,
+    verify_weighted_design,
 )
+from tmdesign.interval_design import _moment_scale
+from tmdesign.scalars import all_exact, clear_denominators, is_exact, near
+from tmdesign.symfun import power_scale
 
 rationals = st.fractions(min_value=-1, max_value=1, max_denominator=16)
 
@@ -178,3 +192,277 @@ def test_round_trip_e_to_p(xs):
     n = len(xs)
     p = newton_p_from_e(elementary_symmetric(xs, n), n, 2 * n)
     assert p.entries == power_sums(xs, 2 * n).entries
+
+
+# ---------------------------------------------------------------------------
+# Pinned: the cleared-integer kernels against the per-point Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def ref_power_sums(vals, K):
+    entries = []
+    powers = list(vals)
+    for k in range(1, K + 1):
+        if k > 1:
+            powers = [pw * v for pw, v in zip(powers, vals)]
+        entries.append(sum(powers))
+    return tuple(entries)
+
+
+def ref_elementary_symmetric(vals, K):
+    e = [1] + [0] * K
+    for v in vals:
+        for j in range(K, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
+    return tuple(e)
+
+
+def ref_extend_odd_power_sums(values, m, K, tol=1e-10):
+    vals = tuple(values)
+    n = len(vals)
+    if n > 2 * m:
+        raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
+    exact = tol is None
+    direct = ref_power_sums(vals, max(2 * K - 2, 2 * m - 1, 1))
+    for k in range(1, m + 1):
+        idx = 2 * k - 1
+        if not near(direct[idx - 1], 0, tol, power_scale(vals, idx)):
+            raise HypothesisError(
+                f"odd power sum p_{idx} = {direct[idx - 1]} is nonzero",
+                failing_index=idx,
+            )
+    e = ref_elementary_symmetric(vals, n)
+    if exact:
+        for j in range(1, n + 1, 2):
+            if e[j] != 0:
+                raise InternalDefectError(
+                    f"e_{j} nonzero although all odd power sums through "
+                    f"{2 * m - 1} vanish"
+                )
+
+    def e_at(j):
+        return e[j] if j <= n else 0
+
+    out = [direct[2 * k - 2] for k in range(1, min(m, K) + 1)]
+    for k in range(m + 1, K + 1):
+        acc = 0
+        for i in range(1, m + 1):
+            acc = acc + e_at(2 * i - 1) * direct[2 * (k - i) - 1]
+            acc = acc - e_at(2 * i) * out[k - i - 1]
+        out.append(acc)
+        if exact and acc != 0:
+            raise InternalDefectError(f"extended odd power sum p_{2 * k - 1} nonzero")
+    return tuple(out)
+
+
+def ref_verify_interval_design(config, m):
+    pts = config.points
+    p = ref_power_sums(pts, 2 * m - 1)
+    index_set = tuple(range(1, 2 * m, 2))
+    residuals = tuple(p[k - 1] for k in index_set)
+    ok = all(
+        near(r, 0, config.near_tol, power_scale(pts, k))
+        for k, r in zip(index_set, residuals)
+    )
+    return DesignReport(index_set, residuals, ok, config.near_tol)
+
+
+def ref_verify_weighted_design(wconfig, m):
+    xs, ws = wconfig.support, wconfig.weights
+    index_set = tuple(range(1, 2 * m, 2))
+    residuals = []
+    scales = []
+    powers = list(xs)
+    for k in range(1, 2 * m):
+        if k > 1:
+            powers = [pw * x for pw, x in zip(powers, xs)]
+        if k % 2 == 1:
+            residuals.append(sum(pw * w for pw, w in zip(powers, ws)))
+            scales.append(_moment_scale(xs, ws, k))
+    ok = all(near(r, 0, wconfig.near_tol, s) for r, s in zip(residuals, scales))
+    return DesignReport(index_set, tuple(residuals), ok, wconfig.near_tol)
+
+
+def same_values(a, b):
+    """Equal tuples of values; floats equal bit for bit, and exact stays exact."""
+    return len(a) == len(b) and all(
+        (repr(x) == repr(y) and type(x) is type(y))
+        if isinstance(x, float) or isinstance(y, float)
+        else x == y and is_exact(x) and is_exact(y)
+        for x, y in zip(a, b)
+    )
+
+
+def outcome(f, *args):
+    """A result's JSON (or the value itself), or the raised library error."""
+    try:
+        r = f(*args)
+    except DesignError as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "failing_index", None))
+    return r.to_json() if hasattr(r, "to_json") else r
+
+
+_HUGE = 10**400
+
+
+def _ratio(rng, q):
+    return F(rng.randint(1, q), q)
+
+
+#: Magnitudes in (0, 1] of each input family; "approx" is rational data in
+#: approximate mode.
+_MAGNITUDES = {
+    "int": lambda rng: 1,
+    "fraction": lambda rng: _ratio(rng, rng.randint(2, 64)),
+    "mixed": lambda rng: rng.choice((1, _ratio(rng, 9))),
+    "repeated": lambda rng: rng.choice((F(1, 2), F(2, 3), 1)),
+    "huge": lambda rng: _ratio(rng, _HUGE + rng.randint(1, 10**6)),
+    "approx": lambda rng: _ratio(rng, 40),
+    "float": lambda rng: rng.uniform(0.05, 1.0),
+}
+
+
+def _zero(kind):
+    return {"float": 0.0, "int": 0, "mixed": 0}.get(kind, F(0))
+
+
+def pinned_multisets():
+    """(kind, points, m, mode): symmetric sets with zeros and repeats, and
+    broken ones (one point halved, or shrunk by 10^-12 when rational)."""
+    rng = random.Random(2024)
+    for kind, magnitude in _MAGNITUDES.items():
+        for n in (1, 2, 3, 5, 6, 8):
+            pos = [magnitude(rng) for _ in range(n // 2)]
+            pts = pos + [-v for v in pos] + [_zero(kind)] * (n % 2)
+            mode = "approximate" if kind in ("approx", "float") else "exact"
+            variants = [list(pts)]
+            if pos:
+                half = {"int": 0, "float": pts[0] / 2}.get(kind, F(pts[0]) / 2)
+                variants.append([half] + pts[1:])
+                if kind != "float":
+                    variants.append([pts[0] * (1 - F(1, 10**12))] + pts[1:])
+            for pts in variants:
+                rng.shuffle(pts)
+                yield kind, tuple(pts), (n + 1) // 2, mode
+
+
+def pinned_weighted():
+    """(kind, support, weights, m, mode): even weight functions and ones with
+    a single weight raised by half."""
+    rng = random.Random(1935)
+    for kind, magnitude in _MAGNITUDES.items():
+        if kind == "repeated":
+            continue
+        for n in (2, 3, 4, 7):
+            if kind == "huge" and n > 6:
+                # the residuals of 7 such points have more than 4300 digits,
+                # which format_scalar cannot print (str() of a large int)
+                continue
+            pos = []
+            while len(pos) < n // 2:
+                # "int" weights: distinct support points cannot all be ints
+                v = magnitude(rng) if kind != "int" else F(rng.randint(1, 9), 9)
+                if v not in pos:
+                    pos.append(v)
+            if kind == "float":
+                ws = [rng.uniform(0.5, 5.0) for _ in pos]
+            elif kind == "huge":
+                ws = [F(rng.randint(1, _HUGE), rng.randint(1, _HUGE)) for _ in pos]
+            elif kind == "int":
+                ws = [rng.randint(1, 9) for _ in pos]
+            else:
+                ws = [F(rng.randint(1, 50), rng.randint(1, 9)) for _ in pos]
+            support = pos + [-v for v in pos] + [_zero(kind)] * (n % 2)
+            weights = ws + ws + ws[:1] * (n % 2)
+            mode = "approximate" if kind in ("approx", "float") else "exact"
+            broken = list(weights)
+            broken[len(pos)] = broken[len(pos)] * (1.5 if kind == "float" else F(3, 2))
+            for wts in (weights, broken):
+                yield kind, tuple(support), tuple(wts), n - n % 2, mode
+
+
+def _ids(case):
+    return f"{case[0]}-n{len(case[1])}"
+
+
+class TestIntervalKernelPinned:
+    """Cleared-integer kernels give the values, reports, certificates and
+    errors of the per-point Fraction loops, and float input runs those loops
+    bit for bit."""
+
+    @pytest.mark.parametrize("case", list(pinned_multisets()), ids=_ids)
+    def test_power_and_elementary_sums(self, case):
+        _, pts, m, _ = case
+        for K in (1, 2 * m - 1, 2 * m + 3):
+            p = power_sums(pts, K)
+            assert same_values(p.entries, ref_power_sums(pts, K))
+            assert p.exact == all_exact(pts)
+            e = elementary_symmetric(pts, K)
+            assert same_values(e.entries, ref_elementary_symmetric(pts, K))
+            assert e.exact == all_exact(pts)
+
+    @pytest.mark.parametrize("case", list(pinned_multisets()), ids=_ids)
+    def test_extension_under_every_tolerance(self, case):
+        _, pts, m, _ = case
+        for tol in (None, 1e-9):
+            for K in (1, len(pts), len(pts) + 4):
+                new = outcome(extend_odd_power_sums, pts, m, K, tol)
+                ref = outcome(ref_extend_odd_power_sums, pts, m, K, tol)
+                if new and new[0] == "raised":
+                    assert new == ref
+                else:
+                    assert same_values(new, ref)
+
+    @pytest.mark.parametrize("case", list(pinned_multisets()), ids=_ids)
+    def test_reports_and_certificates(self, case, monkeypatch):
+        _, pts, m, mode = case
+        config = Configuration(pts, tolerance=1e-9, mode=mode)
+        for mm in (m, m + 1):
+            assert outcome(verify_interval_design, config, mm) == outcome(
+                ref_verify_interval_design, config, mm
+            )
+        new = outcome(certify_symmetry, config, m)
+        monkeypatch.setattr(
+            interval_design, "extend_odd_power_sums", ref_extend_odd_power_sums
+        )
+        assert new == outcome(certify_symmetry, config, m)
+
+    @pytest.mark.parametrize("case", list(pinned_weighted()), ids=_ids)
+    def test_weighted_reports_and_certificates(self, case, monkeypatch):
+        _, support, weights, m, mode = case
+        w = WeightedConfiguration(support, weights, tolerance=1e-9, mode=mode)
+        for mm in (1, m, m + 1):
+            new = verify_weighted_design(w, mm)
+            ref = ref_verify_weighted_design(w, mm)
+            assert same_values(new.residuals, ref.residuals)
+            assert new.to_json() == ref.to_json()
+        new = outcome(certify_weighted_symmetry, w, m)
+        monkeypatch.setattr(
+            interval_design, "verify_weighted_design", ref_verify_weighted_design
+        )
+        assert new == outcome(certify_weighted_symmetry, w, m)
+
+    def test_exact_values_are_cleared_in_either_mode(self, monkeypatch):
+        # the arithmetic of the values picks the kernel, not the mode
+        calls = []
+
+        def spy(values):
+            calls.append(1)
+            return clear_denominators(values)
+
+        monkeypatch.setattr(symfun, "clear_denominators", spy)
+        monkeypatch.setattr(interval_design, "clear_denominators", spy)
+        pts = (F(1, 3), F(-1, 3), F(1, 7))
+        config = Configuration(pts, tolerance=1e-9, mode="approximate")
+        verify_interval_design(config, 2)
+        assert len(calls) == 1
+        extend_odd_power_sums(pts[:2], 1, 3, tol=1e-9)
+        assert len(calls) == 2
+        w = WeightedConfiguration(
+            pts, (1, F(1, 2), 3), tolerance=1e-9, mode="approximate"
+        )
+        verify_weighted_design(w, 2)
+        assert len(calls) == 4  # support and weights apart
+        verify_interval_design(Configuration((0.5, -0.5, F(1, 3))), 1)
+        power_sums((F(1, 2), 1, 0.25), 3)
+        assert len(calls) == 4
