@@ -12,7 +12,9 @@ sums of A' and A agree through order 2m-1, and the binomial expansion of
 p_{2k+1}(X) collapses to an identity in those shared power sums.  The m
 residuals are therefore computable exactly from g's coefficients, with no
 root extraction, and come out identically zero; the 2m+1 points themselves
-are only needed approximately and are produced by certified bisection.
+are only needed approximately and are the points certified bisection gives
+(``refine_root``).  The default epsilon comes from the critical values of f
+(``choose_epsilon``).
 
 Also here: the regular-polygon cosine design, the alternating binomial sum
 with its closed form, the rational binomial weighted design, padding
@@ -37,6 +39,7 @@ from .interval_design import Configuration, WeightedConfiguration
 from .polyroot import (
     IsolatingInterval,
     RationalPolynomial,
+    evaluate,
     isolate_real_roots,
     monic_from_roots,
     power_sums_from_coeffs,
@@ -83,26 +86,48 @@ def choose_epsilon(m: int, start: Scalar = DEFAULT_EPSILON_START) -> Fraction:
     """First epsilon in the halving sequence start, start/2, ... for which
     f + epsilon keeps 2m simple roots inside (-1 + 1/(2m), 1 - 1/(2m)).
 
-    The search always ends.  The window ends are the outer roots of f, and
-    f' has one root between each pair of neighbouring roots of f, so f < 0
-    between its roots exactly on m intervals, each with one local minimum.
-    Let eps* > 0 be the smallest |f| at these minima.  g = f + eps is
-    positive outside those intervals and has two simple roots in each when
-    eps < eps*; at eps = eps* a root is double, and beyond it at least two
-    roots are lost.  The valid epsilons are thus exactly (0, eps*), which
-    the halving sequence enters after finitely many steps, and the first
-    valid epsilon is also the largest valid one visited, so the perturbed
-    roots stay as well separated as the sequence allows.  The point 1/(2m)
-    is automatically avoided: g(1/(2m)) = epsilon != 0.
+    The valid epsilons are exactly (0, eps*).  The window ends are the outer
+    roots of f, and f' has one root between each pair of neighbouring roots
+    of f, so f < 0 between its roots exactly on m intervals, each with one
+    local minimum.  Let eps* > 0 be the smallest |f| at these minima.
+    g = f + eps is positive outside those intervals and has two simple roots
+    in each when eps < eps*; at eps = eps* a root is double, and beyond it at
+    least two roots are lost.  The halving sequence enters (0, eps*) after
+    finitely many steps, and its first valid element is also the largest
+    valid one, so the perturbed roots stay as well separated as the sequence
+    allows.  The point 1/(2m) is automatically avoided: g(1/(2m)) = epsilon.
+
+    That element is found from the critical values instead of one Sturm
+    chain per halving.  f is even, so only the negative intervals (a, b)
+    with b > 0 are needed; on each, x is the root of f' refined to width
+    (b - a)/2^20, and beta = min -f(x) <= eps*.  Halving start until
+    epsilon < beta gives a valid epsilon with no Sturm chain: g is +epsilon
+    at the roots of f and g(x) = f(x) + epsilon < 0 at each x and at -x, so
+    g changes sign 2m times inside the window and, being of degree 2m, has
+    2m simple roots there.  Because the valid set is an interval, doubling
+    epsilon back towards start while a Sturm count at 2 epsilon still finds
+    2m roots ends on the first valid element of the sequence; as beta is
+    close to eps*, that usually takes a single count.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
-    eps = as_fraction(start)
+    start = eps = as_fraction(start)
     if eps <= 0:
         raise DomainError("start must be positive")
-    f = monic_from_roots(base_roots(m))
-    while _window_root_count(f.plus_constant(eps), m) != 2 * m:
+    roots = base_roots(m)
+    f = monic_from_roots(roots)
+    df = RationalPolynomial.from_coeffs(
+        [i * c for i, c in enumerate(f.coeffs)][1:]
+    )
+    beta = min(
+        -evaluate(f, refine_root(df, IsolatingInterval(a, b), (b - a) / 2**20))
+        for a, b in zip(roots[::2], roots[1::2])
+        if b > 0
+    )
+    while eps >= beta:
         eps /= 2
+    while eps < start and _window_root_count(f.plus_constant(2 * eps), m) == 2 * m:
+        eps *= 2
     return eps
 
 

@@ -9,6 +9,7 @@ unconditional.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeAlias
@@ -87,18 +88,41 @@ def as_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_SIGNED_DIGITS = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n, also past Python's int-to-str digit limit, where
+    ``str`` raises ValueError; ``Decimal`` is exact for integers."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``, also for a signed digit string past the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _SIGNED_DIGITS.fullmatch(text):
+            raise
+        return int(Decimal(text))
+
+
 def parse_scalar(text: str, *, exact_only: bool = False) -> Scalar:
     """Parse ``"p/q"``, integer, or decimal literals.
 
-    ``"p/q"`` and plain integers parse to Fraction; anything else parses to
-    a finite float unless ``exact_only``, in which case it is rejected.
+    ``"p/q"`` and plain integers parse to Fraction, however many digits they
+    have; anything else parses to a finite float unless ``exact_only``, in
+    which case it is rejected.
     """
     s = text.strip()
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return Fraction(_parse_int(num), _parse_int(den))
+        return Fraction(_parse_int(s))
     except (ValueError, ZeroDivisionError):
         pass
     if exact_only:
@@ -150,8 +174,8 @@ def format_scalar(x: Scalar) -> str:
     if is_exact(x):
         f = Fraction(x)
         if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+            return _digits(f.numerator)
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
     return repr(float(x))
 
 

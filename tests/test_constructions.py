@@ -25,6 +25,7 @@ from tmdesign import (
     verify_interval_design,
     verify_weighted_design,
 )
+from tmdesign import constructions
 from tmdesign.constructions import DEFAULT_EPSILON_START
 
 
@@ -86,6 +87,35 @@ class TestChooseEpsilon:
             m, 2 * eps
         )
 
+
+    @classmethod
+    def _halving_reference(cls, m, start):
+        """The plain halving loop that ``choose_epsilon`` reproduces, one
+        Sturm count per halving (reference copy)."""
+        eps = F(start)
+        while not cls._leaves_2m_simple_roots(m, eps):
+            eps /= 2
+        return eps
+
+    @pytest.mark.parametrize("start", [F(1), F(3, 7), F(1, 16), F(1, 10**9)])
+    def test_matches_the_halving_loop(self, start):
+        for m in range(1, 17):
+            assert choose_epsilon(m, start) == self._halving_reference(m, start)
+
+    def test_at_most_one_sturm_count(self, monkeypatch):
+        # The halving loop made one count per halving: 43 at m = 16.
+        calls = []
+        count = constructions.sturm_root_count
+
+        def counted(*args):
+            calls.append(1)
+            return count(*args)
+
+        monkeypatch.setattr(constructions, "sturm_root_count", counted)
+        for m in range(1, 17):
+            calls.clear()
+            choose_epsilon(m)
+            assert len(calls) <= 1
 
 class TestPerturbedIntervalDesign:
     def test_m1_explicit_epsilon(self):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from tmdesign import (
     refine_root,
     sturm_root_count,
 )
+from tmdesign import polyroot
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -195,6 +200,156 @@ class TestBisectionPinned:
         poly = monic_from_roots([F(1, 4), F(3, 4)])
         with pytest.raises(DomainError, match="sign change"):
             refine_root(poly, IsolatingInterval(F(0), F(1)), F(1, 10**9))
+
+
+def _bisection_reference(poly, interval, precision):
+    """The plain bisection loop that ``refine_root`` reproduces, with every
+    sign read off the ``Fraction`` value of ``evaluate`` (reference copy)."""
+
+    def sign(x):
+        v = evaluate(poly, x)
+        return (v > 0) - (v < 0)
+
+    prec = F(precision)
+    lo, hi = interval.lo, interval.hi
+    shi = sign(hi)
+    if shi == 0:
+        return hi
+    slo = sign(lo)
+    if slo == 0:
+        step = hi - lo
+        while True:
+            step /= 2
+            cand = lo + step
+            slo = sign(cand)
+            if slo == 0:
+                return cand
+            if slo != shi:
+                lo = cand
+                break
+    if slo == shi:
+        raise DomainError("interval does not bracket a sign change")
+    while hi - lo > prec:
+        mid = (lo + hi) / 2
+        sm = sign(mid)
+        if sm == 0:
+            return mid
+        if sm == shi:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _halvings(interval, precision):
+    """k, the number of halvings bisection makes on the interval."""
+    k = 0
+    while (interval.hi - interval.lo) / 2**k > precision:
+        k += 1
+    return k
+
+
+def _seeded_cases():
+    """(poly, interval, precision): irrational roots of seeded polynomials,
+    roots on and off the dyadic bisection grid, and k = 0."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(60):
+        roots = {F(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))}
+        poly = monic_from_roots(sorted(roots)).plus_constant(F(rng.randint(-9, 9), 16))
+        if poly.degree < 1:
+            continue
+        for iv in isolate_real_roots(poly):
+            for prec in (F(1, 7), F(1, 10**6), F(1, 2**40), F(1, 10**30)):
+                cases.append((poly, iv, prec))
+    for _ in range(60):
+        level = rng.randint(0, 12)
+        root = F(rng.randint(1, 2**level), 2**level) - F(1, 2 ** (level + 1))
+        poly = monic_from_roots([root, F(rng.randint(2, 9)), F(-rng.randint(1, 9), 3)])
+        iv = IsolatingInterval(F(0), F(1))
+        for prec in (F(1, 2**level), F(1, 2 ** (level + 1)), F(1, 2**30), F(1, 3)):
+            cases.append((poly, iv, prec))
+    sqrt2 = RationalPolynomial.from_coeffs([-2, 0, 1])
+    cases += [(sqrt2, IsolatingInterval(F(1), F(2)), prec) for prec in (F(1), F(5), F(1, 2))]
+    return cases
+
+
+class TestGridCellSearch:
+    """``refine_root`` finds the bisection cell by false position; it must
+    return what the plain bisection loop returns."""
+
+    def test_matches_bisection(self):
+        for poly, iv, prec in _seeded_cases():
+            assert refine_root(poly, iv, prec) == _bisection_reference(poly, iv, prec)
+
+    def test_root_at_lo_matches_bisection(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            lo = F(rng.randint(-20, 20), rng.randint(1, 6))
+            hi = lo + F(rng.randint(1, 40), rng.randint(1, 8))
+            inner = lo + (hi - lo) * F(rng.randint(1, 99), 100)
+            outer = [hi + rng.randint(1, 5)] if rng.random() < 0.5 else []
+            poly = monic_from_roots([lo, inner] + outer)
+            iv = IsolatingInterval(lo, hi)
+            for prec in (F(1, 3), F(1, 10**12)):
+                assert refine_root(poly, iv, prec) == _bisection_reference(poly, iv, prec)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """One entry per call of the integer kernel: every value ``refine_root``
+        takes, at the two ends and in the search, is one call."""
+        calls = []
+        kernel = polyroot._homogeneous
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(polyroot, "_homogeneous", counted)
+        return calls
+
+    def test_evaluation_count_bound(self, kernel_calls):
+        for poly, iv, prec in _seeded_cases():
+            kernel_calls.clear()
+            refine_root(poly, iv, prec)
+            assert len(kernel_calls) <= 2 * _halvings(iv, prec) + 2
+
+    def test_illinois_converges_in_few_evaluations(self, kernel_calls):
+        # x^n - c on (0, c] at 10^-30: about 100 halvings each.  Plain false
+        # position under the bisection safeguard needs about a third of k.
+        prec, halvings = F(1, 10**30), 0
+        for n in range(2, 13):
+            for c in (2, 3, 5):
+                poly = RationalPolynomial.from_coeffs([-c] + [0] * (n - 1) + [1])
+                iv = IsolatingInterval(F(0), F(c))
+                refine_root(poly, iv, prec)
+                halvings += _halvings(iv, prec)
+        assert len(kernel_calls) <= halvings / 4
+
+
+def test_no_sign_change_right_of_a_root_at_lo_rejected():
+    # Roots 1/3 and 2: lo = 1/3 is a root and (1/3, 1/2] holds no sign
+    # change, so stepping inside from lo could never end.  A subprocess with
+    # a timeout keeps a regression from hanging the suite.
+    code = (
+        "from fractions import Fraction as F\n"
+        "from tmdesign import DomainError, IsolatingInterval, monic_from_roots, refine_root\n"
+        "poly = monic_from_roots([F(1, 3), F(2)])\n"
+        "try:\n"
+        "    refine_root(poly, IsolatingInterval(F(1, 3), F(1, 2)), F(1, 10**9))\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "interval does not bracket a sign change\n"
 
 
 class TestPowerSumsFromCoeffs:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -21,7 +22,8 @@ from tmdesign import (
     verify_spherical_Tm,
     verify_weighted_design,
 )
-from tmdesign.scalars import cos_turn, near, parse_scalar, sin_turn
+from tmdesign.cli import main
+from tmdesign.scalars import cos_turn, format_scalar, near, parse_scalar, sin_turn
 
 #: Exact rationals; exact rationals forced into approximate mode; floats.
 ARITHMETICS = ("exact", "forced", "float")
@@ -147,6 +149,43 @@ def test_approximate_mode_rejects_rationals_too_large_for_a_float():
     with pytest.raises(DomainError, match="outside"):
         Configuration((huge,))
 
+
+
+class TestLongIntegers:
+    """Integers past Python's 4300-digit int-to-str limit print and parse
+    exactly, through ``Decimal``; shorter ones keep their bytes."""
+
+    BIG = 10**5000 + 7
+
+    @pytest.mark.parametrize(
+        "x", [F(BIG), F(-BIG), F(-7, BIG), F(BIG, 10**4400 + 1), F(10**4299 + 1, 3)]
+    )
+    def test_round_trip(self, x):
+        text = format_scalar(x)
+        assert parse_scalar(text, exact_only=True) == x
+        assert parse_scalar(f" {text} ") == x
+
+    def test_digits(self):
+        assert format_scalar(F(-self.BIG, 9)) == "-1" + "0" * 4999 + "7/9"
+        assert format_scalar(10**4299) == "1" + "0" * 4299
+        assert parse_scalar("+" + "0" * 5000 + "12") == 12
+
+    def test_non_integer_long_literals_still_rejected(self):
+        for text in ("1" * 5000 + ".5", "1" * 5000 + "x", "1" * 5000 + "/0"):
+            with pytest.raises(DomainError):
+                parse_scalar(text, exact_only=True)
+
+    def test_verify_weighted_prints_long_residuals(self, tmp_path, capsys):
+        n = 10**400
+        support = [f"1/{n + 1}", f"1/{n + 3}", f"1/{n + 7}", f"-1/{2 * (n + 1)}"]
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps({"support": support, "weights": [1, 1, 1, 1]}))
+        assert main(["verify", "weighted", "--m", "3", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] is False
+        assert max(len(r) for r in doc["residuals"]) > 4300
+        for r in doc["residuals"]:
+            assert format_scalar(parse_scalar(r, exact_only=True)) == r
 
 def test_document_tolerance_parsed():
     doc = {"points": ["1/4", "-1/4"], "tolerance": "1e-9"}
