@@ -22,10 +22,18 @@ the integer Gram matrix G = <Lx, Ly> and its row power sums
 R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
 (S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
 row i holds the power sums of the projection onto x_i, which is all the
-antipodal pairing needs.  Float input runs one recurrence per Gram entry
-<x, y>.  The moment probes take one set of inner products per probe, on the
-cleared integer points in exact mode.  Sphere polynomials are normalized to
-Q_{d,t}(1) = 1; zero sets and parity do not depend on it.
+antipodal pairing needs.  Float input runs the recurrence one degree at a
+time over the whole upper triangle of Gram entries <x, y>.  The moment
+probes work on coordinate columns (of the cleared integer points in exact
+mode): a coordinate probe's inner products are its column, and a sign
+probe's are the sums of the first column and the other columns or their
+negations, the same terms in the same order as a per-point inner product.
+Only the sign vectors with a_1 = +1 are taken: each other one is -a for one
+of them, whose inner products are the exact negations (x * -1 is exact and
+rounding is symmetric), so its odd power sums are exact negations too and
+its even ones are equal; it could never change a worst entry or a verdict.
+Sphere polynomials are normalized to Q_{d,t}(1) = 1; zero sets and parity
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
-from operator import add, mul
+from itertools import combinations, product, repeat
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -254,6 +262,17 @@ class GegenbauerEvaluator:
     def value(self, t: int, s: Scalar) -> Scalar:
         return self.values(t, s)[t]
 
+    def _float_columns(self, top: int, ss: Sequence[float]) -> list[list[float]]:
+        """``values`` at every float in ss, one degree at a time: entry t is
+        [Q_{d,t}(s) for s in ss], from the same float steps and expressions."""
+        self._extend(top)
+        prev, cur = [0.0] * len(ss), [1.0] * len(ss)
+        out = [cur]
+        for a, b, c, norm in self._fsteps[1 : top + 1]:
+            prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
+            out.append([u / norm for u in cur])
+        return out
+
 
 def gegenbauer_value(
     d: int, t: int, s: Scalar, tol: float = DEFAULT_SPHERE_TOL
@@ -267,8 +286,10 @@ def gegenbauer_value(
 def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     """Ordered pair sums of Q_{d,t} for each t in ts.  Exact configurations
     read them off the Gram power sums, sum_k q_{t,k} S_k / L^(2k); the
-    others run one recurrence per unordered pair and add the n^2 terms in
-    row order, as a double loop."""
+    others run the float recurrence one degree at a time over the upper
+    triangle of the Gram matrix (rational entries, possible in forced
+    approximate mode, keep the exact recurrence of ``values``) and add the
+    n^2 terms in row order, as a double loop."""
     ev = GegenbauerEvaluator(X.dim)
     top = max(ts, default=0)
     if X.is_exact:
@@ -281,12 +302,19 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
             num = sum(p * s_k * L2 ** (t - k) for k, (p, s_k) in terms)
             out.append(Fraction(num, sum(polys[t]) * L2**t))
         return out
-    pts, upper = X.points, []
-    for i, x in enumerate(pts):  # upper[i][k] holds the pair (i, i + k)
-        upper.append([ev.values(top, _dot(x, y)) for y in pts[i:]])
-    n = len(pts)
-    rows = [upper[min(i, j)][abs(i - j)] for i in range(n) for j in range(n)]
-    return [reduce(add, (v[t] for v in rows), 0) for t in ts]
+    pts, n = X.points, len(X)
+    grams = [_dot(x, y) for i, x in enumerate(pts) for y in pts[i:]]
+    vals = ev._float_columns(top, [s if isinstance(s, float) else 0.0 for s in grams])
+    for k, s in enumerate(grams):
+        if not isinstance(s, float):
+            for col, v in zip(vals, ev.values(top, s)):
+                col[k] = v
+    start = [i * n - i * (i + 1) // 2 for i in range(n)]  # (i, j), i <= j: start[i] + j
+    order = []
+    for i in range(n):  # row i: the pairs (j, i) for j < i, then (i, j) for j >= i
+        order += [s + i for s in start[:i]]
+        order += range(start[i] + i, start[i] + n)
+    return [reduce(add, map(vals[t].__getitem__, order), 0) for t in ts]
 
 
 def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
@@ -299,11 +327,25 @@ def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _probe_vectors(d: int) -> list[tuple[int, ...]]:
-    """Coordinate vectors then all sign vectors: d + 2^d integer probes."""
-    probes = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    probes.extend(product((1, -1), repeat=d))
-    return probes
+def _probe_columns(pts: Sequence[Point]) -> list[list[Scalar]]:
+    """The inner products <x, a> over the points for each probe a: the d
+    coordinate vectors, then the 2^(d-1) sign vectors with a_1 = +1 in
+    ``product((1, -1))`` order.  Each value is ``_dot(x, a)``, except that a
+    coordinate column may hold -0.0 where ``_dot`` sums to 0.0, which no
+    power sum tells apart.  Points that mix floats with rationals round
+    inside ``_dot``'s coordinate sums, so their coordinate probes keep it.
+    The sign vectors with a_1 = -1 would only repeat values after their
+    twins (see the module docstring), so no first-of-largest choice could
+    pick them.
+    """
+    d = len(pts[0])
+    cols = [list(col) for col in zip(*pts)]
+    coords = cols
+    if len({type(c) for x in pts for c in x}) > 1:
+        eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        coords = [[_dot(x, e) for x in pts] for e in eye]
+    signed = product(*[(col, list(map(neg, col))) for col in cols[1:]])
+    return coords + [list(map(sum, zip(cols[0], *s))) for s in signed]
 
 
 def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
@@ -311,27 +353,29 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     modulus among the probe sums sum_x <x, a>^t and, when d <= 4, the full
     symmetric tensor sum_x x^alpha (|alpha| = t), which makes the check
     complete.  Approximate entries are divided by n alone (the probes have
-    max-norm 1), so zero-padding into a larger dimension keeps them."""
+    max-norm 1), so zero-padding into a larger dimension keeps them.
+
+    The tensor is built one degree at a time as columns over the points.
+    Each tensor entry adds its terms in point order with
+    ``reduce(add, ..., 0)`` and each power sum with ``sum()``.  For floats
+    the two differ from CPython 3.12 on, where ``sum()`` is compensated, so
+    neither can stand in for the other without changing printed residuals."""
     d, top, pts = X.dim, max(ts, default=0), X.points
     if X.is_exact:  # cleared points: every entry is an integer over L^t
         table = X._gram_table(top)
         L, pts = table.L, table.points
-    raws: dict[int, list] = {t: [] for t in ts}
-    for a in _probe_vectors(d):
-        ip = [_dot(x, a) for x in pts]
-        for t in ts:
-            raws[t].append(sum(v**t for v in ip))
-    if d <= 4:  # prefix products x^alpha in combinations_with_replacement order
-        tensor: dict[int, list] = {}
-        for x in pts:
-            level = [(1, 0)]  # (x^alpha, last index of alpha)
-            for k in range(1, top + 1):
-                level = [(p * x[i], i) for p, lo in level for i in range(lo, d)]
-                if k in raws:
-                    acc = tensor.get(k, [0] * len(level))
-                    tensor[k] = [s + p for s, (p, _) in zip(acc, level)]
-        for t in ts:
-            raws[t] += tensor[t]
+    probes = _probe_columns(pts)
+    raws = {t: [sum(map(pow, ip, repeat(t))) for ip in probes] for t in ts}
+    if d <= 4:  # x^alpha over the points, in combinations_with_replacement order
+        cols = [list(col) for col in zip(*pts)]
+        level = [(col, i) for i, col in enumerate(cols)]  # (x^alpha, last index)
+        for k in range(1, top + 1):
+            if k > 1:
+                level = [
+                    (list(map(mul, v, cols[i])), i) for v, lo in level for i in range(lo, d)
+                ]
+            if k in raws:
+                raws[k] += [reduce(add, v, 0) for v, _ in level]
     if X.is_exact:
         return [Fraction(max([0] + raws[t], key=abs), L**t) for t in ts]
     return [max([0] + [r / float(len(X)) for r in raws[t]], key=abs) for t in ts]
@@ -482,6 +526,8 @@ def verify_spherical_t_design_full(
     tol = _tol(X, tol)
     n = len(X)
     d = X.dim
+    probes = _probe_columns(X.points)  # a sign vector -a repeats a's gaps
+    norms2 = [1] * d + [d] * 2 ** (d - 1)  # <a, a>
     checks = []
     for k in range(1, t + 1):
         if k % 2 == 0:
@@ -492,9 +538,8 @@ def verify_spherical_t_design_full(
                 den *= d + 2 * i
             const = Fraction(num, den)
         worst, identities = 0.0, True
-        for a in _probe_vectors(d):
-            raw = sum(_dot(x, a) ** k for x in X.points)
-            norm2 = sum(c * c for c in a)
+        for ip, norm2 in zip(probes, norms2):
+            raw = sum(map(pow, ip, repeat(k)))
             if k % 2 == 0:
                 target = n * const * Fraction(norm2) ** (k // 2)
             else:

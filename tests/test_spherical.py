@@ -141,6 +141,73 @@ def pinned_configs():
     yield embed(SphericalConfig(((F(3, 5), F(4, 5)), (F(0), F(-1)))), 3)
 
 
+def reference_full_design_checks(X, t):
+    """Per-probe degree-k check over all d + 2^d probes: (k, residual, ok)."""
+    d, n = X.dim, len(X)
+    probes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    probes += list(product((1, -1), repeat=d))
+    checks = []
+    for k in range(1, t + 1):
+        const = F(math.prod(range(1, k, 2)), math.prod(range(d, d + k - 1, 2)))
+        worst, identities = 0.0, True
+        for a in probes:
+            raw = sum(sum(c * p for c, p in zip(x, a)) ** k for x in X.points)
+            norm2 = sum(c * c for c in a)
+            target = n * const * F(norm2) ** (k // 2) if k % 2 == 0 else 0
+            scaled = abs(float(raw - target)) / (n * float(norm2) ** (k / 2))
+            worst = max(worst, scaled)
+            identities = identities and raw == target
+        ok = identities if X.is_exact else worst <= X.tolerance
+        checks.append({"k": k, "residual": repr(worst), "ok": ok})
+    return checks
+
+
+def float_set(rng, d, n, antipodal):
+    if not antipodal:
+        return SphericalConfig(tuple(unit_float(rng, d) for _ in range(n)))
+    half = [unit_float(rng, d) for _ in range(n // 2)]
+    pts = half + [tuple(-c for c in p) for p in half]
+    rng.shuffle(pts)
+    return SphericalConfig(tuple(pts))
+
+
+def benchmark_sized_configs():
+    """(X, m) beyond ``pinned_configs``: the float d = 8, n = 40 and exact
+    n = 12, m = 6 sets of the ``sphere`` benchmark, signed zeros, integer
+    poles among floats, points mixing floats with rationals, float designs
+    in d <= 4 (where a tensor entry can be the worst), n = 1, m = 0."""
+    rng = random.Random(1983)
+    for antipodal in (True, False):
+        yield float_set(rng, 8, 40, antipodal), 3
+    for d in (4, 6):  # distinct antipodal pairs, as the benchmark draws them
+        half = []
+        while len(half) < 6:
+            p = unit_exact(rng, d)
+            if p not in half and tuple(-c for c in p) not in half:
+                half.append(p)
+        pts = half + [tuple(-c for c in p) for p in half]
+        rng.shuffle(pts)
+        yield SphericalConfig(tuple(pts)), 6
+    for d in (3, 4, 5):
+        for antipodal in (True, False):
+            X = float_set(rng, d, 12, antipodal)
+            signed = [(0.0,) * (d - 1) + (1.0,), (-0.0,) * (d - 1) + (-1.0,)]
+            signed.append((-0.0, 0.6) + (0.0,) * (d - 3) + (-0.8,))
+            poles = [tuple(s * (i == j) for j in range(d)) for i in (0, d - 1) for s in (1, -1)]
+            pts = list(X.points) + signed + poles
+            rng.shuffle(pts)
+            yield SphericalConfig(tuple(pts)), 4
+    mixed = ((F(3, 5), 0.8, 0), (0, -0.6, F(-4, 5)), (1, 0, 0.0), (-1.0, 0, 0))
+    yield SphericalConfig(mixed + tuple(unit_float(rng, 3) for _ in range(6))), 3
+    for k in range(12):  # float designs: each moment entry is rounding noise
+        m = 2 + k % 4
+        X = polygon_on_circle(m, rotation=rng.random())
+        yield (embed(X, 2 + k % 3) if k % 3 else X), m
+    yield SphericalConfig(((F(3, 5), F(4, 5)),)), 2
+    yield SphericalConfig(((0.6, -0.8),)), 2
+    yield polygon_on_circle(3, rotation=0.1), 0
+
+
 class TestKernelPinned:
     """The one-pass kernels reproduce the per-t recurrence and probe loop."""
 
@@ -157,6 +224,31 @@ class TestKernelPinned:
             assert same(c.moment_residual, reference_moment_residual(X, c.t))
         for t in range(2 * m + 1):  # even t too
             assert same(harmonic_index_residual(X, t), reference_pair_sum(X, t))
+
+    @pytest.mark.parametrize(
+        "X, m",
+        list(benchmark_sized_configs()),
+        ids=lambda v: f"d{v.dim}n{len(v)}{v.mode[0]}" if isinstance(v, SphericalConfig) else f"m{v}",
+    )
+    def test_benchmark_sized_sets(self, X, m):
+        n = len(X)
+        report = verify_spherical_Tm(X, m)
+        assert [c.t for c in report.checks] == list(range(1, 2 * m, 2))
+        for c in report.checks:
+            pair = reference_pair_sum(X, c.t)
+            geg = F(pair, n * n) if X.is_exact else pair / (n * n)
+            assert same(c.gegenbauer_residual, geg)
+            assert same(c.moment_residual, reference_moment_residual(X, c.t))
+
+    @pytest.mark.parametrize(
+        "X",
+        list(pinned_configs()) + [X for X, _ in benchmark_sized_configs()],
+        ids=lambda X: f"d{X.dim}n{len(X)}{X.mode[0]}",
+    )
+    def test_full_design_report(self, X):
+        t = 6 if X.dim <= 6 else 4
+        report = verify_spherical_t_design_full(X, t).to_json()
+        assert report["checks"] == reference_full_design_checks(X, t)
 
     def test_integer_coordinates_stay_exact(self):
         X = SphericalConfig(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
