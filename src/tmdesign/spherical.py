@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product, repeat
 from operator import add, mul, neg
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -247,31 +247,26 @@ class GegenbauerEvaluator:
 
     def values(self, top: int, s: Scalar) -> list[Scalar]:
         """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
-        self._extend(top)
-        steps = self._steps
-        if isinstance(s, float):
-            steps, prev, cur = self._fsteps, 0.0, 1.0
-        else:
-            prev, cur, s = 0, 1, Fraction(s)
-        out = [cur]
-        for a, b, c, norm in steps[1 : top + 1]:
-            prev, cur = cur, (a * s * cur - b * prev) / c
-            out.append(cur / norm)
-        return out
+        return [col[0] for col in self._columns(top, [s])]
 
     def value(self, t: int, s: Scalar) -> Scalar:
         return self.values(t, s)[t]
 
-    def _float_columns(self, top: int, ss: Sequence[float]) -> list[list[float]]:
-        """``values`` at every float in ss, one degree at a time: entry t is
-        [Q_{d,t}(s) for s in ss], from the same float steps and expressions."""
+    def _columns(self, top: int, ss: Sequence[Scalar]) -> Iterator[list[Scalar]]:
+        """``values`` at every s in ss, one degree at a time: yields
+        [Q_{d,t}(s) for s in ss] for t = 0, ..., top, each a new list.  A list
+        of floats runs the float steps; any other list runs the exact steps
+        on Fractions."""
         self._extend(top)
-        prev, cur = [0.0] * len(ss), [1.0] * len(ss)
-        out = [cur]
-        for a, b, c, norm in self._fsteps[1 : top + 1]:
+        if all(isinstance(s, float) for s in ss):
+            steps, prev, cur = self._fsteps, [0.0] * len(ss), [1.0] * len(ss)
+        else:
+            steps, prev, cur = self._steps, [0] * len(ss), [1] * len(ss)
+            ss = [Fraction(s) for s in ss]
+        yield list(cur)
+        for a, b, c, norm in steps[1 : top + 1]:
             prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
-            out.append([u / norm for u in cur])
-        return out
+            yield [u / norm for u in cur]
 
 
 def gegenbauer_value(
@@ -289,7 +284,7 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     others run the float recurrence one degree at a time over the upper
     triangle of the Gram matrix (rational entries, possible in forced
     approximate mode, keep the exact recurrence of ``values``) and add the
-    n^2 terms in row order, as a double loop."""
+    n^2 terms of each wanted degree in row order, as a double loop."""
     ev = GegenbauerEvaluator(X.dim)
     top = max(ts, default=0)
     if X.is_exact:
@@ -304,17 +299,20 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
         return out
     pts, n = X.points, len(X)
     grams = [_dot(x, y) for i, x in enumerate(pts) for y in pts[i:]]
-    vals = ev._float_columns(top, [s if isinstance(s, float) else 0.0 for s in grams])
-    for k, s in enumerate(grams):
-        if not isinstance(s, float):
-            for col, v in zip(vals, ev.values(top, s)):
-                col[k] = v
+    exact = {k: ev.values(top, s) for k, s in enumerate(grams) if not isinstance(s, float)}
+    floats = [0.0 if k in exact else s for k, s in enumerate(grams)]
     start = [i * n - i * (i + 1) // 2 for i in range(n)]  # (i, j), i <= j: start[i] + j
     order = []
     for i in range(n):  # row i: the pairs (j, i) for j < i, then (i, j) for j >= i
         order += [s + i for s in start[:i]]
         order += range(start[i] + i, start[i] + n)
-    return [reduce(add, map(vals[t].__getitem__, order), 0) for t in ts]
+    sums = dict.fromkeys(ts)
+    for t, col in enumerate(ev._columns(top, floats)):  # one degree kept at a time
+        if t in sums:
+            for k, v in exact.items():
+                col[k] = v[t]
+            sums[t] = reduce(add, map(col.__getitem__, order), 0)
+    return [sums[t] for t in ts]
 
 
 def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
@@ -327,25 +325,26 @@ def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _probe_columns(pts: Sequence[Point]) -> list[list[Scalar]]:
-    """The inner products <x, a> over the points for each probe a: the d
-    coordinate vectors, then the 2^(d-1) sign vectors with a_1 = +1 in
-    ``product((1, -1))`` order.  Each value is ``_dot(x, a)``, except that a
-    coordinate column may hold -0.0 where ``_dot`` sums to 0.0, which no
-    power sum tells apart.  Points that mix floats with rationals round
-    inside ``_dot``'s coordinate sums, so their coordinate probes keep it.
-    The sign vectors with a_1 = -1 would only repeat values after their
-    twins (see the module docstring), so no first-of-largest choice could
-    pick them.
+def _probe_columns(cols: Sequence[list[Scalar]]) -> Iterator[tuple[int, list[Scalar]]]:
+    """<a, a> and the inner products <x, a> over the points (cols holds
+    their coordinate columns) for each probe a: the d coordinate vectors,
+    then the 2^(d-1) sign vectors with a_1 = +1 in ``product((1, -1))``
+    order.  Each value is ``_dot(x, a)``, except that a coordinate column may
+    hold -0.0 where ``_dot`` sums to 0.0, which no power sum tells apart.
+    Points that mix floats with rationals round inside ``_dot``'s
+    coordinate sums, so their coordinate probes keep it.  The sign vectors
+    with a_1 = -1 would only repeat values after their twins (see the
+    module docstring), so no first-of-largest choice could pick them.
     """
-    d = len(pts[0])
-    cols = [list(col) for col in zip(*pts)]
+    d = len(cols)
     coords = cols
-    if len({type(c) for x in pts for c in x}) > 1:
+    if len({type(c) for col in cols for c in col}) > 1:
         eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        coords = [[_dot(x, e) for x in pts] for e in eye]
-    signed = product(*[(col, list(map(neg, col))) for col in cols[1:]])
-    return coords + [list(map(sum, zip(cols[0], *s))) for s in signed]
+        coords = [[_dot(x, e) for x in zip(*cols)] for e in eye]
+    for col in coords:
+        yield 1, col
+    for signed in product(*[(col, list(map(neg, col))) for col in cols[1:]]):
+        yield d, list(map(sum, zip(cols[0], *signed)))
 
 
 def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
@@ -364,10 +363,12 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     if X.is_exact:  # cleared points: every entry is an integer over L^t
         table = X._gram_table(top)
         L, pts = table.L, table.points
-    probes = _probe_columns(pts)
-    raws = {t: [sum(map(pow, ip, repeat(t))) for ip in probes] for t in ts}
+    cols = [list(col) for col in zip(*pts)]
+    raws: dict[int, list] = {t: [] for t in ts}
+    for _, ip in _probe_columns(cols):
+        for t in ts:
+            raws[t].append(sum(map(pow, ip, repeat(t))))
     if d <= 4:  # x^alpha over the points, in combinations_with_replacement order
-        cols = [list(col) for col in zip(*pts)]
         level = [(col, i) for i, col in enumerate(cols)]  # (x^alpha, last index)
         for k in range(1, top + 1):
             if k > 1:
@@ -526,8 +527,8 @@ def verify_spherical_t_design_full(
     tol = _tol(X, tol)
     n = len(X)
     d = X.dim
-    probes = _probe_columns(X.points)  # a sign vector -a repeats a's gaps
-    norms2 = [1] * d + [d] * 2 ** (d - 1)  # <a, a>
+    cols = [list(col) for col in zip(*X.points)]
+    probes = list(_probe_columns(cols))  # a sign vector -a repeats a's gaps
     checks = []
     for k in range(1, t + 1):
         if k % 2 == 0:
@@ -538,7 +539,7 @@ def verify_spherical_t_design_full(
                 den *= d + 2 * i
             const = Fraction(num, den)
         worst, identities = 0.0, True
-        for ip, norm2 in zip(probes, norms2):
+        for norm2, ip in probes:
             raw = sum(map(pow, ip, repeat(k)))
             if k % 2 == 0:
                 target = n * const * Fraction(norm2) ** (k // 2)
