@@ -800,48 +800,89 @@ _PROJECTION_SWEEPS = 12
 _LOW_RESIDUAL_KEEP = 5
 
 
-def _t2_trig(angles: Sequence[float]) -> tuple[list[float], ...]:
-    """cos t, sin t, cos 3t and sin 3t of every angle t."""
-    triple = [3 * t for t in angles]
-    return (
-        list(map(math.cos, angles)),
-        list(map(math.sin, angles)),
-        list(map(math.cos, triple)),
-        list(map(math.sin, triple)),
-    )
+# The index pairs of six angles, in the order the projection sweeps them.
+_PAIRS = tuple(combinations(range(6), 2))
 
 
 def _t2_residual(angles: Sequence[float]) -> float:
     """max over t in {1, 3} of the normalized pair sum |sum e^(i t theta)|^2/n^2."""
-    c1, s1, c3, s3 = map(sum, _t2_trig(angles))
+    triple = [3 * t for t in angles]
+    c1, s1 = sum(map(math.cos, angles)), sum(map(math.sin, angles))
+    c3, s3 = sum(map(math.cos, triple)), sum(map(math.sin, triple))
     n2 = float(len(angles)) ** 2
     return max(c1 * c1 + s1 * s1, c3 * c3 + s3 * s3) / n2
 
 
-def _t2_step(angles: Sequence[float], step: float) -> list[float]:
-    """One gradient step on |sum e^(i theta)|^2 + |sum e^(3i theta)|^2."""
-    cos1, sin1, cos3, sin3 = _t2_trig(angles)
-    c1, s1, c3, s3 = sum(cos1), sum(sin1), sum(cos3), sum(sin3)
-    return [
-        t - step * (2.0 * (s1 * a - c1 * b) + 6.0 * (s3 * c - c3 * d))
-        for t, a, b, c, d in zip(angles, cos1, sin1, cos3, sin3)
-    ]
+def _descend(angles: list[float], margin: float) -> list[float]:
+    """One search trial: projected gradient descent on
+    |sum e^(i theta)|^2 + |sum e^(3i theta)|^2 over six angles.  Project the
+    start onto the margin, then take _SEARCH_ITERS gradient steps, projecting
+    after each, with a step length that starts at _SEARCH_STEP0 and decays
+    by _SEARCH_DECAY.
+
+    The angles, their cos t, sin t, cos 3t and sin 3t (a, b, c, d) and the
+    four sums are locals.  Each sum adds its six values with sum() in angle
+    order, so every float is the one the list form gives, also under the
+    compensated sum() of CPython 3.12 on."""
+    cos, sin, project = math.cos, math.sin, _project_margin
+    angles = project(angles, margin)
+    step = _SEARCH_STEP0
+    for _ in range(_SEARCH_ITERS):
+        t0, t1, t2, t3, t4, t5 = angles
+        a0, b0, c0, d0 = cos(t0), sin(t0), cos(3 * t0), sin(3 * t0)
+        a1, b1, c1, d1 = cos(t1), sin(t1), cos(3 * t1), sin(3 * t1)
+        a2, b2, c2, d2 = cos(t2), sin(t2), cos(3 * t2), sin(3 * t2)
+        a3, b3, c3, d3 = cos(t3), sin(t3), cos(3 * t3), sin(3 * t3)
+        a4, b4, c4, d4 = cos(t4), sin(t4), cos(3 * t4), sin(3 * t4)
+        a5, b5, c5, d5 = cos(t5), sin(t5), cos(3 * t5), sin(3 * t5)
+        sa = sum((a0, a1, a2, a3, a4, a5))
+        sb = sum((b0, b1, b2, b3, b4, b5))
+        sc = sum((c0, c1, c2, c3, c4, c5))
+        sd = sum((d0, d1, d2, d3, d4, d5))
+        angles = project(
+            [
+                t0 - step * (2.0 * (sb * a0 - sa * b0) + 6.0 * (sd * c0 - sc * d0)),
+                t1 - step * (2.0 * (sb * a1 - sa * b1) + 6.0 * (sd * c1 - sc * d1)),
+                t2 - step * (2.0 * (sb * a2 - sa * b2) + 6.0 * (sd * c2 - sc * d2)),
+                t3 - step * (2.0 * (sb * a3 - sa * b3) + 6.0 * (sd * c3 - sc * d3)),
+                t4 - step * (2.0 * (sb * a4 - sa * b4) + 6.0 * (sd * c4 - sc * d4)),
+                t5 - step * (2.0 * (sb * a5 - sa * b5) + 6.0 * (sd * c5 - sc * d5)),
+            ],
+            margin,
+        )
+        step *= _SEARCH_DECAY
+    return angles
 
 
 def _project_margin(angles: list[float], margin: float) -> list[float]:
-    """Push each pair with ||x_i + x_j|| = 2|cos((theta_i - theta_j)/2)| < margin
-    out to the margin, sweeping over all pairs until a sweep changes no angle
-    or _PROJECTION_SWEEPS sweeps have run.  A later pair can push an earlier
-    one back inside, so the margin holds to rounding after a quiet sweep and
-    may be missed (by about 1e-5 at worst seen, margin 1) at the cap."""
+    """Push each pair of six angles with
+    ||x_i + x_j|| = 2|cos((theta_i - theta_j)/2)| < margin out to the margin,
+    sweeping over all pairs until a sweep ends with the angles it started
+    with or _PROJECTION_SWEEPS sweeps have run.  A later pair can push an
+    earlier one back inside, so the margin holds to rounding after a quiet
+    sweep and may be missed (by about 1e-5 at worst seen, margin 1) at the
+    cap.
+
+    A pair is pushed when |remainder(d, tau)| > psi_max, where
+    d = theta_i - theta_j and psi_max = 2 acos(margin/2).  remainder is
+    exact, so |remainder(d, tau)| = min(r, tau - r) for the exact residue r
+    of d mod tau in [0, tau), and a push needs psi_max < r < tau - psi_max.
+    d % tau is r to within an ulp of tau (fmod is exact, and adding tau to a
+    negative fmod rounds once), so a pair whose d % tau lies outside
+    [psi_max - 1e-9, tau - psi_max + 1e-9] cannot be pushed and skips
+    remainder."""
     if margin <= 0:
         return angles
     psi_max = 2.0 * math.acos(min(1.0, margin / 2.0))
-    pairs = list(combinations(range(len(angles)), 2))
+    tau = math.tau
+    low, high = psi_max - 1e-9, tau - psi_max + 1e-9
     for _ in range(_PROJECTION_SWEEPS):
         before = angles[:]
-        for i, j in pairs:
-            psi = math.remainder(angles[i] - angles[j], math.tau)
+        for i, j in _PAIRS:
+            d = angles[i] - angles[j]
+            if not low <= d % tau <= high:
+                continue
+            psi = math.remainder(d, tau)
             if abs(psi) > psi_max:
                 delta = (math.copysign(psi_max, psi) - psi) / 2.0
                 angles[i] += delta
@@ -902,7 +943,10 @@ class SixPointSearchReport:
     over six circle angles, projecting onto the non-antipodality margin
     after every step.  The projection is a capped sequence of pairwise
     sweeps, so the margin holds only approximately; min_pair_distance
-    records what each trial attains.  Randomness is derived from
+    records what each trial attains.  The projection calls the exact
+    math.remainder only for pairs whose float d % tau falls in a band around
+    the margin; outside that band the remainder provably calls for no push,
+    so the pushes are those of the plain remainder test.  Randomness is derived from
     (seed, trial index), so the report is byte-reproducible.
     """
 
@@ -948,12 +992,8 @@ def six_point_search(
     results: list[tuple[TrialResult, tuple[float, ...]]] = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        angles = [rng.uniform(0.0, math.tau) for _ in range(6)]
-        angles = _project_margin(angles, margin)
-        step = _SEARCH_STEP0
-        for _ in range(_SEARCH_ITERS):
-            angles = _project_margin(_t2_step(angles, step), margin)
-            step *= _SEARCH_DECAY
+        start = [rng.uniform(0.0, math.tau) for _ in range(6)]
+        angles = _descend(start, margin)
         res = TrialResult(
             trial,
             _t2_residual(angles),

@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmdesign import (
     DomainError,
@@ -25,7 +28,8 @@ from tmdesign import (
     verify_spherical_Tm,
     verify_spherical_t_design_full,
 )
-from tmdesign.spherical import _GramTable, antipodal_defect
+from tmdesign import spherical
+from tmdesign.spherical import _GramTable, _project_margin, antipodal_defect
 
 CROSS = SphericalConfig(
     ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))
@@ -792,3 +796,52 @@ class TestSearchPinned:
     def test_reports_match_reference(self, margin, seed, trials):
         report = six_point_search(trials, seed, margin)
         assert report.to_json() == reference_search_json(trials, seed, margin)
+
+
+def _edge_starts():
+    """Six angles whose first pair differs by exactly +-psi_max,
+    +-(tau - psi_max), +-(tau + psi_max) or +-pi, or by the floats next to
+    these, where the % test in _project_margin sits on the edge of its band.
+    Margin 2 gives psi_max = 0 and a subnormal margin psi_max = pi."""
+    for margin in (0.1, 1.0, 1.9, 2.0, 5e-324):
+        psi_max = 2.0 * math.acos(min(1.0, margin / 2.0))
+        for d in (psi_max, math.tau - psi_max, math.tau + psi_max, math.pi):
+            for near in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+                for sign in (1.0, -1.0):
+                    yield [sign * near, 0.0, 1.0, 2.5, -3.0, 4.0], margin
+
+
+def _with_edge_starts(test):
+    for angles, margin in _edge_starts():
+        test = example(angles=angles, margin=margin)(test)
+    return test
+
+
+_six_angles = st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6)
+_margins = st.one_of(
+    st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([2.0, 1e-310])
+)
+
+
+class TestSearchKernel:
+    """The projection and one step of the descent kernel equal the plain
+    reference forms bit for bit."""
+
+    @_with_edge_starts
+    @given(angles=_six_angles, margin=_margins)
+    @settings(max_examples=300, deadline=None)
+    def test_projection_matches_reference(self, angles, margin):
+        expected = reference_project_margin(angles[:], margin)
+        assert _project_margin(angles[:], margin) == expected
+
+    @_with_edge_starts
+    @given(angles=_six_angles, margin=_margins)
+    @settings(max_examples=300, deadline=None)
+    def test_one_step_matches_reference(self, angles, margin):
+        start = reference_project_margin(angles[:], margin)
+        grad = reference_t2_gradient(start)
+        expected = reference_project_margin(
+            [t - 0.1 * g for t, g in zip(start, grad)], margin
+        )
+        with mock.patch.object(spherical, "_SEARCH_ITERS", 1):
+            assert spherical._descend(angles[:], margin) == expected
