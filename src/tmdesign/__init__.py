@@ -35,6 +35,7 @@ from .polyroot import (
     RationalPolynomial,
     cauchy_root_bound,
     evaluate,
+    isolate_in_brackets,
     isolate_real_roots,
     monic_from_roots,
     power_sums_from_coeffs,

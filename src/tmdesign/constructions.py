@@ -13,8 +13,10 @@ p_{2k+1}(X) collapses to an identity in those shared power sums.  The m
 residuals are therefore computable exactly from g's coefficients, with no
 root extraction, and come out identically zero; the 2m+1 points themselves
 are only needed approximately and are the points certified bisection gives
-(``refine_root``).  The default epsilon comes from the critical values of f
-(``choose_epsilon``).
+(``refine_root``).  f is built once, on integers, in the scaled variable
+y = 2m x, where its roots are the odd integers; the default epsilon comes
+from the critical values of f (``choose_epsilon``), and the same critical
+points bracket the roots of g for their isolation.
 
 Also here: the regular-polygon cosine design, the alternating binomial sum
 with its closed form, the rational binomial weighted design, padding
@@ -40,9 +42,7 @@ from .polyroot import (
     IsolatingInterval,
     RationalPolynomial,
     evaluate,
-    isolate_real_roots,
-    monic_from_roots,
-    power_sums_from_coeffs,
+    isolate_in_brackets,
     refine_root,
     sturm_root_count,
 )
@@ -54,6 +54,7 @@ from .scalars import (
     format_scalar,
     mode_zero,
 )
+from .symfun import ElemSymVector, newton_p_from_e
 
 #: Default halving start for the perturbation search.
 DEFAULT_EPSILON_START = Fraction(1, 16)
@@ -70,19 +71,86 @@ def base_roots(m: int) -> list[Fraction]:
     return [-r for r in reversed(pos)] + pos
 
 
-def _window_root_count(g: RationalPolynomial, m: int) -> int | None:
-    """Distinct real roots of g in the open working window, or None if g has
-    a repeated root.  Window endpoints are roots of f, never of g (g there
-    equals epsilon > 0), so the half-open Sturm count is the open count."""
-    lo = Fraction(-1) + Fraction(1, 2 * m)
-    hi = Fraction(1) - Fraction(1, 2 * m)
-    try:
-        return sturm_root_count(g, lo, hi)
-    except NotSquarefreeError:
-        return None
+class _Unperturbed:
+    """f = prod_k (x^2 - ((2k-1)/(2m))^2), the monic polynomial of
+    ``base_roots(m)``, with its critical points in the intervals where f < 0.
+
+    f is built on integers: F(y) = prod_k (y^2 - (2k-1)^2) is monic with
+    integer coefficients F_j, and f(x) = F(2m x) / (2m)^(2m), so f has the
+    coefficients F_j / (2m)^(2m-j), the canonical Fractions that
+    ``monic_from_roots`` gives.  f is even and its roots are simple, so
+    f < 0 exactly on the m intervals (r_(2i-1), r_(2i)) between its roots,
+    and f' has one simple root in each.  ``wells`` are those intervals with
+    right end > 0 (the others are their mirror images), ``crit`` the roots
+    of f' in them refined to width (b - a)/2^20, and ``depth`` the values
+    -f there.
+    """
+
+    def __init__(self, m: int):
+        self.roots = base_roots(m)
+        z = [1]  # prod (z - (2k-1)^2), ascending, in z = y^2
+        for k in range(1, m + 1):
+            a = (2 * k - 1) ** 2
+            z = [0] + z
+            for i in range(len(z) - 1):
+                z[i] -= a * z[i + 1]
+        self.F = [0] * (2 * m + 1)
+        self.F[::2] = z
+        s = 2 * m
+        self.f = RationalPolynomial(
+            tuple(Fraction(c, s ** (s - j)) for j, c in enumerate(self.F))
+        )
+        self.df = RationalPolynomial.from_coeffs(
+            [i * c for i, c in enumerate(self.f.coeffs)][1:]
+        )
+        self.wells = [
+            (a, b) for a, b in zip(self.roots[::2], self.roots[1::2]) if b > 0
+        ]
+        self.crit = [self._critical_point(a, b, 20) for a, b in self.wells]
+        self.depth = [-evaluate(self.f, c) for c in self.crit]
+
+    def _critical_point(self, a: Fraction, b: Fraction, bits: int) -> Fraction:
+        return refine_root(self.df, IsolatingInterval(a, b), (b - a) / 2**bits)
+
+    def window_root_count(self, eps: Fraction) -> int | None:
+        """Distinct real roots of f + eps in the open working window, or None
+        if it has a repeated root.  Window endpoints are roots of f, never of
+        f + eps, so the half-open Sturm count is the open count."""
+        try:
+            return sturm_root_count(
+                self.f.plus_constant(eps), self.roots[0], self.roots[-1]
+            )
+        except NotSquarefreeError:
+            return None
+
+    def brackets(self, eps: Fraction) -> list[IsolatingInterval]:
+        """For a valid eps, 2m intervals that each hold one root of g = f + eps.
+
+        g = eps > 0 at the roots of f, so (a, c) and (c, b) hold one root
+        each for a well (a, b) with g(c) < 0 at its critical point c.  Where
+        g(c) >= 0, which can happen after the doubling in ``choose_epsilon``
+        or for an explicit epsilon, c is refined further, each time to twice
+        as many bits: -f at the exact critical point is at least eps* >
+        eps, so this ends.  g is even, so g(-c) = g(c).  As g has degree 2m
+        and changes sign in each of the 2m intervals, they hold all its
+        roots.
+        """
+        out = []
+        for (a, b), c, depth in zip(self.wells, self.crit, self.depth):
+            bits = 20
+            while eps >= depth:
+                bits *= 2
+                c = self._critical_point(a, b, bits)
+                depth = -evaluate(self.f, c)
+            out += [IsolatingInterval(a, c), IsolatingInterval(c, b)]
+            if a > 0:
+                out += [IsolatingInterval(-b, -c), IsolatingInterval(-c, -a)]
+        return sorted(out, key=lambda iv: iv.lo)
 
 
-def choose_epsilon(m: int, start: Scalar = DEFAULT_EPSILON_START) -> Fraction:
+def choose_epsilon(
+    m: int, start: Scalar = DEFAULT_EPSILON_START, *, base: _Unperturbed | None = None
+) -> Fraction:
     """First epsilon in the halving sequence start, start/2, ... for which
     f + epsilon keeps 2m simple roots inside (-1 + 1/(2m), 1 - 1/(2m)).
 
@@ -107,26 +175,22 @@ def choose_epsilon(m: int, start: Scalar = DEFAULT_EPSILON_START) -> Fraction:
     2m simple roots there.  Because the valid set is an interval, doubling
     epsilon back towards start while a Sturm count at 2 epsilon still finds
     2m roots ends on the first valid element of the sequence; as beta is
-    close to eps*, that usually takes a single count.
+    close to eps*, that usually takes a single count.  The same points x
+    and -x split the intervals into brackets of the roots of g, which
+    ``perturbed_interval_design`` isolates without a Sturm chain of g; it
+    passes the f and the x it has built as ``base``.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
     start = eps = as_fraction(start)
     if eps <= 0:
         raise DomainError("start must be positive")
-    roots = base_roots(m)
-    f = monic_from_roots(roots)
-    df = RationalPolynomial.from_coeffs(
-        [i * c for i, c in enumerate(f.coeffs)][1:]
-    )
-    beta = min(
-        -evaluate(f, refine_root(df, IsolatingInterval(a, b), (b - a) / 2**20))
-        for a, b in zip(roots[::2], roots[1::2])
-        if b > 0
-    )
+    if base is None:
+        base = _Unperturbed(m)
+    beta = min(base.depth)
     while eps >= beta:
         eps /= 2
-    while eps < start and _window_root_count(f.plus_constant(2 * eps), m) == 2 * m:
+    while eps < start and base.window_root_count(2 * eps) == 2 * m:
         eps *= 2
     return eps
 
@@ -172,48 +236,57 @@ def perturbed_interval_design(
 
         1 + sum_{l=0..2k+1} C(2k+1, l) (-1/(2m))^(2k+1-l) p_l(A')
 
-    with p_l(A') read off g's coefficients (p_0 = 2m).  A nonzero value
-    indicates a defect, not a bad input.  Roots are refined a good deal
-    tighter than ``precision`` so that direct floating summation over the
-    emitted points stays within a few units of precision of zero.
+    with p_l(A') read off g's coefficients (p_0 = 2m).  They are computed
+    in y = 2m x, where the roots of g are 2m A' and, times (2m)^(2k+1), the
+    residual is (2m)^(2k+1) + sum_l C(2k+1, l) (-1)^(l+1) P_l for the power
+    sums P_l of 2m A'.  Through l = 2m-1 these come from the coefficients
+    of g of positive degree, which are the integers F_j of f, by Newton's
+    identities over Z.  A nonzero value indicates a defect, not a bad
+    input.  The roots of g are isolated from the brackets that the critical
+    points of f give (``_Unperturbed.brackets``), into the intervals
+    ``isolate_real_roots`` would give, and refined a good deal tighter than
+    ``precision`` so that direct floating summation over the emitted points
+    stays within a few units of precision of zero.  An explicit epsilon is
+    checked by a Sturm count.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
     prec = as_fraction(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
-    f = monic_from_roots(base_roots(m))
+    base = _Unperturbed(m)
     if epsilon is None:
-        eps = choose_epsilon(m)
+        eps = choose_epsilon(m, base=base)
     else:
         eps = as_fraction(epsilon)
         if eps <= 0:
             raise DomainError("epsilon must be positive")
-        if _window_root_count(f.plus_constant(eps), m) != 2 * m:
+        if base.window_root_count(eps) != 2 * m:
             raise DomainError(
                 f"epsilon {format_scalar(eps)} does not leave 2m simple roots "
                 "in the working window"
             )
-    g = f.plus_constant(eps)
+    g = base.f.plus_constant(eps)
 
-    p = power_sums_from_coeffs(g, max(2 * m - 1, 1))
-    shift = Fraction(-1, 2 * m)
+    s = 2 * m
+    coeffs = list(base.F)  # of the monic polynomial of 2m A'
+    coeffs[0] += eps * s**s
+    e = ElemSymVector(tuple((-1) ** k * coeffs[s - k] for k in range(s + 1)))
+    P = (s,) + newton_p_from_e(e, s, s - 1).entries
     certificate = []
     for k in range(m):
-        r = Fraction(1)
-        for l in range(2 * k + 2):
-            pl = Fraction(2 * m) if l == 0 else p.p(l)
-            r += comb(2 * k + 1, l) * shift ** (2 * k + 1 - l) * pl
+        n = 2 * k + 1
+        r = Fraction(
+            s**n + sum((-1) ** (l + 1) * comb(n, l) * P[l] for l in range(n + 1)),
+            s**n,
+        )
         if r != 0:
-            raise InternalDefectError(
-                f"exact residual at odd index {2 * k + 1} is {r}, not 0"
-            )
+            raise InternalDefectError(f"exact residual at odd index {n} is {r}, not 0")
         certificate.append(r)
 
-    intervals = tuple(isolate_real_roots(g))
-    if len(intervals) != 2 * m:
-        raise InternalDefectError("validated epsilon lost roots during isolation")
+    intervals = tuple(isolate_in_brackets(g, base.brackets(eps)))
     approx_roots = [refine_root(g, iv, prec / 64) for iv in intervals]
+    shift = Fraction(-1, s)
     points = tuple(r + shift for r in approx_roots) + (Fraction(1),)
     config = Configuration(
         points,

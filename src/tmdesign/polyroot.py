@@ -1,23 +1,34 @@
-"""Exact univariate polynomial arithmetic over Q with Sturm-sequence root
-isolation and certified refinement.
+"""Exact univariate polynomial arithmetic over Q with certified real root
+isolation and refinement.
 
 Polynomials are immutable tuples of Fractions in ascending degree order.
-Root counting works on a Sturm chain computed over Z (primitive
-pseudo-remainders with positive scale factors), so every count, every
-isolating interval and every refinement step is an exact certificate rather
-than a floating-point estimate.  Every value and sign comes from one integer
-kernel, ``_homogeneous`` (q^d c(p/q) by homogeneous Horner on primitive
-integer coefficients c, a positive multiple of the polynomial): the chain at
-query points, the split points of isolation, and refinement, which finds
-the cell of the bisection grid that holds the root by integer false
-position instead of halving to it.  Counts are for the half-open interval
-(lo, hi].
+Every value and sign comes from one integer kernel, ``_homogeneous``
+(q^d c(p/q) by homogeneous Horner on primitive integer coefficients c, a
+positive multiple of the polynomial, cleared once per polynomial), so every
+count, every isolating interval and every refinement step is an exact
+certificate rather than a floating-point estimate.
+
+Isolation is one split tree: from the Cauchy bound, an interval holding
+two or more roots is split at a non-root point near its middle, depth
+first.  The number of roots in an interval comes from one of two counters,
+and both give the same tree.  ``isolate_real_roots`` counts by a Sturm
+chain computed over Z (primitive pseudo-remainders with positive scale
+factors).  ``isolate_in_brackets`` takes brackets from the caller, each
+holding exactly one root, and counts the brackets left of a split point,
+plus one where the sign at the split point, which the search for that
+point has already computed, differs from the sign at the left end of the
+bracket holding it.
+Refinement finds the cell of the bisection grid that holds the root by
+integer false position instead of halving to it.  Counts are for the
+half-open interval (lo, hi].
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -58,6 +69,13 @@ class RationalPolynomial:
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    @cached_property
+    def _ints(self) -> tuple[int, ...]:
+        """Primitive integer coefficients, a positive multiple of the
+        polynomial; cleared once per polynomial and shared by every query
+        on it."""
+        return tuple(_primitive(clear_denominators(self.coeffs)[1]))
 
     def plus_constant(self, c: Scalar) -> "RationalPolynomial":
         cc = as_fraction(c)
@@ -127,10 +145,6 @@ def _primitive(c: list[int]) -> list[int]:
     return [x // g for x in c]
 
 
-def _int_coeffs(poly: RationalPolynomial) -> list[int]:
-    return _primitive(clear_denominators(poly.coeffs)[1])
-
-
 def _derivative(c: list[int]) -> list[int]:
     return [i * ci for i, ci in enumerate(c)][1:]
 
@@ -175,7 +189,7 @@ class _SturmChain:
     def __init__(self, poly: RationalPolynomial):
         if poly.is_zero:
             raise DomainError("zero polynomial")
-        p0 = _int_coeffs(poly)
+        p0 = poly._ints
         chain = [p0]
         p1 = _primitive(_derivative(p0))
         if p1:
@@ -221,15 +235,46 @@ def sturm_root_count(poly: RationalPolynomial, lo: Scalar, hi: Scalar) -> int:
     return _SturmChain(poly).count(flo, fhi)
 
 
-def _split_point(c: list[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) that is not a root of c."""
+def _split_point(c: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """A point near the middle of (lo, hi) that is not a root of c, and the
+    sign of c there."""
     width = hi - lo
     for j in range(len(c) + 1):
         k = 64 + (j + 1) // 2 * (1 if j % 2 else -1)
         mid = lo + width * Fraction(k, 128)
-        if _eval_sign(c, mid) != 0:
-            return mid
+        sign = _eval_sign(c, mid)
+        if sign != 0:
+            return mid, sign
     raise InternalDefectError("could not find a non-root split point")
+
+
+def _split_tree(poly: RationalPolynomial, rank) -> list[IsolatingInterval]:
+    """The isolating intervals of the split tree from the Cauchy bound.
+
+    ``rank(t, s)`` is, up to a constant, the number of roots <= t, for a
+    point t that is not a root, where the polynomial has the sign s; the
+    number of roots in (lo, hi] is rank(hi) - rank(lo).  An interval with
+    two or more roots is split at ``_split_point``, its left half pushed
+    first and its right half popped first.
+    """
+    c = poly._ints
+    bound = cauchy_root_bound(poly)
+    lo, hi = -bound, bound
+    stack = [(lo, hi, rank(lo, _eval_sign(c, lo)), rank(hi, _eval_sign(c, hi)))]
+    out: list[IsolatingInterval] = []
+    while stack:
+        lo, hi, rlo, rhi = stack.pop()
+        cnt = rhi - rlo
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append(IsolatingInterval(lo, hi))
+            continue
+        mid, sign = _split_point(c, lo, hi)
+        rmid = rank(mid, sign)
+        stack.append((lo, mid, rlo, rmid))
+        stack.append((mid, hi, rmid, rhi))
+    return sorted(out, key=lambda iv: iv.lo)
 
 
 def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
@@ -237,21 +282,43 @@ def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
     chain = _SturmChain(poly)
     if poly.degree == 0:
         return []
-    bound = cauchy_root_bound(poly)
-    stack = [(-bound, bound, chain.count(-bound, bound))]
-    out: list[IsolatingInterval] = []
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append(IsolatingInterval(lo, hi))
-            continue
-        mid = _split_point(chain.chain[0], lo, hi)
-        left = chain.count(lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, cnt - left))
-    return sorted(out, key=lambda iv: iv.lo)
+    return _split_tree(poly, lambda t, s: -chain.variations_at(t))
+
+
+def isolate_in_brackets(
+    poly: RationalPolynomial, brackets: Sequence[IsolatingInterval]
+) -> list[IsolatingInterval]:
+    """The intervals ``isolate_real_roots`` gives, without a Sturm chain.
+
+    The caller certifies that each bracket holds exactly one root and that
+    together they hold every real root; here it is checked only that the
+    brackets are ascending and disjoint and that the polynomial has
+    opposite, nonzero signs at the two ends of each.  A wrong certificate
+    gives wrong intervals.
+    """
+    if poly.is_zero:
+        raise DomainError("zero polynomial")
+    if not brackets:
+        return []
+    c = poly._ints
+    his = [iv.hi for iv in brackets]
+    los = [iv.lo for iv in brackets]
+    if any(h > l for h, l in zip(his, los[1:])):
+        raise DomainError("brackets must be ascending and disjoint")
+    signs = {x: _eval_sign(c, x) for x in los + his}
+    left_signs = [signs[x] for x in los]
+    if any(signs[lo] * signs[hi] >= 0 for lo, hi in zip(los, his)):
+        raise DomainError("a bracket does not show a sign change")
+
+    def rank(t: Fraction, s: int) -> int:
+        # Brackets ending at or left of t, plus the bracket t lies inside,
+        # if t is right of its root.
+        i = bisect_right(his, t)
+        if i < len(los) and los[i] < t and s != left_signs[i]:
+            i += 1
+        return i
+
+    return _split_tree(poly, rank)
 
 
 def refine_root(
@@ -279,7 +346,7 @@ def refine_root(
         raise DomainError("precision must be positive")
     if poly.is_zero:
         raise DomainError("zero polynomial")
-    c = _int_coeffs(poly)
+    c = poly._ints
     lo, hi = interval.lo, interval.hi
     vhi = _homogeneous(c, hi.numerator, hi.denominator)
     if vhi == 0:

@@ -396,8 +396,9 @@ class SphericalDesignReport:
     """Two-route verification record for the odd index set T_m.
 
     ``gegenbauer_verdict`` and ``moment_verdict`` summarize each route over
-    the whole index set; the two are equivalent characterizations of a T_m
-    design, so they must agree (a mismatch lands in ``diagnostics``).  The
+    the whole index set; a mismatch lands in ``diagnostics``.  The pair sums
+    characterize a T_m design; the moment probes do so for d <= 4 only, so
+    for d >= 5 a set can pass the probes and fail the pair sums.  The
     per-index flags need not match pairwise: the pair sum at t sees only the
     degree-t component, while the degree-t moment also carries every lower
     odd component, so e.g. a set can pass the pair sum at t = 5 yet fail the
@@ -458,8 +459,9 @@ def verify_spherical_Tm(
         geg_res = Fraction(pair, n * n) if X.is_exact else pair / (n * n)
         geg_ok, mom_ok = near(geg_res, 0, tol), near(worst, 0, tol)
         if mom_ok and not geg_ok:
-            # the moment at t dominates the degree-t component; this
-            # direction cannot happen outside numerical artifacts
+            # the probes are not a complete family for d >= 5: there a
+            # degree-t moment form can vanish at every coordinate and sign
+            # vector while the pair sum, a complete test, does not
             diagnostics.append(
                 f"t={t}: moment residual passed while the pair sum failed"
             )

@@ -46,6 +46,14 @@ class TestConstruct:
         assert doc["certificate"] == ["0"] * m
         assert doc["verification"]["verdict"] is True
 
+    def test_perturbed_m40(self, capsys):
+        # 80 roots of g, isolated from brackets and refined, and the point 1
+        code, doc, _ = run_json(capsys, "construct", "perturbed", "--m", "40")
+        assert code == 0
+        assert len(doc["points"]) == 81
+        assert doc["certificate"] == ["0"] * 40
+        assert doc["verification"]["verdict"] is True
+
     def test_binomial_n3(self, capsys):
         code, doc, _ = run_json(capsys, "construct", "binomial", "--n", "3")
         assert code == 0

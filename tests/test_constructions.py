@@ -17,6 +17,8 @@ from tmdesign import (
     choose_epsilon,
     evaluate,
     is_symmetric,
+    isolate_in_brackets,
+    isolate_real_roots,
     monic_from_roots,
     pad_with_antipodal_pairs,
     perturbed_interval_design,
@@ -25,7 +27,7 @@ from tmdesign import (
     verify_interval_design,
     verify_weighted_design,
 )
-from tmdesign import constructions
+from tmdesign import cli, constructions, polyroot
 from tmdesign.constructions import DEFAULT_EPSILON_START
 
 
@@ -163,6 +165,80 @@ class TestPerturbedIntervalDesign:
     def test_points_respect_interval_bounds(self):
         result = perturbed_interval_design(2)
         assert all(-1 < x <= 1 for x in result.points.points)
+
+
+class TestIsolationFromBrackets:
+    """The roots of g are isolated from the brackets that the roots and the
+    critical points of f give, into the intervals of the Sturm walk."""
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_same_intervals_as_the_sturm_walk(self, m):
+        base = constructions._Unperturbed(m)
+        eps = choose_epsilon(m, base=base)
+        g = base.f.plus_constant(eps)
+        assert isolate_in_brackets(g, base.brackets(eps)) == isolate_real_roots(g)
+
+    @pytest.mark.parametrize(
+        "m, eps, refined",
+        [
+            (1, F(3, 16), False),
+            # just under eps*: at m = 5 the shallowest well of f is the one
+            # around 0, where the critical point 0 is exact, so no valid
+            # epsilon makes the 2^-20 critical points fail to bracket
+            (5, F(27907, 312500000), False),
+            # in [beta, eps*): the 2^-20 critical point of the innermost well
+            # has g >= 0 there, and it is refined further
+            (4, F(43453, 50728021), True),
+            (12, F(44, 539099849023), True),
+        ],
+    )
+    def test_explicit_epsilon(self, m, eps, refined):
+        base = constructions._Unperturbed(m)
+        assert (eps >= min(base.depth)) == refined
+        assert base.window_root_count(eps) == 2 * m
+        if m == 5:
+            assert 0 < min(base.depth) - eps < F(1, 10**9)
+        g = base.f.plus_constant(eps)
+        brackets = base.brackets(eps)
+        for iv in brackets:  # one end is a root of f, the other a critical point
+            assert sorted((evaluate(g, iv.lo), evaluate(g, iv.hi)))[1] == eps
+            assert min(evaluate(g, iv.lo), evaluate(g, iv.hi)) < 0
+        assert isolate_in_brackets(g, brackets) == isolate_real_roots(g)
+        result = perturbed_interval_design(m, eps)
+        assert list(result.intervals) == isolate_real_roots(g)
+        assert result.certificate == (0,) * m
+
+    def test_no_sturm_chain_of_g(self, monkeypatch):
+        # choose_epsilon counts the roots of f + 2 epsilon once at most;
+        # isolation builds no chain
+        chains = []
+        chain = polyroot._SturmChain
+
+        class Recorded(chain):
+            def __init__(self, poly):
+                chains.append(poly)
+                super().__init__(poly)
+
+        monkeypatch.setattr(polyroot, "_SturmChain", Recorded)
+        for m in range(1, 13):
+            chains.clear()
+            result = perturbed_interval_design(m)
+            assert result.g not in chains
+            assert len(chains) <= 1
+
+    def test_invalid_epsilon_exits_through_a_sturm_count(self, monkeypatch, capsys):
+        calls = []
+        count = constructions.sturm_root_count
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(constructions, "sturm_root_count", counted)
+        argv = ["construct", "perturbed", "--m", "5", "--epsilon", "1/1000"]
+        assert cli.main(argv) == 2
+        assert "does not leave 2m simple roots" in capsys.readouterr().err
+        assert len(calls) == 1
 
 
 class TestPolygonWeightedDesign:

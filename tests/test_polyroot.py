@@ -18,6 +18,7 @@ from tmdesign import (
     RationalPolynomial,
     cauchy_root_bound,
     evaluate,
+    isolate_in_brackets,
     isolate_real_roots,
     monic_from_roots,
     power_sums,
@@ -131,6 +132,115 @@ class TestIsolateRealRoots:
             for iv, r, nr in zip(ivs, roots, np_roots):
                 assert iv.lo < r <= iv.hi
                 assert abs(float(r) - nr) < 1e-6
+
+
+def _times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_with_known_roots(rng):
+    """A squarefree polynomial and its real roots in ascending order: rational
+    roots on a grid of eighths, an irrational pair +-sqrt(c) and a complex
+    pair, each factor present or not."""
+    roots = sorted({F(rng.randint(-40, 40), 8) for _ in range(rng.randint(0, 7))})
+    coeffs = [F(1)]
+    for r in roots:
+        coeffs = _times(coeffs, [-r, F(1)])
+    real = [float(r) for r in roots]
+    if rng.random() < 0.5:
+        c = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+        if all(abs(abs(x) - math.sqrt(c)) > 1e-3 for x in real):
+            coeffs = _times(coeffs, [F(-c), F(0), F(1)])
+            real += [-math.sqrt(c), math.sqrt(c)]
+    if rng.random() < 0.5:
+        coeffs = _times(coeffs, [F(rng.randint(1, 9), rng.randint(1, 4)), F(0), F(1)])
+    return RationalPolynomial.from_coeffs(coeffs), sorted(real)
+
+
+def _brackets(real):
+    """One bracket per root: the ends are the midpoints between neighbours
+    and one unit past the outer roots."""
+    ends = [F(real[0] - 1)] if real else []
+    ends += [F((a + b) / 2) for a, b in zip(real, real[1:])]
+    ends += [F(real[-1] + 1)] if real else []
+    return [IsolatingInterval(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _reference_isolation(poly):
+    """The split tree with both ends of every interval counted by the Sturm
+    chain, as ``isolate_real_roots`` walked it before it carried its counts
+    (reference copy)."""
+    chain = polyroot._SturmChain(poly)
+    if poly.degree == 0:
+        return []
+    c = chain.chain[0]
+    bound = cauchy_root_bound(poly)
+    stack = [(-bound, bound, chain.count(-bound, bound))]
+    out = []
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append(IsolatingInterval(lo, hi))
+            continue
+        for j in range(len(c) + 1):
+            mid = lo + (hi - lo) * F(64 + (j + 1) // 2 * (1 if j % 2 else -1), 128)
+            if polyroot._eval_sign(c, mid) != 0:
+                break
+        left = chain.count(lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, cnt - left))
+    return sorted(out, key=lambda iv: iv.lo)
+
+
+class TestIsolateInBrackets:
+    def test_same_intervals_as_the_sturm_walk(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            poly, real = _poly_with_known_roots(rng)
+            if poly.degree == 0:
+                continue
+            expected = _reference_isolation(poly)
+            assert isolate_real_roots(poly) == expected
+            assert isolate_in_brackets(poly, _brackets(real)) == expected
+
+    def test_perturbed_sextic(self):
+        # the pinned m = 3 case of ``TestBisectionPinned``, from the roots of
+        # f and the critical points between them
+        g = RationalPolynomial.from_coeffs(
+            [F(-19, 20736), 0, F(259, 1296), 0, F(-35, 36), 0, 1]
+        )
+        ends = [F(-5, 6), F(-2, 3), F(-1, 2), F(0), F(1, 2), F(2, 3), F(5, 6)]
+        ivs = isolate_in_brackets(
+            g, [IsolatingInterval(a, b) for a, b in zip(ends, ends[1:])]
+        )
+        assert ivs == isolate_real_roots(g)
+
+    def test_no_brackets_no_roots(self):
+        assert isolate_in_brackets(RationalPolynomial.from_coeffs([1, 0, 1]), []) == []
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(DomainError):
+            isolate_in_brackets(RationalPolynomial.from_coeffs([]), [])
+
+    def test_overlapping_brackets_rejected(self):
+        poly = monic_from_roots([F(-1), F(1)])
+        brackets = [IsolatingInterval(F(-2), F(1, 2)), IsolatingInterval(F(0), F(2))]
+        with pytest.raises(DomainError, match="disjoint"):
+            isolate_in_brackets(poly, brackets)
+
+    @pytest.mark.parametrize("hi", [F(-1, 2), F(1)])
+    def test_bracket_without_sign_change_rejected(self, hi):
+        # no sign change on (-2, -1/2], and a root at the end 1 of (0, 1]
+        poly = monic_from_roots([F(-1), F(1)])
+        brackets = [IsolatingInterval(F(-2), hi), IsolatingInterval(F(0), F(1))]
+        with pytest.raises(DomainError, match="sign change"):
+            isolate_in_brackets(poly, brackets[:1] if hi == F(1) else brackets)
 
 
 class TestRefineRoot:

@@ -405,6 +405,26 @@ class TestVerifySphericalTm:
         assert not by_t[3].gegenbauer_ok
         assert report.gegenbauer_verdict == report.moment_verdict == False  # noqa: E712
 
+    @pytest.mark.parametrize("exact", (True, False))
+    def test_probe_blind_set_in_five_dimensions(self, exact):
+        # The cubic moment form of this set is 6 (3/5) (4/5)^2 a_1 (a_2^2 -
+        # a_3^2): zero at every coordinate and sign vector, so every probe
+        # passes, while the t = 3 pair sum over n^2 is 6048/15625.  The verdict must
+        # still fail, on the pair sums.
+        a, b, z = F(3, 5), F(4, 5), F(0)
+        pts = [(a, b, z, z, z), (a, -b, z, z, z), (-a, z, b, z, z), (-a, z, -b, z, z)]
+        if not exact:
+            pts = [tuple(float(c) for c in p) for p in pts]
+        report = verify_spherical_Tm(SphericalConfig(tuple(pts)), 2)
+        assert not report.verdict
+        assert not report.gegenbauer_verdict
+        assert any("route verdicts disagree" in d for d in report.diagnostics)
+        residual = report.checks[1].gegenbauer_residual
+        if exact:
+            assert residual == F(6048, 15625)
+        else:
+            assert abs(residual - 6048 / 15625) < 1e-12
+
 
 class TestFullDesignCheck:
     def test_pentagon_degree_four(self):
