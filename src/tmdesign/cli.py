@@ -124,17 +124,16 @@ def cmd_construct(args) -> int:
         doc["verification"] = report.to_json()
         _emit(doc, args.out)
         return 0 if report.verdict else 1
-    if args.kind == "spherical-polygon":
-        if args.m is None:
-            raise DomainError("construct spherical-polygon requires --m")
-        config = polygon_on_circle(args.m)
-        report = verify_spherical_Tm(config, args.m)
-        doc = config.to_json()
-        doc["kind"] = "spherical-polygon"
-        doc["verification"] = report.to_json()
-        _emit(doc, args.out)
-        return 0 if report.verdict else 1
-    raise DomainError(f"unknown construct kind {args.kind!r}")
+    # spherical-polygon, the one kind left
+    if args.m is None:
+        raise DomainError("construct spherical-polygon requires --m")
+    config = polygon_on_circle(args.m)
+    report = verify_spherical_Tm(config, args.m)
+    doc = config.to_json()
+    doc["kind"] = "spherical-polygon"
+    doc["verification"] = report.to_json()
+    _emit(doc, args.out)
+    return 0 if report.verdict else 1
 
 
 def cmd_verify(args) -> int:
@@ -149,13 +148,11 @@ def cmd_verify(args) -> int:
             doc, tolerance=_tolerance(args, DEFAULT_TOL)
         )
         report = verify_weighted_design(wconfig, args.m)
-    elif args.kind == "spherical":
+    else:  # spherical
         sconfig = SphericalConfig.from_json(
             doc, tolerance=_tolerance(args, DEFAULT_SPHERE_TOL)
         )
         report = verify_spherical_Tm(sconfig, args.m)
-    else:
-        raise DomainError(f"unknown verify kind {args.kind!r}")
     _emit(report.to_json(), args.out)
     return 0 if report.verdict else 1
 
@@ -175,13 +172,11 @@ def cmd_certify(args) -> int:
                 doc, tolerance=_tolerance(args, DEFAULT_TOL)
             )
             cert = certify_weighted_symmetry(wconfig, args.m)
-        elif args.kind == "antipodal":
+        else:  # antipodal
             sconfig = SphericalConfig.from_json(
                 doc, tolerance=_tolerance(args, DEFAULT_SPHERE_TOL)
             )
             cert = certify_antipodal(sconfig, args.m)
-        else:
-            raise DomainError(f"unknown certify kind {args.kind!r}")
     except (PreconditionError, HypothesisError, ToleranceError) as exc:
         payload = {"error": str(exc), "type": type(exc).__name__}
         if isinstance(exc, HypothesisError) and exc.failing_index is not None:
@@ -204,35 +199,32 @@ def cmd_identities(args) -> int:
         }
         _emit(doc, args.out)
         return 0
-    if args.kind == "newton":
-        if not args.roots:
-            raise DomainError("identities newton requires --roots")
-        roots = [parse_scalar(r, exact_only=True) for r in args.roots.split(",")]
-        n = len(roots)
-        K = args.k if args.k is not None else n
-        p = power_sums(roots, max(K, 1))
-        e = elementary_symmetric(roots, max(K, 1))
-        e_round = newton_e_from_p(p, min(K, n))
-        p_round = newton_p_from_e(e, n, K)
-        consistent = all(
-            e.e(j) == e_round.e(j) for j in range(min(K, n) + 1)
-        ) and all(p.p(k) == p_round.p(k) for k in range(1, K + 1))
-        doc = {
-            "roots": [format_scalar(r) for r in roots],
-            "p": [format_scalar(p.p(k)) for k in range(1, K + 1)],
-            "e": [format_scalar(e.e(j)) for j in range(K + 1)],
-            "e_from_p": [format_scalar(e_round.e(j)) for j in range(min(K, n) + 1)],
-            "p_from_e": [format_scalar(p_round.p(k)) for k in range(1, K + 1)],
-            "consistent": consistent,
-        }
-        _emit(doc, args.out)
-        return 0 if consistent else 1
-    raise DomainError(f"unknown identities kind {args.kind!r}")
+    # newton, the one kind left
+    if not args.roots:
+        raise DomainError("identities newton requires --roots")
+    roots = [parse_scalar(r, exact_only=True) for r in args.roots.split(",")]
+    n = len(roots)
+    K = args.k if args.k is not None else n
+    p = power_sums(roots, max(K, 1))
+    e = elementary_symmetric(roots, max(K, 1))
+    e_round = newton_e_from_p(p, min(K, n))
+    p_round = newton_p_from_e(e, n, K)
+    consistent = all(
+        e.e(j) == e_round.e(j) for j in range(min(K, n) + 1)
+    ) and all(p.p(k) == p_round.p(k) for k in range(1, K + 1))
+    doc = {
+        "roots": [format_scalar(r) for r in roots],
+        "p": [format_scalar(p.p(k)) for k in range(1, K + 1)],
+        "e": [format_scalar(e.e(j)) for j in range(K + 1)],
+        "e_from_p": [format_scalar(e_round.e(j)) for j in range(min(K, n) + 1)],
+        "p_from_e": [format_scalar(p_round.p(k)) for k in range(1, K + 1)],
+        "consistent": consistent,
+    }
+    _emit(doc, args.out)
+    return 0 if consistent else 1
 
 
 def cmd_search(args) -> int:
-    if args.kind != "six-point":
-        raise DomainError(f"unknown search kind {args.kind!r}")
     tol = _tolerance(args, DEFAULT_SPHERE_TOL)
     margin = parse_nonnegative(args.margin, "--margin")
     report = six_point_search(args.trials, args.seed, margin, tol)

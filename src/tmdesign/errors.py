@@ -28,10 +28,14 @@ class HypothesisError(DesignError):
 class ToleranceError(DesignError):
     """Approximate-mode certification could not complete.
 
-    ``reason`` is ``"pairing ambiguous"`` when a candidate partner misses the
-    per-pair gap only narrowly (within 10x the tolerance), and
+    Raised by all three certifiers, ``certify_symmetry``,
+    ``certify_weighted_symmetry`` and ``certify_antipodal``, which share one
+    negation-pairing rule.  ``reason`` is ``"pairing ambiguous"`` when the
+    best candidate partner misses the tolerance only narrowly (within 10x)
+    or a point gets no free partner, and
     ``"hypothesis approximately violated"`` when no near-partner exists at
-    all, i.e. the input is not even close to symmetric.
+    all or a found pair fails its own check (unequal weights, coordinates
+    that are not negations).
     """
 
     def __init__(self, message: str, reason: str):

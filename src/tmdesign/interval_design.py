@@ -247,49 +247,39 @@ def verify_interval_design(config: Configuration, m: int) -> DesignReport:
     return DesignReport(index_set, residuals, ok, tol)
 
 
-def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
-    """Symmetry certificate for a T_m multiset with at most 2m points.
+def pair_negations(values: Sequence[Scalar], tol: float | None) -> SymmetryCertificate:
+    """Pair each value with its negation: the one move of the forcing argument.
 
-    Follows the forcing argument: first the odd power sums are extended to
-    all orders (they vanish identically once the first m do), then points are
-    repeatedly removed from the top of the |value| order, either as a zero or
-    together with their antipodal partner.  Exact mode tests x == 0 and
-    x == -y; approximate mode tests |x| <= tol and |x + y| <= tol, pairing
-    each point with its closest candidate.  A best gap within 10*tol fails as
-    "pairing ambiguous", anything worse as "hypothesis approximately
-    violated".
+    Values are taken largest |value| first (ties by position).  A zero is
+    fixed; any other value is paired with a remaining one at gap |x + y|:
+    the first exact negation in exact mode (``tol is None``), the nearest in
+    float otherwise.  A best gap within 10*tol fails as "pairing ambiguous",
+    anything worse as "hypothesis approximately violated".  In exact mode a
+    value without its negation is an internal defect: callers pair only
+    values whose symmetry a verified design forces.
     """
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    n = len(config)
-    if n == 0:
-        return SymmetryCertificate((), ())
-    if n > 2 * m:
-        raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    pts = config.points
-    tol = config.near_tol
-    # Verifies the design hypothesis (raising with the smallest failing odd
-    # index) and certifies that all higher odd power sums vanish with it.
-    extend_odd_power_sums(pts, m, max(n, 1), tol=tol)
-
-    remaining = sorted(range(n), key=lambda i: (-abs(float(pts[i])), i))
+    exact = tol is None
+    remaining = sorted(
+        range(len(values)),
+        key=lambda i: (-abs(values[i] if exact else float(values[i])), i),
+    )
     pairs: list[tuple[int, int]] = []
     fixed: list[int] = []
     while remaining:
         i = remaining.pop(0)
-        v = pts[i]
+        v = values[i]
         if near(v, 0, tol):
             fixed.append(i)
             continue
-        if config.is_exact:
-            j = next((c for c in remaining if pts[c] == -v), None)
+        if exact:
+            j = next((c for c in remaining if values[c] == -v), None)
             if j is None:
                 raise InternalDefectError(
                     f"verified design has no partner for value {format_scalar(v)}"
                 )
         else:
             gap, j = min(
-                ((abs(float(v) + float(pts[c])), c) for c in remaining),
+                ((abs(float(v) + float(values[c])), c) for c in remaining),
                 default=(float("inf"), None),
             )
             if j is None or gap > tol:
@@ -305,6 +295,27 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
         remaining.remove(j)
         pairs.append((i, j))
     return SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+
+
+def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
+    """Symmetry certificate for a T_m multiset with at most 2m points.
+
+    Follows the forcing argument: first the odd power sums are extended to
+    all orders (they vanish identically once the first m do), then
+    ``pair_negations`` removes points from the top of the |value| order,
+    each as a zero or together with its antipodal partner.
+    """
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    n = len(config)
+    if n == 0:
+        return SymmetryCertificate((), ())
+    if n > 2 * m:
+        raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
+    # Verifies the design hypothesis (raising with the smallest failing odd
+    # index) and certifies that all higher odd power sums vanish with it.
+    extend_odd_power_sums(config.points, m, max(n, 1), tol=config.near_tol)
+    return pair_negations(config.points, config.near_tol)
 
 
 def verify_weighted_design(wconfig: WeightedConfiguration, m: int) -> DesignReport:
@@ -351,23 +362,20 @@ def certify_weighted_symmetry(
     """Evenness certificate for a weighted T_m design with small support.
 
     Requires at most m nonzero support points and vanishing residuals.  The
-    point 0 (if present) never constrains anything and is reported as fixed;
-    the rest is reduced pair by pair: an antipodal support pair must exist,
-    its two weights must agree (merging them into a single point with the
+    point 0 (if present) never constrains anything and is reported as fixed.
+    ``pair_negations`` pairs the rest of the support, and then each pair's
+    two weights must agree: merging a pair into a single point with the
     difference as weight would otherwise leave an unpaired support point in
-    the reduced design), and induction handles the remainder.
+    a smaller design.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     xs, ws = wconfig.support, wconfig.weights
-    exact = wconfig.is_exact
     tol = wconfig.near_tol
-
-    fixed = [i for i, x in enumerate(xs) if near(x, 0, tol)]
-    active = [i for i in range(len(xs)) if i not in fixed]
-    if len(active) > m:
+    active = sum(not near(x, 0, tol) for x in xs)
+    if active > m:
         raise PreconditionError(
-            f"requires at most m nonzero support points; got {len(active)} > m={m}"
+            f"requires at most m nonzero support points; got {active} > m={m}"
         )
     report = verify_weighted_design(wconfig, m)
     if not report.verdict:
@@ -380,37 +388,10 @@ def certify_weighted_symmetry(
             f"weighted design residual at index {k} is nonzero", failing_index=k
         )
 
-    pairs: list[tuple[int, int]] = []
-
-    def gap(pair: tuple[int, int]) -> float:
-        return abs(float(xs[pair[0]]) + float(xs[pair[1]]))
-
-    def reduce(items: list[int]) -> None:
-        if not items:
-            return
-        cands = ((a, b) for k, a in enumerate(items) for b in items[k + 1 :])
-        if exact:
-            best = next(((a, b) for a, b in cands if xs[a] == -xs[b]), None)
-        else:
-            best = min(cands, key=gap, default=None)
-        if best is None or not near(xs[best[0]], -xs[best[1]], tol):
-            if exact:
-                raise InternalDefectError(
-                    "verified weighted design has no antipodal support pair"
-                )
-            best_gap = float("inf") if best is None else gap(best)
-            reason = (
-                "pairing ambiguous"
-                if best_gap <= 10 * tol
-                else "hypothesis approximately violated"
-            )
-            raise ToleranceError(
-                f"no antipodal support pair within {tol} (best gap {best_gap:.3e})",
-                reason=reason,
-            )
-        a, b = best
+    cert = pair_negations(xs, tol)
+    for a, b in cert.pairs:
         if not near(ws[a], ws[b], tol, 1 + abs(float(ws[a]))):
-            if exact:
+            if wconfig.is_exact:
                 raise InternalDefectError(
                     "antipodal support pair of a verified design has unequal weights"
                 )
@@ -418,11 +399,7 @@ def certify_weighted_symmetry(
                 f"weights at +-{xs[a]!r} differ by {float(ws[a] - ws[b]):.3e}",
                 reason="hypothesis approximately violated",
             )
-        pairs.append((a, b))
-        reduce([i for i in items if i not in (a, b)])
-
-    reduce(active)
-    return SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+    return cert
 
 
 def is_symmetric(

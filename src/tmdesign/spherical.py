@@ -21,9 +21,10 @@ cleared of denominators once: with L the lcm of all coordinate denominators,
 the integer Gram matrix G = <Lx, Ly> and its row power sums
 R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
 (S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
-row i holds the power sums of the projection onto x_i, which is all the
-antipodal pairing needs.  Float input runs the recurrence one degree at a
-time over the whole upper triangle of Gram entries <x, y>.  The moment
+R[i] holds the power sums of the projection onto x_i.  Float input runs the
+recurrence one degree at a time over the whole upper triangle of Gram
+entries <x, y>.  In both arithmetics the antipodal pairing pairs the values
+of row i of the Gram matrix, the projection onto x_i, by negation.  The moment
 probes work on coordinate columns (of the cleared integer points in exact
 mode): a coordinate probe's inner products are its column, and a sign
 probe's are the sums of the first column and the other columns or their
@@ -54,7 +55,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .interval_design import Configuration, certify_symmetry
+from .interval_design import Configuration, pair_negations
 from .scalars import (
     Scalar,
     clear_denominators,
@@ -161,15 +162,14 @@ class _GramTable:
     """Rational points with their denominators cleared.
 
     ``L`` is the lcm of all coordinate denominators, ``points`` the integer
-    points Lx, ``gram[i][j] = <Lx_i, Lx_j>`` and ``rows[i][k]`` the power sum
-    sum_j gram[i][j]^k for k = 0..top.  So sum_{x,y} <x, y>^k is
-    sum_i rows[i][k] / L^(2k), and rows[i][k] / L^(2k) is the k-th power sum
-    of the projection of the points onto x_i.
+    points Lx and ``rows[i][k]`` the power sum sum_j G_ij^k for k = 0..top,
+    with G_ij = <Lx_i, Lx_j> the cleared Gram matrix.  So sum_{x,y} <x, y>^k
+    is sum_i rows[i][k] / L^(2k), and rows[i][k] / L^(2k) is the k-th power
+    sum of the projection of the points onto x_i.
     """
 
     L: int
     points: list[tuple[int, ...]]
-    gram: list[list[int]]
     rows: list[list[int]]
 
     @staticmethod
@@ -180,21 +180,17 @@ class _GramTable:
         d, n = len(pts[0]), len(pts)
         L, flat = clear_denominators(c for p in pts for c in p)
         ipts = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
-        gram = [[0] * n for _ in range(n)]
         rows = [[n] + [0] * top for _ in range(n)]
         cols = [[0] * n for _ in range(top + 1)]
         for i, x in enumerate(ipts):
             upper = [_dot(x, y) for y in ipts[i:]]
-            gram[i][i:] = upper
-            for j, g in enumerate(upper, i):
-                gram[j][i] = g
             power = upper
             for k in range(1, top + 1):
                 if k > 1:
                     power = list(map(mul, power, upper))
                 rows[i][k] = cols[k][i] + sum(power)
                 cols[k][i + 1 :] = map(add, cols[k][i + 1 :], power[1:])
-        return _GramTable(L, ipts, gram, rows)
+        return _GramTable(L, ipts, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -616,65 +612,20 @@ def is_antipodal(
     return True, AntipodalCertificate(tuple(sorted(pairs)))
 
 
-def _projection_partner(X: SphericalConfig, m: int, i: int, matched: list[bool]) -> int:
-    """Point i's partner in the symmetry certificate of the projection of X
-    onto x_i (approximate mode)."""
-    cert = certify_symmetry(project_to_line(X, X.points[i]), m)
-    partner = None
-    for a, b in cert.pairs:
-        if a == i:
-            partner = b
-        elif b == i:
-            partner = a
-    if partner is None or partner == i:
-        raise ToleranceError(
-            f"projection onto point {i} does not pair it with a partner",
-            reason="pairing ambiguous",
-        )
-    if matched[partner]:
-        raise ToleranceError(
-            f"candidate partner {partner} of point {i} is already matched",
-            reason="pairing ambiguous",
-        )
-    return partner
-
-
-def _gram_partner(X: SphericalConfig, m: int, i: int, matched: list[bool]) -> int:
-    """Point i's partner read off row i of the Gram power table (exact mode).
-
-    Row i holds the power sums of the projection onto x_i, scaled by L^(2k).
-    They vanish at every odd k <= 2m - 1 on a verified T_m set, so the
-    projection is a symmetric multiset and its value 1 has a partner -1: a
-    point with G[i][j] = -L^2.  The first unmatched one is the partner the
-    projection's greedy symmetry certificate picks, repeated points included.
-    """
-    table = X._gram_table(2 * m - 1)
-    if any(table.rows[i][k] for k in range(1, 2 * m, 2)):
-        raise InternalDefectError(
-            f"verified design projects onto point {i} with a nonzero odd power sum"
-        )
-    antipode = -(table.L**2)
-    partner = next(
-        (j for j, g in enumerate(table.gram[i]) if g == antipode and not matched[j]),
-        None,
-    )
-    if partner is None:
-        raise InternalDefectError(f"verified design has no antipode for point {i}")
-    return partner
-
-
 def certify_antipodal(
     X: SphericalConfig, m: int, tol: float | None = None
 ) -> AntipodalCertificate:
     """Antipodal pairing of a T_m configuration with at most 2m points.
 
-    Mirrors the forcing argument: for each unmatched x, project X onto the
-    direction x; the projection is a T_m multiset of at most 2m values, so
-    it is symmetric and pairs the value <x, x> = 1 with a value -1, and the
-    point realizing -1 is -x itself (equality in Cauchy-Schwarz).  Exact
-    configurations read each projection's power sums and values off the
-    Gram power table that their verification built; approximate ones run
-    the interval symmetry certificate on each projection.
+    Mirrors the forcing argument: for each unmatched x_i, project X onto the
+    direction x_i; the projection is a T_m multiset of at most 2m values, so
+    it is symmetric and pairs the value <x_i, x_i> = 1 with a value -1, and
+    the point realizing -1 is -x_i itself (equality in Cauchy-Schwarz).  The
+    projection is row i of the Gram matrix, <Lx_i, Lx_j> on the cleared
+    integer points in exact mode (whose odd power sums the verification's
+    Gram power table already holds) and <x_i, x_j> in float, and
+    ``pair_negations`` names the partner.  Each pair is then checked
+    coordinatewise at ``tol``, the rule of ``AntipodalCertificate.check``.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -682,9 +633,6 @@ def certify_antipodal(
     n = len(X)
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    # A pair found through a projection is only known to be negations up to
-    # the square root of the projection's tolerance.
-    pair_tol = None if tol is None else 2 * math.sqrt(tol) + tol
     report = verify_spherical_Tm(X, m, tol)
     if not report.verdict:
         bad = next(
@@ -694,21 +642,40 @@ def certify_antipodal(
             f"configuration fails the design condition at index {bad}",
             failing_index=bad,
         )
-    find_partner = _gram_partner if X.is_exact else _projection_partner
+
+    def fail(message: str, reason: str):
+        if X.is_exact:
+            return InternalDefectError(f"verified design: {message}")
+        return ToleranceError(message, reason=reason)
+
+    table = X._gram_table(2 * m - 1) if X.is_exact else None
+    pts = X.points if table is None else table.points
     matched = [False] * n
     pairs: list[tuple[int, int]] = []
     for i in range(n):
         if matched[i]:
             continue
-        partner = find_partner(X, m, i, matched)
-        if not _are_negations(X.points[i], X.points[partner], pair_tol):
-            if X.is_exact:
-                raise InternalDefectError(
-                    "projection paired two points that are not negations"
-                )
-            raise ToleranceError(
+        if table is not None and any(table.rows[i][k] for k in range(1, 2 * m, 2)):
+            raise InternalDefectError(
+                f"verified design projects onto point {i} with a nonzero odd power sum"
+            )
+        row = [_dot(pts[i], y) for y in pts]
+        cert = pair_negations(row, tol)
+        partner = next((b if a == i else a for a, b in cert.pairs if i in (a, b)), None)
+        if partner is None:
+            raise fail(
+                f"projection onto point {i} does not pair it with a partner",
+                "pairing ambiguous",
+            )
+        if matched[partner]:
+            raise fail(
+                f"candidate partner {partner} of point {i} is already matched",
+                "pairing ambiguous",
+            )
+        if not _are_negations(X.points[i], X.points[partner], tol):
+            raise fail(
                 f"points {i} and {partner} are not negations within tolerance",
-                reason="hypothesis approximately violated",
+                "hypothesis approximately violated",
             )
         matched[i] = matched[partner] = True
         pairs.append((i, partner))

@@ -11,6 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmdesign import (
+    AntipodalCertificate,
+    Configuration,
+    SphericalConfig,
+    SymmetryCertificate,
+    WeightedConfiguration,
+)
 from tmdesign.cli import main
 
 
@@ -236,6 +243,16 @@ class TestCertify:
         assert "n=5 > 2m=4" in doc["error"]
         assert doc["type"] == "PreconditionError"
 
+    def test_antipodal_pair_checked_at_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"points": [["1.0", "0.0"], ["-1.0", "-1.5e-09"]]}))
+        code, doc, _ = run_json(
+            capsys, "certify", "antipodal", str(path), "--m", "1", "--tol", "1e-9"
+        )
+        assert code == 1
+        assert doc["type"] == "ToleranceError"
+        assert doc["reason"] == "hypothesis approximately violated"
+
     def test_hypothesis_error_carries_index(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": ["1", "2/3", "-3/4"], "mode": "exact"}))
@@ -444,6 +461,79 @@ def test_fuzz_verify_and_certify_exit_codes(tmp_path_factory, run_):
     assert code in (0, 1, 2)
     if int(options[1]) < 0:
         assert code == 2
+
+
+# Near-symmetric documents for the certifiers: each value or point comes
+# with a partner that is its exact negation plus a noise of a few tolerances
+# (in exact mode a rational noise of the same size), in shuffled order.
+_TOL = F(1, 10**9)
+# in units of the tolerance; 3/2 first, since a miss of a little more than
+# the tolerance is where a pair test looser than the checker would show
+_NOISE = [F(3, 2), 0, F(1, 2), 3, 30]
+_VALUES = [F(1, 2), F(3, 4), F(1, 3), F(1), F(1, 100)]
+_UNITS = [(F(1), F(0)), (F(0), F(1)), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13))]
+
+
+@st.composite
+def _certify_runs(draw):
+    kind = draw(st.sampled_from(["symmetry", "weighted-symmetry", "antipodal"]))
+    exact = draw(st.booleans())
+    fmt = str if exact else (lambda v: repr(float(v)))
+
+    def noise():
+        return draw(st.sampled_from(_NOISE)) * draw(st.sampled_from([1, -1])) * _TOL
+
+    if kind == "antipodal":
+        points = []
+        for x in draw(st.lists(st.sampled_from(_UNITS), min_size=1, max_size=3)):
+            e = noise()  # along the direction orthogonal to x
+            points += [x, (-x[0] - e * x[1], -x[1] + e * x[0])]
+        doc = {"points": [[fmt(c) for c in p] for p in draw(st.permutations(points))]}
+        m = len(points) // 2
+    elif kind == "symmetry":
+        values = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3))
+        points = [v for x in values for v in (x, -x + noise())]
+        doc = {"points": [fmt(v) for v in draw(st.permutations(points))]}
+        m = len(points) // 2
+    else:
+        support = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2, unique=True))
+        atoms = []
+        for x in support:
+            w = F(draw(st.integers(1, 3)))
+            atoms += [(x, w), (-x + noise(), w + noise())]
+        atoms = draw(st.permutations(atoms))
+        doc = {"support": [fmt(x) for x, _ in atoms], "weights": [fmt(w) for _, w in atoms]}
+        m = len(atoms)
+    doc["mode"] = "exact" if exact else "approximate"
+    if not exact:
+        doc["tolerance"] = repr(float(_TOL))
+    return kind, doc, m + draw(st.integers(0, 1))
+
+
+@given(_certify_runs())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_certify_exit_zero_means_the_certificate_checks(tmp_path_factory, run_):
+    kind, doc, m = run_
+    path = tmp_path_factory.getbasetemp() / "certify.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["certify", kind, str(path), "--m", str(m)])
+    assert code in (0, 1, 2)
+    if code != 0:
+        return
+    cert = json.loads(out.getvalue())
+    pairs = tuple(map(tuple, cert["pairs"]))
+    if kind == "antipodal":
+        assert AntipodalCertificate(pairs).check(SphericalConfig.from_json(doc))
+        return
+    sym = SymmetryCertificate(pairs, tuple(cert["fixed"]))
+    if kind == "symmetry":
+        config = Configuration.from_json(doc)
+        assert sym.check_multiset(config.points, config.near_tol)
+    else:
+        w = WeightedConfiguration.from_json(doc)
+        assert sym.check_weighted(w.support, w.weights, w.near_tol)
 
 
 # The commands that read no document, fuzzed over small pools of good and bad

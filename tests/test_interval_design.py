@@ -236,6 +236,28 @@ class TestCertifyWeightedSymmetry:
         assert cert.pairs == ((1, 2),)
         assert cert.fixed == (0,)
 
+    @pytest.mark.parametrize(
+        "d, reason",
+        [(2e-10, "pairing ambiguous"), (1e-6, "hypothesis approximately violated")],
+    )
+    def test_approximate_support_gap_reasons(self, d, reason):
+        # {a, -a+d, -a-d} with weights {2, 1, 1} keeps the odd moments
+        # within the scale while a's best partner is d away.
+        w = WeightedConfiguration((0.5, -0.5 + d, -0.5 - d), (2, 1, 1), tolerance=1e-10)
+        assert verify_weighted_design(w, 3).verdict
+        with pytest.raises(ToleranceError, match="no partner for") as exc:
+            certify_weighted_symmetry(w, 3)
+        assert exc.value.reason == reason
+
+    def test_approximate_unequal_weights(self):
+        # near 0 the weight gap barely moves a moment, but the pair check
+        # compares the weights themselves
+        w = WeightedConfiguration((0.01, -0.01), (1.0, 1.0 + 5e-9), tolerance=1e-9)
+        assert verify_weighted_design(w, 2).verdict
+        with pytest.raises(ToleranceError, match="weights at") as exc:
+            certify_weighted_symmetry(w, 2)
+        assert exc.value.reason == "hypothesis approximately violated"
+
     def test_support_size_precondition(self):
         w = WeightedConfiguration((F(1, 2), F(-1, 2), F(1, 4), F(-1, 4)), (1, 1, 2, 2))
         with pytest.raises(PreconditionError):

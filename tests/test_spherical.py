@@ -10,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmdesign import (
+    AntipodalCertificate,
     DomainError,
     HypothesisError,
     PreconditionError,
     SphericalConfig,
+    ToleranceError,
     certify_antipodal,
     certify_symmetry,
     embed,
@@ -302,8 +304,8 @@ def test_half_triangle_gram_table_matches_full_build(seed):
         pts += [pts[0], tuple(-c for c in pts[-1])]  # a repeat and an antipode
         rng.shuffle(pts)
         table = _GramTable.build(pts, top)
-        built = (table.L, table.points, table.gram, table.rows)
-        assert built == reference_gram_table(pts, top)
+        L, ipts, _, rows = reference_gram_table(pts, top)
+        assert (table.L, table.points, table.rows) == (L, ipts, rows)
 
 
 class TestGegenbauer:
@@ -493,6 +495,49 @@ class TestCertifyAntipodal:
             config = random_antipodal_config(rng, d, npairs)
             cert = certify_antipodal(config, m)
             assert cert.check(config)
+
+    def test_pairs_are_checked_at_the_tolerance(self):
+        # row 0 pairs the points at gap 0, but their second coordinates
+        # differ by 1.5 tol, so the checker would reject the pair
+        X = SphericalConfig(((1.0, 0.0), (-1.0, -1.5e-9)), tolerance=1e-9)
+        assert verify_spherical_Tm(X, 1).verdict
+        assert not AntipodalCertificate(((0, 1),)).check(X)
+        with pytest.raises(ToleranceError, match="not negations") as exc:
+            certify_antipodal(X, 1)
+        assert exc.value.reason == "hypothesis approximately violated"
+        assert certify_antipodal(X, 1, tol=2e-9).check(X, tol=2e-9)
+
+    def test_float_row_gap_is_pairing_ambiguous(self):
+        # -y turned by 2.5e-9 rad: every moment stays within tol, and in
+        # row 0 the values 0.6 and -0.6 + 2e-9 miss by 2 tol
+        turn = math.atan2(0.8, 0.6) + 2.5e-9
+        far = (-math.cos(turn), -math.sin(turn))
+        X = SphericalConfig(((1.0, 0.0), (-1.0, 0.0), (0.6, 0.8), far))
+        assert verify_spherical_Tm(X, 2).verdict
+        with pytest.raises(ToleranceError, match="no partner for 0.6") as exc:
+            certify_antipodal(X, 2)
+        assert exc.value.reason == "pairing ambiguous"
+
+    def test_float_moments_without_negations(self):
+        # {x, x, y, y'} with y, y' at +-1e-5 rad from -x: every odd moment
+        # is O(1e-10), yet x and its partner differ by 1e-5
+        c, s = math.cos(1e-5), math.sin(1e-5)
+        X = SphericalConfig(((1.0, 0.0), (1.0, 0.0), (-c, s), (-c, -s)))
+        assert verify_spherical_Tm(X, 2).verdict
+        with pytest.raises(ToleranceError, match="not negations") as exc:
+            certify_antipodal(X, 2)
+        assert exc.value.reason == "hypothesis approximately violated"
+
+    def test_exact_and_float_pair_alike_with_repeats(self):
+        x, y = (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13))
+        neg = lambda p: tuple(-c for c in p)  # noqa: E731
+        pts = (x, neg(x), neg(x), y, x, neg(y), x, neg(x))
+        exact = SphericalConfig(pts)
+        floats = SphericalConfig(tuple(tuple(map(float, p)) for p in pts))
+        assert floats.mode == "approximate"
+        pairs = certify_antipodal(exact, 4).pairs
+        assert pairs == ((0, 1), (2, 4), (3, 5), (6, 7))
+        assert certify_antipodal(floats, 4).pairs == pairs
 
     def test_direct_negation_oracle_agrees(self):
         rng = random.Random(31415)
