@@ -53,7 +53,10 @@ from .symfun import elementary_symmetric, newton_e_from_p, newton_p_from_e, powe
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write output {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -32,7 +32,7 @@ class ToleranceError(DesignError):
     ``certify_weighted_symmetry`` and ``certify_antipodal``, which share one
     negation-pairing rule.  ``reason`` is ``"pairing ambiguous"`` when the
     best candidate partner misses the tolerance only narrowly (within 10x)
-    or a point gets no free partner, and
+    or the pairing leaves a point without a partner, and
     ``"hypothesis approximately violated"`` when no near-partner exists at
     all or a found pair fails its own check (unequal weights, coordinates
     that are not negations).

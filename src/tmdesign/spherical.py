@@ -24,17 +24,18 @@ R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
 R[i] holds the power sums of the projection onto x_i.  Float input runs the
 recurrence one degree at a time over the whole upper triangle of Gram
 entries <x, y>.  In both arithmetics the antipodal pairing pairs the values
-of row i of the Gram matrix, the projection onto x_i, by negation.  The moment
-probes work on coordinate columns (of the cleared integer points in exact
-mode): a coordinate probe's inner products are its column, and a sign
-probe's are the sums of the first column and the other columns or their
-negations, the same terms in the same order as a per-point inner product.
-Only the sign vectors with a_1 = +1 are taken: each other one is -a for one
-of them, whose inner products are the exact negations (x * -1 is exact and
-rounding is symmetric), so its odd power sums are exact negations too and
-its even ones are equal; it could never change a worst entry or a verdict.
-Sphere polynomials are normalized to Q_{d,t}(1) = 1; zero sets and parity
-do not depend on it.
+of row i of the Gram matrix at the unmatched points, their projection onto
+x_i, by negation.  The moment probes work on coordinate columns (of the
+cleared integer points in exact mode): a coordinate probe's inner products
+are its column, and a sign probe's are the sums of the first column and the
+other columns or their negations, the same terms in the same order as a
+per-point inner product.  Only the sign vectors with a_1 = +1 are taken:
+each other one is -a for one of them, whose inner products are the exact
+negations (x * -1 is exact and rounding is symmetric), so its odd power sums
+are exact negations too and its even ones are equal; it could never change a
+worst entry or a verdict.  The classical t-design check is the pair-sum route
+alone, over every index 1..t, even ones included.  Sphere polynomials are
+normalized to Q_{d,t}(1) = 1; zero sets and parity do not depend on it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from operator import add, mul, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -55,7 +56,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .interval_design import Configuration, pair_negations
+from .interval_design import Configuration, DesignReport, pair_negations
 from .scalars import (
     Scalar,
     clear_denominators,
@@ -321,34 +322,21 @@ def harmonic_index_residual(X: SphericalConfig, t: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _probe_columns(cols: Sequence[list[Scalar]]) -> Iterator[tuple[int, list[Scalar]]]:
-    """<a, a> and the inner products <x, a> over the points (cols holds
-    their coordinate columns) for each probe a: the d coordinate vectors,
-    then the 2^(d-1) sign vectors with a_1 = +1 in ``product((1, -1))``
-    order.  Each value is ``_dot(x, a)``, except that a coordinate column may
-    hold -0.0 where ``_dot`` sums to 0.0, which no power sum tells apart.
-    Points that mix floats with rationals round inside ``_dot``'s
-    coordinate sums, so their coordinate probes keep it.  The sign vectors
-    with a_1 = -1 would only repeat values after their twins (see the
-    module docstring), so no first-of-largest choice could pick them.
-    """
-    d = len(cols)
-    coords = cols
-    if len({type(c) for col in cols for c in col}) > 1:
-        eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        coords = [[_dot(x, e) for x in zip(*cols)] for e in eye]
-    for col in coords:
-        yield 1, col
-    for signed in product(*[(col, list(map(neg, col))) for col in cols[1:]]):
-        yield d, list(map(sum, zip(cols[0], *signed)))
-
-
 def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     """The worst degree-t moment entry for each t in ts: the first of largest
     modulus among the probe sums sum_x <x, a>^t and, when d <= 4, the full
     symmetric tensor sum_x x^alpha (|alpha| = t), which makes the check
     complete.  Approximate entries are divided by n alone (the probes have
     max-norm 1), so zero-padding into a larger dimension keeps them.
+
+    The probes a are the d coordinate vectors, then the 2^(d-1) sign vectors
+    with a_1 = +1 in ``product((1, -1))`` order, read off the coordinate
+    columns: each value is ``_dot(x, a)``, except that a coordinate column
+    may hold -0.0 where ``_dot`` sums to 0.0, which no power sum tells
+    apart.  Points that mix floats with rationals round inside ``_dot``'s
+    coordinate sums, so their coordinate probes keep it.  The sign vectors
+    with a_1 = -1 would only repeat values after their twins (see the
+    module docstring), so no first-of-largest choice could pick them.
 
     The tensor is built one degree at a time as columns over the points.
     Each tensor entry adds its terms in point order with
@@ -360,8 +348,14 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
         table = X._gram_table(top)
         L, pts = table.L, table.points
     cols = [list(col) for col in zip(*pts)]
+    coords = cols
+    if len({type(c) for col in cols for c in col}) > 1:  # mixed points round in _dot
+        eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        coords = [[_dot(x, e) for x in pts] for e in eye]
+    signed = product(*[(col, list(map(neg, col))) for col in cols[1:]])
+    probes = chain(coords, (list(map(sum, zip(cols[0], *s))) for s in signed))
     raws: dict[int, list] = {t: [] for t in ts}
-    for _, ip in _probe_columns(cols):
+    for ip in probes:
         for t in ts:
             raws[t].append(sum(map(pow, ip, repeat(t))))
     if d <= 4:  # x^alpha over the points, in combinations_with_replacement order
@@ -476,87 +470,28 @@ def verify_spherical_Tm(
     )
 
 
-@dataclass(frozen=True)
-class FullDesignCheck:
-    k: int
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FullDesignReport:
-    degree: int
-    checks: tuple[FullDesignCheck, ...]
-    verdict: bool
-    tolerance: float | None
-    conventions: tuple[tuple[str, str], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "checks": [
-                {"k": c.k, "residual": repr(c.residual), "ok": c.ok}
-                for c in self.checks
-            ],
-            "verdict": self.verdict,
-            "tolerance": None if self.tolerance is None else repr(self.tolerance),
-            "conventions": dict(self.conventions),
-        }
-
-
 def verify_spherical_t_design_full(
     X: SphericalConfig, t: int, tol: float | None = None
-) -> FullDesignReport:
-    """Check the classical degree-t design condition on the probe set.
+) -> DesignReport:
+    """Check the classical degree-t design condition, every k = 1..t.
 
-    For each k = 1..t and every probe a, sum_x <x, a>^k is compared against
-    0 for odd k and against
-
-        |X| * (1*3*...*(k-1)) / (d*(d+2)*...*(d+k-2)) * <a, a>^(k/2)
-
-    for even k, i.e. |X| times the surface average of <y, a>^k.  The report
-    names this convention; variants without the |X| factor or with the
-    denominator starting at d+2 exist in the literature and are not used.
-    Exact configurations pass only exact identities (tolerance None in the
-    report); the printed residual is the float scaled gap in both modes.
+    X is a spherical t-design exactly when the pair sum of Q_{d,k} vanishes
+    for k = 1..t (Delsarte, Goethals and Seidel, 1977), odd and even k
+    alike, so the check is complete in every dimension.  The residuals are
+    the pair sums over n^2, the rule and scale of the Gegenbauer route of
+    ``verify_spherical_Tm``: exact configurations pass only exact identities
+    (tolerance None in the report), and float ones test the squared scale
+    |pair sum| / n^2 <= tol, which stays at rounding level on exactly
+    antipodal float input where its square root would not.
     """
     if t < 1:
         raise DomainError("t must be a positive integer")
-    tol = _tol(X, tol)
-    n = len(X)
-    d = X.dim
-    cols = [list(col) for col in zip(*X.points)]
-    probes = list(_probe_columns(cols))  # a sign vector -a repeats a's gaps
-    checks = []
-    for k in range(1, t + 1):
-        if k % 2 == 0:
-            num = 1
-            den = 1
-            for i in range(k // 2):
-                num *= 2 * i + 1
-                den *= d + 2 * i
-            const = Fraction(num, den)
-        worst, identities = 0.0, True
-        for norm2, ip in probes:
-            raw = sum(map(pow, ip, repeat(k)))
-            if k % 2 == 0:
-                target = n * const * Fraction(norm2) ** (k // 2)
-            else:
-                target = 0
-            scaled = abs(float(raw - target)) / (n * float(norm2) ** (k / 2))
-            worst = max(worst, scaled)
-            identities = identities and near(raw, target, None)
-        ok = identities if tol is None else worst <= tol
-        checks.append(FullDesignCheck(k, worst, ok))
-    conventions = _CONVENTIONS + (
-        (
-            "even_moment_target",
-            "|X| * (1*3*...*(k-1)) / (d*(d+2)*...*(d+k-2)) * <a,a>^(k/2)",
-        ),
+    tol, n, ks = _tol(X, tol), len(X), range(1, t + 1)
+    residuals = tuple(
+        Fraction(s, n * n) if X.is_exact else s / (n * n) for s in _pair_sums(X, ks)
     )
-    return FullDesignReport(
-        t, tuple(checks), all(c.ok for c in checks), tol, conventions
-    )
+    verdict = all(near(r, 0, tol) for r in residuals)
+    return DesignReport(tuple(ks), residuals, verdict, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +552,17 @@ def certify_antipodal(
 ) -> AntipodalCertificate:
     """Antipodal pairing of a T_m configuration with at most 2m points.
 
-    Mirrors the forcing argument: for each unmatched x_i, project X onto the
-    direction x_i; the projection is a T_m multiset of at most 2m values, so
-    it is symmetric and pairs the value <x_i, x_i> = 1 with a value -1, and
-    the point realizing -1 is -x_i itself (equality in Cauchy-Schwarz).  The
-    projection is row i of the Gram matrix, <Lx_i, Lx_j> on the cleared
-    integer points in exact mode (whose odd power sums the verification's
-    Gram power table already holds) and <x_i, x_j> in float, and
-    ``pair_negations`` names the partner.  Each pair is then checked
-    coordinatewise at ``tol``, the rule of ``AntipodalCertificate.check``.
+    Mirrors the forcing argument: for each unmatched x_i, project the
+    unmatched points onto the direction x_i.  Removing antipodal pairs from
+    a T_m set leaves a T_m set, so the projection is a T_m multiset of at
+    most 2m values; it is symmetric and pairs the value <x_i, x_i> = 1 with
+    a value -1, and the point realizing -1 is -x_i itself (equality in
+    Cauchy-Schwarz).  The projection is part of row i of the Gram matrix,
+    <Lx_i, Lx_j> on the cleared integer points in exact mode (whose odd
+    power sums the verification's Gram power table already holds) and
+    <x_i, x_j> in float, and ``pair_negations`` names the partner.  Each
+    pair is then checked coordinatewise at ``tol``, the rule of
+    ``AntipodalCertificate.check``.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -659,17 +596,12 @@ def certify_antipodal(
             raise InternalDefectError(
                 f"verified design projects onto point {i} with a nonzero odd power sum"
             )
-        row = [_dot(pts[i], y) for y in pts]
-        cert = pair_negations(row, tol)
-        partner = next((b if a == i else a for a, b in cert.pairs if i in (a, b)), None)
+        free = [j for j in range(i, n) if not matched[j]]  # i first
+        cert = pair_negations([_dot(pts[i], pts[j]) for j in free], tol)
+        partner = next((free[b] for a, b in cert.pairs if a == 0), None)
         if partner is None:
             raise fail(
                 f"projection onto point {i} does not pair it with a partner",
-                "pairing ambiguous",
-            )
-        if matched[partner]:
-            raise fail(
-                f"candidate partner {partner} of point {i} is already matched",
                 "pairing ambiguous",
             )
         if not _are_negations(X.points[i], X.points[partner], tol):

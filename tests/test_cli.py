@@ -86,6 +86,17 @@ class TestConstruct:
         assert code == 2
         assert "requires --m" in err
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # an output path that cannot be written is a usage error, not a
+        # negative result, and gets one line instead of a traceback
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, err = run(
+            capsys, "construct", "binomial", "--n", "3", "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_interval_true(self, tmp_path, capsys):

@@ -147,27 +147,6 @@ def pinned_configs():
     yield embed(SphericalConfig(((F(3, 5), F(4, 5)), (F(0), F(-1)))), 3)
 
 
-def reference_full_design_checks(X, t):
-    """Per-probe degree-k check over all d + 2^d probes: (k, residual, ok)."""
-    d, n = X.dim, len(X)
-    probes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    probes += list(product((1, -1), repeat=d))
-    checks = []
-    for k in range(1, t + 1):
-        const = F(math.prod(range(1, k, 2)), math.prod(range(d, d + k - 1, 2)))
-        worst, identities = 0.0, True
-        for a in probes:
-            raw = sum(sum(c * p for c, p in zip(x, a)) ** k for x in X.points)
-            norm2 = sum(c * c for c in a)
-            target = n * const * F(norm2) ** (k // 2) if k % 2 == 0 else 0
-            scaled = abs(float(raw - target)) / (n * float(norm2) ** (k / 2))
-            worst = max(worst, scaled)
-            identities = identities and raw == target
-        ok = identities if X.is_exact else worst <= X.tolerance
-        checks.append({"k": k, "residual": repr(worst), "ok": ok})
-    return checks
-
-
 def float_set(rng, d, n, antipodal):
     if not antipodal:
         return SphericalConfig(tuple(unit_float(rng, d) for _ in range(n)))
@@ -252,9 +231,20 @@ class TestKernelPinned:
         ids=lambda X: f"d{X.dim}n{len(X)}{X.mode[0]}",
     )
     def test_full_design_report(self, X):
-        t = 6 if X.dim <= 6 else 4
-        report = verify_spherical_t_design_full(X, t).to_json()
-        assert report["checks"] == reference_full_design_checks(X, t)
+        # every k = 1..t, odd and even: the pair sums over n^2, tested as
+        # the Gegenbauer route of verify_spherical_Tm tests them
+        t, n = (6 if X.dim <= 6 else 4), len(X)
+        report = verify_spherical_t_design_full(X, t)
+        assert report.index_set == tuple(range(1, t + 1))
+        for k, r in zip(report.index_set, report.residuals):
+            pair = reference_pair_sum(X, k)
+            assert same(r, F(pair, n * n) if X.is_exact else pair / (n * n))
+        if X.is_exact:
+            assert report.tolerance is None
+            assert report.verdict == all(r == 0 for r in report.residuals)
+        else:
+            assert report.tolerance == X.tolerance
+            assert report.verdict == all(abs(r) <= X.tolerance for r in report.residuals)
 
     def test_integer_coordinates_stay_exact(self):
         X = SphericalConfig(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
@@ -440,7 +430,6 @@ class TestFullDesignCheck:
         single = SphericalConfig(((F(1), F(0)),))
         assert not verify_spherical_t_design_full(single, 1).verdict
 
-
     def test_exact_verdict_is_an_identity(self):
         # (1, 0) against the negation of a rational unit vector 2e-12 away
         u = F(1, 10**12)
@@ -449,8 +438,30 @@ class TestFullDesignCheck:
         assert not verify_spherical_Tm(X, 1).verdict
         report = verify_spherical_t_design_full(X, 1)
         assert not report.verdict and report.tolerance is None
-        assert 0 < report.checks[0].residual < 1e-9  # the printed float gap
+        assert 0 < report.residuals[0] < 1e-9  # nonzero, though below any tol
         assert report.to_json()["tolerance"] is None
+
+    @pytest.mark.parametrize("exact", (True, False))
+    def test_probe_blind_set_in_three_dimensions(self, exact):
+        # {(3/5, +-4/5, 0), (-3/5, 0, +-4/5)} and its images under the cyclic
+        # coordinate shift: each coordinate and sign probe sees the surface
+        # moments through degree 3, yet the t = 3 pair sum over n^2 is
+        # 576/3125, so this is no 3-design
+        a, b, z = F(3, 5), F(4, 5), F(0)
+        base = [(a, b, z), (a, -b, z), (-a, z, b), (-a, z, -b)]
+        pts = [p[-s:] + p[:-s] for p in base for s in range(3)]
+        if not exact:
+            pts = [tuple(float(c) for c in p) for p in pts]
+        U = SphericalConfig(tuple(pts))
+        assert len(set(U.points)) == 12
+        report = verify_spherical_t_design_full(U, 3)
+        assert not report.verdict
+        assert not verify_spherical_Tm(U, 2).verdict
+        if exact:
+            assert report.residuals == (0, 0, F(576, 3125))
+        else:
+            assert all(abs(r) <= 1e-15 for r in report.residuals[:2])
+            assert abs(report.residuals[2] - 576 / 3125) < 1e-12
 
 
 class TestProjectToLine:
@@ -538,6 +549,23 @@ class TestCertifyAntipodal:
         pairs = certify_antipodal(exact, 4).pairs
         assert pairs == ((0, 1), (2, 4), (3, 5), (6, 7))
         assert certify_antipodal(floats, 4).pairs == pairs
+
+    def test_float_near_copies_pair_over_unmatched_points(self):
+        # {x, x', y} and their negations, x' within 1e-11 of x: a row paired
+        # over every point can name a partner that an earlier row took, so
+        # row i pairs only the points no earlier row took
+        rng = random.Random(4242)
+        for _ in range(60):
+            d = rng.choice((3, 4))
+            x, y = unit_float(rng, d), unit_float(rng, d)
+            v = [c + rng.uniform(-5e-12, 5e-12) for c in x]
+            norm = math.sqrt(sum(c * c for c in v))
+            half = [x, tuple(c / norm for c in v), y]
+            pts = half + [tuple(-c for c in p) for p in half]
+            rng.shuffle(pts)
+            X = SphericalConfig(tuple(pts))
+            assert is_antipodal(X)[0] and verify_spherical_Tm(X, 3).verdict
+            assert certify_antipodal(X, 3).check(X)
 
     def test_direct_negation_oracle_agrees(self):
         rng = random.Random(31415)
