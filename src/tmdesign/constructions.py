@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -49,6 +50,7 @@ from .polyroot import (
 from .scalars import (
     Scalar,
     as_fraction,
+    clear_denominators,
     cos_turn,
     decimal_string,
     format_scalar,
@@ -112,6 +114,31 @@ class _Unperturbed:
     def _critical_point(self, a: Fraction, b: Fraction, bits: int) -> Fraction:
         return refine_root(self.df, IsolatingInterval(a, b), (b - a) / 2**bits)
 
+    @cached_property
+    def depth_bound(self) -> Fraction:
+        """An exact upper bound on eps*, the depth of the shallowest well.
+
+        The root of f' in the well (a, b) of the least ``depth`` lies in the
+        level-20 cell [u, v] = [c - w/2, c + w/2], w = (b - a)/2^20, around
+        its refined critical point c (``refine_root`` returns that cell's
+        midpoint, or the root itself).  There x^2 lies in [min(u^2, v^2),
+        max(u^2, v^2)], or in [0, max(u^2, v^2)] when the cell holds 0, and
+        |x^2 - r^2| is largest at an end of that range, so the product of
+        those largest factors bounds -f = |f| at the root, which is at least
+        eps*."""
+        _, c, (a, b) = min(zip(self.depth, self.crit, self.wells))
+        half = (b - a) / 2**21
+        L, (u, v) = clear_denominators((c - half, c + half))
+        s = len(self.roots)
+        # in integers: x = u/L, r = o/s for odd o, and x^2 - r^2 = n/(L s)^2
+        hi = max(u * u, v * v) * s * s
+        lo = 0 if u < 0 < v else min(u * u, v * v) * s * s
+        bound = 1
+        for o in range(1, s, 2):
+            r2 = o * o * L * L
+            bound *= max(abs(lo - r2), abs(hi - r2))
+        return Fraction(bound, (L * s) ** s)
+
     def window_root_count(self, eps: Fraction) -> int | None:
         """Distinct real roots of f + eps in the open working window, or None
         if it has a repeated root.  Window endpoints are roots of f, never of
@@ -173,9 +200,13 @@ def choose_epsilon(
     at the roots of f and g(x) = f(x) + epsilon < 0 at each x and at -x, so
     g changes sign 2m times inside the window and, being of degree 2m, has
     2m simple roots there.  Because the valid set is an interval, doubling
-    epsilon back towards start while a Sturm count at 2 epsilon still finds
-    2m roots ends on the first valid element of the sequence; as beta is
-    close to eps*, that usually takes a single count.  The same points x
+    epsilon back towards start while 2 epsilon is still valid ends on the
+    first valid element of the sequence.  2 epsilon >= beta there, and it
+    is invalid, with no count, once it reaches ``depth_bound`` >= eps*, an
+    exact bound on -f over the cell that holds a critical point.  Only a
+    2 epsilon in [beta, depth_bound), a window at most about 2.5e-6 eps*
+    wide, takes a Sturm count: of m <= 40 and starts 1, 3/7, 1/16 and
+    10^-9, just m = 2, where 2 epsilon = 1/16 = eps*.  The same points x
     and -x split the intervals into brackets of the roots of g, which
     ``perturbed_interval_design`` isolates without a Sturm chain of g; it
     passes the f and the x it has built as ``base``.
@@ -190,7 +221,11 @@ def choose_epsilon(
     beta = min(base.depth)
     while eps >= beta:
         eps /= 2
-    while eps < start and base.window_root_count(2 * eps) == 2 * m:
+    while (
+        eps < start
+        and 2 * eps < base.depth_bound
+        and base.window_root_count(2 * eps) == 2 * m
+    ):
         eps *= 2
     return eps
 
@@ -380,20 +415,26 @@ def add_zero(config: Configuration) -> Configuration:
     )
 
 
-def _float_power(x: float, k: int) -> float:
-    """x**k by binary exponentiation over float multiplies.
+def _float_powers(x: float, top: int) -> list[float]:
+    """[x**0, x**1, ..., x**top] over float multiplies, each power the
+    product that binary exponentiation forms: x^(2^h) = (x^(2^(h-1)))^2,
+    and for other s, x^s = x^(s - 2^h) * x^(2^h), 2^h the top bit of s, so
+    the factors x^(2^h) of the set bits of s are multiplied in from the
+    lowest bit up.
 
-    Multiplication is exactly sign-symmetric, so for odd k the value at -x is
+    Multiplication is exactly sign-symmetric, so for odd s the value at -x is
     the exact negation of the value at x; sums over a mirrored node set then
     cancel to exactly 0.0.
     """
-    r, b = 1.0, x
-    while k:
-        if k & 1:
-            r *= b
-        b *= b
-        k >>= 1
-    return r
+    pw = [1.0, x]
+    bit = 1
+    for s in range(2, top + 1):
+        if s == 2 * bit:
+            bit = s
+            pw.append(pw[s >> 1] * pw[s >> 1])
+        else:
+            pw.append(pw[s - bit] * pw[bit])
+    return pw
 
 
 @dataclass(frozen=True)
@@ -471,14 +512,15 @@ def chebyshev_gauss_check(
     if not 1 <= s_max <= 2 * n - 1:
         raise DomainError(f"degree error: require 1 <= s_max <= 2n-1 = {2 * n - 1}")
     nodes = chebyshev_gauss_nodes(n)
+    powers = [_float_powers(x, s_max) for x in nodes]
     entries = []
     ok = True
     for s in range(1, s_max + 1):
         acc = 0.0
         for k in range(n // 2):
-            acc += _float_power(nodes[k], s) + _float_power(nodes[n - 1 - k], s)
+            acc += powers[k][s] + powers[n - 1 - k][s]
         if n % 2:
-            acc += _float_power(0.0, s)
+            acc += powers[n // 2][s]
         mean = acc / n
         target = Fraction(0) if s % 2 else Fraction(comb(s, s // 2), 2**s)
         err = abs(mean - float(target))

@@ -122,7 +122,10 @@ def parse_scalar(text: str, *, exact_only: bool = False) -> Scalar:
         if "/" in s:
             num, den = s.split("/", 1)
             return Fraction(_parse_int(num), _parse_int(den))
-        return Fraction(_parse_int(s))
+        # int() rejects any text holding ".", "e" or "E": such text is a
+        # decimal literal or nothing, so it goes straight to float().
+        if "." not in s and "e" not in s and "E" not in s:
+            return Fraction(_parse_int(s))
     except (ValueError, ZeroDivisionError):
         pass
     if exact_only:

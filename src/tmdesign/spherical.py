@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product, repeat
 from operator import add, mul, neg
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -717,52 +717,75 @@ def _t2_residual(angles: Sequence[float]) -> float:
 def _descend(angles: list[float], margin: float) -> list[float]:
     """One search trial: projected gradient descent on
     |sum e^(i theta)|^2 + |sum e^(3i theta)|^2 over six angles.  Project the
-    start onto the margin, then take _SEARCH_ITERS gradient steps, projecting
-    after each, with a step length that starts at _SEARCH_STEP0 and decays
-    by _SEARCH_DECAY.
+    start onto the margin, then take up to _SEARCH_ITERS gradient steps,
+    projecting after each, with a step length that starts at _SEARCH_STEP0
+    and decays by _SEARCH_DECAY.
 
     The angles, their cos t, sin t, cos 3t and sin 3t (a, b, c, d) and the
     four sums are locals.  Each sum adds its six values with sum() in angle
     order, so every float is the one the list form gives, also under the
-    compensated sum() of CPython 3.12 on."""
-    cos, sin, project = math.cos, math.sin, _project_margin
-    angles = project(angles, margin)
+    compensated sum() of CPython 3.12 on.
+
+    At margin 0 nothing is projected, and the trial ends at the first step
+    that leaves all six angles unchanged bit for bit, sign of zero included.
+    Every later step would be a no-op too: it sees the same angles and
+    gradient, its step is shorter, and rounding is monotone, so each
+    t - step * g still rounds to t.  The angles returned are the ones the
+    last of the _SEARCH_ITERS steps would give.  A NaN never compares
+    equal, so a trial gone NaN runs to the end."""
+    cos, sin, copysign = math.cos, math.sin, math.copysign
+    project = _margin_projection(margin)
+    if project is not None:
+        angles = project(angles)
     step = _SEARCH_STEP0
     for _ in range(_SEARCH_ITERS):
         t0, t1, t2, t3, t4, t5 = angles
-        a0, b0, c0, d0 = cos(t0), sin(t0), cos(3 * t0), sin(3 * t0)
-        a1, b1, c1, d1 = cos(t1), sin(t1), cos(3 * t1), sin(3 * t1)
-        a2, b2, c2, d2 = cos(t2), sin(t2), cos(3 * t2), sin(3 * t2)
-        a3, b3, c3, d3 = cos(t3), sin(t3), cos(3 * t3), sin(3 * t3)
-        a4, b4, c4, d4 = cos(t4), sin(t4), cos(3 * t4), sin(3 * t4)
-        a5, b5, c5, d5 = cos(t5), sin(t5), cos(3 * t5), sin(3 * t5)
+        u0, u1, u2, u3, u4, u5 = 3 * t0, 3 * t1, 3 * t2, 3 * t3, 3 * t4, 3 * t5
+        a0, b0, c0, d0 = cos(t0), sin(t0), cos(u0), sin(u0)
+        a1, b1, c1, d1 = cos(t1), sin(t1), cos(u1), sin(u1)
+        a2, b2, c2, d2 = cos(t2), sin(t2), cos(u2), sin(u2)
+        a3, b3, c3, d3 = cos(t3), sin(t3), cos(u3), sin(u3)
+        a4, b4, c4, d4 = cos(t4), sin(t4), cos(u4), sin(u4)
+        a5, b5, c5, d5 = cos(t5), sin(t5), cos(u5), sin(u5)
         sa = sum((a0, a1, a2, a3, a4, a5))
         sb = sum((b0, b1, b2, b3, b4, b5))
         sc = sum((c0, c1, c2, c3, c4, c5))
         sd = sum((d0, d1, d2, d3, d4, d5))
-        angles = project(
-            [
-                t0 - step * (2.0 * (sb * a0 - sa * b0) + 6.0 * (sd * c0 - sc * d0)),
-                t1 - step * (2.0 * (sb * a1 - sa * b1) + 6.0 * (sd * c1 - sc * d1)),
-                t2 - step * (2.0 * (sb * a2 - sa * b2) + 6.0 * (sd * c2 - sc * d2)),
-                t3 - step * (2.0 * (sb * a3 - sa * b3) + 6.0 * (sd * c3 - sc * d3)),
-                t4 - step * (2.0 * (sb * a4 - sa * b4) + 6.0 * (sd * c4 - sc * d4)),
-                t5 - step * (2.0 * (sb * a5 - sa * b5) + 6.0 * (sd * c5 - sc * d5)),
-            ],
-            margin,
-        )
+        moved = [
+            t0 - step * (2.0 * (sb * a0 - sa * b0) + 6.0 * (sd * c0 - sc * d0)),
+            t1 - step * (2.0 * (sb * a1 - sa * b1) + 6.0 * (sd * c1 - sc * d1)),
+            t2 - step * (2.0 * (sb * a2 - sa * b2) + 6.0 * (sd * c2 - sc * d2)),
+            t3 - step * (2.0 * (sb * a3 - sa * b3) + 6.0 * (sd * c3 - sc * d3)),
+            t4 - step * (2.0 * (sb * a4 - sa * b4) + 6.0 * (sd * c4 - sc * d4)),
+            t5 - step * (2.0 * (sb * a5 - sa * b5) + 6.0 * (sd * c5 - sc * d5)),
+        ]
+        if project is not None:
+            angles = project(moved)
+        elif moved == angles and all(
+            copysign(1.0, x) == copysign(1.0, t) for x, t in zip(moved, angles)
+        ):
+            break
+        else:
+            angles = moved
         step *= _SEARCH_DECAY
     return angles
 
 
-def _project_margin(angles: list[float], margin: float) -> list[float]:
-    """Push each pair of six angles with
+def _margin_projection(margin: float) -> Callable[[list[float]], list[float]] | None:
+    """The projection of six angles onto the margin, set up once per trial,
+    or None at margin 0, where it would move nothing.
+
+    The projection pushes each pair with
     ||x_i + x_j|| = 2|cos((theta_i - theta_j)/2)| < margin out to the margin,
-    sweeping over all pairs until a sweep ends with the angles it started
-    with or _PROJECTION_SWEEPS sweeps have run.  A later pair can push an
-    earlier one back inside, so the margin holds to rounding after a quiet
-    sweep and may be missed (by about 1e-5 at worst seen, margin 1) at the
-    cap.
+    sweeping over all pairs until a sweep changes no angle or
+    _PROJECTION_SWEEPS sweeps have run.  A push counts as a change when an
+    angle it writes differs from the float it replaces (a NaN always does),
+    so a quiet sweep ends with the angles it started with.  (A sweep with
+    changes can end there too, if a later push restores an angle exactly;
+    the next sweep then repeats it and ends on the same angles.)  A later
+    pair can push an earlier one back inside, so the margin holds to
+    rounding after a quiet sweep and may be missed (by about 1e-5 at worst
+    seen, margin 1) at the cap.
 
     A pair is pushed when |remainder(d, tau)| > psi_max, where
     d = theta_i - theta_j and psi_max = 2 acos(margin/2).  remainder is
@@ -773,24 +796,38 @@ def _project_margin(angles: list[float], margin: float) -> list[float]:
     [psi_max - 1e-9, tau - psi_max + 1e-9] cannot be pushed and skips
     remainder."""
     if margin <= 0:
-        return angles
+        return None
     psi_max = 2.0 * math.acos(min(1.0, margin / 2.0))
     tau = math.tau
     low, high = psi_max - 1e-9, tau - psi_max + 1e-9
-    for _ in range(_PROJECTION_SWEEPS):
-        before = angles[:]
-        for i, j in _PAIRS:
-            d = angles[i] - angles[j]
-            if not low <= d % tau <= high:
-                continue
-            psi = math.remainder(d, tau)
-            if abs(psi) > psi_max:
-                delta = (math.copysign(psi_max, psi) - psi) / 2.0
-                angles[i] += delta
-                angles[j] -= delta
-        if angles == before:
-            break
-    return angles
+    remainder, copysign, pairs = math.remainder, math.copysign, _PAIRS
+
+    def project(angles: list[float]) -> list[float]:
+        for _ in range(_PROJECTION_SWEEPS):
+            changed = False
+            for i, j in pairs:
+                d = angles[i] - angles[j]
+                if not low <= d % tau <= high:
+                    continue
+                psi = remainder(d, tau)
+                if abs(psi) > psi_max:
+                    delta = (copysign(psi_max, psi) - psi) / 2.0
+                    x, y = angles[i], angles[j]
+                    angles[i] = xi = x + delta
+                    angles[j] = yj = y - delta
+                    if xi != x or yj != y:
+                        changed = True
+            if not changed:
+                break
+        return angles
+
+    return project
+
+
+def _project_margin(angles: list[float], margin: float) -> list[float]:
+    """``angles`` projected onto the margin (see ``_margin_projection``)."""
+    project = _margin_projection(margin)
+    return angles if project is None else project(angles)
 
 
 def _min_pair_distance(angles: Sequence[float]) -> float:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +119,31 @@ class TestChooseEpsilon:
             calls.clear()
             choose_epsilon(m)
             assert len(calls) <= 1
+
+    def test_no_sturm_count_past_the_depth_bound(self, monkeypatch):
+        # Doubling stops without a count once 2 eps reaches depth_bound;
+        # only at m = 2 is 2 eps = 1/16 = eps* inside (beta, depth_bound).
+        calls = []
+        count = constructions.sturm_root_count
+
+        def counted(*args):
+            calls.append(1)
+            return count(*args)
+
+        monkeypatch.setattr(constructions, "sturm_root_count", counted)
+        for m in range(1, 17):
+            calls.clear()
+            choose_epsilon(m)
+            assert len(calls) == (1 if m == 2 else 0), m
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_depth_bound_is_a_tight_upper_bound(self, m):
+        # depth_bound >= eps*, so f + depth_bound has lost its 2m simple
+        # roots, while beta <= eps* keeps them for every smaller eps.
+        base = constructions._Unperturbed(m)
+        beta = min(base.depth)
+        assert beta <= base.depth_bound < beta * (1 + F(1, 10**4))
+        assert not self._leaves_2m_simple_roots(m, base.depth_bound)
 
 class TestPerturbedIntervalDesign:
     def test_m1_explicit_epsilon(self):
@@ -362,7 +388,52 @@ class TestPadding:
         assert before == after
 
 
+def reference_float_power(x: float, k: int) -> float:
+    """x**k by binary exponentiation over float multiplies: the factor
+    x^(2^h) of each set bit of k, multiplied in from the lowest bit up."""
+    r, b = 1.0, x
+    while k:
+        if k & 1:
+            r *= b
+        b *= b
+        k >>= 1
+    return r
+
+
+def reference_node_mean(nodes, s):
+    n = len(nodes)
+    acc = 0.0
+    for k in range(n // 2):
+        acc += reference_float_power(nodes[k], s) + reference_float_power(
+            nodes[n - 1 - k], s
+        )
+    if n % 2:
+        acc += reference_float_power(0.0, s)
+    return acc / n
+
+
 class TestChebyshevGauss:
+    def test_power_table_matches_binary_exponentiation(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            x = rng.choice([rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0)])
+            top = rng.randrange(1, 520)
+            pw = constructions._float_powers(x, top)
+            assert len(pw) == top + 1
+            for s in {1, top, rng.randrange(1, top + 1)}:
+                assert pw[s] == reference_float_power(x, s), (x, s)
+        for x in (0.0, -0.0, 1.0, -1.0, 5e-324, 1e300):
+            pw = constructions._float_powers(x, 64)
+            assert [p.hex() for p in pw] == [
+                reference_float_power(x, s).hex() for s in range(65)
+            ]
+
+    @pytest.mark.parametrize("n", [*range(1, 60), 100, 257])
+    def test_node_means_match_binary_exponentiation(self, n):
+        report = chebyshev_gauss_check(n, 2 * n - 1)
+        for e in report.entries:
+            assert e.node_mean.hex() == reference_node_mean(report.nodes, e.s).hex()
+
     def test_n2_nodes_and_checks(self):
         report = chebyshev_gauss_check(2, 3)
         assert abs(report.nodes[0] - math.sqrt(2) / 2) < 1e-15

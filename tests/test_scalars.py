@@ -151,6 +151,74 @@ def test_approximate_mode_rejects_rationals_too_large_for_a_float():
 
 
 
+_LONG = "1" * 5000
+
+
+class TestParseScalarLiterals:
+    """Integers and p/q parse to Fraction, decimal literals to finite floats,
+    and everything else fails with the same message, whichever path a text
+    takes."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1_000", F(1000)),
+            (" 12 ", F(12)),
+            ("+3", F(3)),
+            ("-0", F(0)),
+            ("6/-4", F(-3, 2)),
+            (_LONG, F(int(_LONG[:4000]) * 10**1000 + int(_LONG[4000:]))),
+        ],
+    )
+    def test_rationals(self, text, value):
+        for exact_only in (False, True):
+            got = parse_scalar(text, exact_only=exact_only)
+            assert type(got) is F and got == value
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("0.5", 0.5),
+            (" -1.25e-3 ", -0.00125),
+            ("1e5", 100000.0),
+            ("1E-5", 1e-05),
+            (".5", 0.5),
+            ("5.", 5.0),
+            ("1_000.5", 1000.5),
+            ("-0.0", -0.0),
+            (_LONG + "e-4990", 1111111111.1111112),
+        ],
+    )
+    def test_decimals(self, text, value):
+        got = parse_scalar(text)
+        assert type(got) is float and got.hex() == value.hex()
+        with pytest.raises(DomainError, match="exact mode rejects non-rational"):
+            parse_scalar(text, exact_only=True)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.5/2", "cannot parse"),
+            ("1e3/2", "cannot parse"),
+            ("1e", "cannot parse"),
+            ("1.2.3", "cannot parse"),
+            ("e5", "cannot parse"),
+            ("0x1p3", "cannot parse"),
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+            ("-Infinity", "non-finite"),
+            ("1e400", "non-finite"),
+            (_LONG + ".5", "non-finite"),
+            (_LONG + "E1", "non-finite"),
+        ],
+    )
+    def test_rejected(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            parse_scalar(text)
+        with pytest.raises(DomainError, match="exact mode rejects non-rational"):
+            parse_scalar(text, exact_only=True)
+
+
 class TestLongIntegers:
     """Integers past Python's 4300-digit int-to-str limit print and parse
     exactly, through ``Decimal``; shorter ones keep their bytes."""

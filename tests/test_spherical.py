@@ -938,3 +938,98 @@ class TestSearchKernel:
         )
         with mock.patch.object(spherical, "_SEARCH_ITERS", 1):
             assert spherical._descend(angles[:], margin) == expected
+
+
+def reference_descend(angles, margin):
+    """The plain trial, always _SEARCH_ITERS = 900 steps, with the index of
+    the first step that left all six angles unchanged bit for bit (None if
+    no step did)."""
+    angles = reference_project_margin(angles[:], margin)
+    step, first_fixed = 0.1, None
+    for k in range(900):
+        grad = reference_t2_gradient(angles)
+        moved = reference_project_margin(
+            [t - step * g for t, g in zip(angles, grad)], margin
+        )
+        if first_fixed is None and _bits(moved) == _bits(angles):
+            first_fixed = k
+        angles = moved
+        step *= 0.997
+    return angles, first_fixed
+
+
+def _bits(angles):
+    return [t.hex() for t in angles]
+
+
+def _search_start(seed, trial):
+    rng = random.Random(seed * 1_000_003 + trial)
+    return [rng.uniform(0.0, math.tau) for _ in range(6)]
+
+
+class _CountingMath:
+    """math with a cos that counts its calls: a descent step makes 12."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
+
+class TestDescendFixedPoint:
+    """At margin 0 a trial ends at its exact fixed point, with the angles
+    the full 900 steps give."""
+
+    # (seed, trial, first step that changes nothing): margin-0 trials of the
+    # benchmark's search streams that settle before step 900, including one
+    # that settles at the last step.
+    SETTLING = [
+        (930484, 3, 448),
+        (747427, 19, 468),
+        (318258, 16, 571),
+        (969973, 11, 827),
+        (360461, 13, 899),
+    ]
+
+    @pytest.mark.parametrize("seed, trial, fixed", SETTLING)
+    def test_settling_trial_stops_at_its_fixed_point(self, seed, trial, fixed):
+        start = _search_start(seed, trial)
+        expected, first_fixed = reference_descend(start, 0.0)
+        assert first_fixed == fixed
+        counting = _CountingMath()
+        with mock.patch.object(spherical, "math", counting):
+            got = spherical._descend(start[:], 0.0)
+        assert _bits(got) == _bits(expected)
+        assert counting.cos_calls == 12 * (fixed + 1)
+
+    def test_unsettled_trial_runs_every_step(self):
+        start = _search_start(747427, 0)
+        expected, first_fixed = reference_descend(start, 0.0)
+        assert first_fixed is None
+        counting = _CountingMath()
+        with mock.patch.object(spherical, "math", counting):
+            got = spherical._descend(start[:], 0.0)
+        assert _bits(got) == _bits(expected)
+        assert counting.cos_calls == 12 * 900
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+            [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+            [-0.0, 0.0, math.pi, -math.pi, 5e-324, -5e-324],
+            [-0.0, 1e-300, -1e-300, 0.0, 2.0, -2.0],
+            [-0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+            [0.0, -0.0, 2 * math.pi / 3, -2 * math.pi / 3, 1e-12, -0.0],
+            [-0.0, math.pi / 3, math.pi, -math.pi / 3, 3.0, 4.0],
+        ],
+    )
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_signed_zero_starts_match_the_full_run(self, start, margin):
+        expected, _ = reference_descend(start, margin)
+        assert _bits(spherical._descend(start[:], margin)) == _bits(expected)
