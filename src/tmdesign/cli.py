@@ -1,11 +1,12 @@
 """Batch command line with JSON input/output.
 
-Subcommands: construct, verify, certify, identities, search.  Exit codes:
-0 = verified/certified, 1 = mathematically negative result (failed verdict,
-violated hypothesis or precondition), 2 = usage or parse error.  All numbers
-in emitted JSON are strings ("p/q" for exact values, shortest round-trip
-decimals for floats) so that certificates survive round trips; output for a
-fixed invocation is byte-identical across runs.
+Subcommands: construct, verify, certify, identities, search, quadrature.  Each
+registers only the options its handler reads, so any other exits 2.  Exit
+codes: 0 = verified/certified, 1 = mathematically negative result (failed
+verdict, violated hypothesis or precondition), 2 = usage or parse error.  All
+numbers in emitted JSON are strings ("p/q" for exact values, shortest
+round-trip decimals for floats) so that certificates survive round trips;
+output for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .interval_design import (
     verify_interval_design,
     verify_weighted_design,
 )
-from .scalars import DEFAULT_TOL, format_scalar, parse_nonnegative, parse_scalar
+from .scalars import format_scalar, parse_nonnegative, parse_scalar
 from .spherical import (
-    DEFAULT_SPHERE_TOL,
     SphericalConfig,
     certify_antipodal,
     polygon_on_circle,
@@ -85,8 +85,13 @@ def _document(args) -> dict:
     return doc
 
 
-def _tolerance(args, default: float) -> float:
-    return default if args.tol is None else parse_nonnegative(args.tol, "--tol")
+# construct kind: (the option it reads, build, self-check, index offset); the
+# self-check runs at the option's value plus the offset
+_BUILDS = {
+    "binomial": ("n", binomial_weighted_design, verify_weighted_design, -1),
+    "polygon-weighted": ("n", polygon_weighted_design, verify_weighted_design, -1),
+    "spherical-polygon": ("m", polygon_on_circle, verify_spherical_Tm, 0),
+}
 
 
 def cmd_construct(args) -> int:
@@ -102,84 +107,53 @@ def cmd_construct(args) -> int:
         result = perturbed_interval_design(args.m, eps, precision)
         report = verify_interval_design(result.points, args.m)
         doc = result.to_json()
-        doc["kind"] = "perturbed"
-        doc["verification"] = report.to_json()
         ok = report.verdict and all(r == 0 for r in result.certificate)
-        _emit(doc, args.out)
-        return 0 if ok else 1
-    if args.kind == "binomial":
-        if args.n is None:
-            raise DomainError("construct binomial requires --n")
-        design = binomial_weighted_design(args.n)
-        report = verify_weighted_design(design, args.n - 1)
+    else:
+        option, build, check, offset = _BUILDS[args.kind]
+        value = getattr(args, option)
+        if value is None:
+            raise DomainError(f"construct {args.kind} requires --{option}")
+        design = build(value)
+        report = check(design, value + offset)
         doc = design.to_json()
-        doc["kind"] = "binomial"
-        doc["verification"] = report.to_json()
-        _emit(doc, args.out)
-        return 0 if report.verdict else 1
-    if args.kind == "polygon-weighted":
-        if args.n is None:
-            raise DomainError("construct polygon-weighted requires --n")
-        design = polygon_weighted_design(args.n)
-        report = verify_weighted_design(design, args.n - 1)
-        doc = design.to_json()
-        doc["kind"] = "polygon-weighted"
-        doc["verification"] = report.to_json()
-        _emit(doc, args.out)
-        return 0 if report.verdict else 1
-    # spherical-polygon, the one kind left
-    if args.m is None:
-        raise DomainError("construct spherical-polygon requires --m")
-    config = polygon_on_circle(args.m)
-    report = verify_spherical_Tm(config, args.m)
-    doc = config.to_json()
-    doc["kind"] = "spherical-polygon"
+        ok = report.verdict
+    doc["kind"] = args.kind
     doc["verification"] = report.to_json()
     _emit(doc, args.out)
-    return 0 if report.verdict else 1
+    return 0 if ok else 1
+
+
+# verify and certify kind: (configuration class, check)
+_CHECKS = {
+    "interval": (Configuration, verify_interval_design),
+    "weighted": (WeightedConfiguration, verify_weighted_design),
+    "spherical": (SphericalConfig, verify_spherical_Tm),
+    "symmetry": (Configuration, certify_symmetry),
+    "weighted-symmetry": (WeightedConfiguration, certify_weighted_symmetry),
+    "antipodal": (SphericalConfig, certify_antipodal),
+}
+
+
+def _check(args):
+    """The kind's check of the document's configuration at --m.  Without
+    --tol, the configuration class's own default tolerance applies."""
+    if args.m is None:
+        raise DomainError(f"{args.command} requires --m")
+    cls, check = _CHECKS[args.kind]
+    doc = _document(args)
+    tol = {} if args.tol is None else {"tolerance": parse_nonnegative(args.tol, "--tol")}
+    return check(cls.from_json(doc, **tol), args.m)
 
 
 def cmd_verify(args) -> int:
-    if args.m is None:
-        raise DomainError("verify requires --m")
-    doc = _document(args)
-    if args.kind == "interval":
-        config = Configuration.from_json(doc, tolerance=_tolerance(args, DEFAULT_TOL))
-        report = verify_interval_design(config, args.m)
-    elif args.kind == "weighted":
-        wconfig = WeightedConfiguration.from_json(
-            doc, tolerance=_tolerance(args, DEFAULT_TOL)
-        )
-        report = verify_weighted_design(wconfig, args.m)
-    else:  # spherical
-        sconfig = SphericalConfig.from_json(
-            doc, tolerance=_tolerance(args, DEFAULT_SPHERE_TOL)
-        )
-        report = verify_spherical_Tm(sconfig, args.m)
+    report = _check(args)
     _emit(report.to_json(), args.out)
     return 0 if report.verdict else 1
 
 
 def cmd_certify(args) -> int:
-    if args.m is None:
-        raise DomainError("certify requires --m")
-    doc = _document(args)
     try:
-        if args.kind == "symmetry":
-            config = Configuration.from_json(
-                doc, tolerance=_tolerance(args, DEFAULT_TOL)
-            )
-            cert = certify_symmetry(config, args.m)
-        elif args.kind == "weighted-symmetry":
-            wconfig = WeightedConfiguration.from_json(
-                doc, tolerance=_tolerance(args, DEFAULT_TOL)
-            )
-            cert = certify_weighted_symmetry(wconfig, args.m)
-        else:  # antipodal
-            sconfig = SphericalConfig.from_json(
-                doc, tolerance=_tolerance(args, DEFAULT_SPHERE_TOL)
-            )
-            cert = certify_antipodal(sconfig, args.m)
+        cert = _check(args)
     except (PreconditionError, HypothesisError, ToleranceError) as exc:
         payload = {"error": str(exc), "type": type(exc).__name__}
         if isinstance(exc, HypothesisError) and exc.failing_index is not None:
@@ -228,9 +202,9 @@ def cmd_identities(args) -> int:
 
 
 def cmd_search(args) -> int:
-    tol = _tolerance(args, DEFAULT_SPHERE_TOL)
+    tol = {} if args.tol is None else {"tolerance": parse_nonnegative(args.tol, "--tol")}
     margin = parse_nonnegative(args.margin, "--margin")
-    report = six_point_search(args.trials, args.seed, margin, tol)
+    report = six_point_search(args.trials, args.seed, margin, **tol)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -244,62 +218,69 @@ def cmd_quadrature(args) -> int:
     return 0 if report.verdict else 1
 
 
+# Every option, registered only on the commands whose handler reads it.
+_OPTIONS = {
+    "--m": {"type": int},
+    "--n": {"type": int},
+    "--tol": {"help": "tolerance for approximate mode"},
+    "--mode": {"choices": ["exact", "approximate"]},
+    "--epsilon": {"help": "rational perturbation, e.g. 3/16"},
+    "--precision": {"help": "rational output precision"},
+    "--roots": {"help": "comma-separated rationals"},
+    "--k": {"type": int, "help": "largest degree"},
+    "--trials": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 7},
+    "--margin": {"default": "0.1"},
+    "--out": {"help": "output path (default stdout)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: an option is read under its full name only, so an
+    # option a command does not read (--m on search) never stands for one it
+    # does (--margin).
     parser = argparse.ArgumentParser(
         prog="tmdesign",
         description="Construct, verify and certify designs with odd harmonic indices.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file_arg=False):
-        if file_arg:
+    def command(name, func, summary, kinds, *options, document=False):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if kinds:
+            p.add_argument("kind", choices=kinds)
+        if document:
             p.add_argument("file", help="JSON input document")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--tol", default=None, help="tolerance for approximate mode")
-        p.add_argument("--mode", choices=["exact", "approximate"], default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        for option in (*options, "--out"):
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("construct", help="build a design and self-verify it")
-    p.add_argument(
-        "kind",
-        choices=["perturbed", "binomial", "polygon-weighted", "spherical-polygon"],
+    command(
+        "construct", cmd_construct, "build a design and self-verify it",
+        ["perturbed", *_BUILDS], "--m", "--n", "--epsilon", "--precision",
     )
-    common(p)
-    p.add_argument("--epsilon", default=None, help="rational perturbation, e.g. 3/16")
-    p.add_argument("--precision", default=None, help="rational output precision")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="verify a design from a JSON file")
-    p.add_argument("kind", choices=["interval", "weighted", "spherical"])
-    common(p, file_arg=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("certify", help="produce a symmetry/antipodality certificate")
-    p.add_argument("kind", choices=["symmetry", "weighted-symmetry", "antipodal"])
-    common(p, file_arg=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("identities", help="identity tables (Newton, binomial sums)")
-    p.add_argument("kind", choices=["newton", "binom-sum"])
-    common(p)
-    p.add_argument("--roots", default=None, help="comma-separated rationals")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("search", help="seeded constrained residual search")
-    p.add_argument("kind", choices=["six-point"])
-    common(p)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--margin", default="0.1")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("quadrature", help="equal-weight arcsine moment check")
-    common(p)
-    p.add_argument("--k", type=int, default=None, help="largest degree to check")
-    p.set_defaults(func=cmd_quadrature)
-
+    command(
+        "verify", cmd_verify, "verify a design from a JSON file",
+        ["interval", "weighted", "spherical"], "--m", "--tol", "--mode", document=True,
+    )
+    command(
+        "certify", cmd_certify, "produce a symmetry/antipodality certificate",
+        ["symmetry", "weighted-symmetry", "antipodal"], "--m", "--tol", "--mode",
+        document=True,
+    )
+    command(
+        "identities", cmd_identities, "identity tables (Newton, binomial sums)",
+        ["newton", "binom-sum"], "--n", "--roots", "--k",
+    )
+    command(
+        "search", cmd_search, "seeded constrained residual search",
+        ["six-point"], "--tol", "--trials", "--seed", "--margin",
+    )
+    command(
+        "quadrature", cmd_quadrature, "equal-weight arcsine moment check",
+        None, "--n", "--k",
+    )
     return parser
 
 

@@ -26,7 +26,7 @@ quadrature check for the arcsine measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -404,15 +404,12 @@ def pad_with_antipodal_pairs(
         if not 0 < av < 1:
             raise DomainError(f"pair value {a!r} must lie in the open interval (0, 1)")
         new_points.extend([a, -a])
-    return Configuration(tuple(new_points), tolerance=config.tolerance, mode=config.mode)
+    return replace(config, points=tuple(new_points))
 
 
 def add_zero(config: Configuration) -> Configuration:
     """Append the point 0; odd power sums are unchanged."""
-    zero = mode_zero(config.mode)
-    return Configuration(
-        config.points + (zero,), tolerance=config.tolerance, mode=config.mode
-    )
+    return replace(config, points=config.points + (mode_zero(config.mode),))
 
 
 def _float_powers(x: float, top: int) -> list[float]:

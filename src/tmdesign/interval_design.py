@@ -29,10 +29,12 @@ from .errors import (
 )
 from .scalars import (
     DEFAULT_TOL,
+    Arithmetic,
     Scalar,
     all_exact,
     clear_denominators,
     format_scalar,
+    in_unit_interval,
     near,
     read_document,
     resolve_mode,
@@ -41,7 +43,7 @@ from .symfun import extend_odd_power_sums, power_scale, power_sums
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(Arithmetic):
     """Finite multiset of points in [-1, 1], in input order.
 
     ``mode`` is "exact" when every point is rational and arithmetic should be
@@ -60,17 +62,8 @@ class Configuration:
             self, "mode", resolve_mode(self.mode, self.points, "points")
         )
         for x in self.points:
-            if not near(x, max(-1, min(x, 1)), self.near_tol):
+            if not in_unit_interval(x, self.near_tol):
                 raise DomainError(f"point {format_scalar(x)} outside [-1, 1]")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
-
-    @property
-    def near_tol(self) -> float | None:
-        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
-        return None if self.is_exact else self.tolerance
 
     def __len__(self) -> int:
         return len(self.points)
@@ -89,7 +82,7 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class WeightedConfiguration:
+class WeightedConfiguration(Arithmetic):
     """Distinct support points in [-1, 1] with aligned nonzero weights."""
 
     support: tuple[Scalar, ...]
@@ -106,7 +99,7 @@ class WeightedConfiguration:
         object.__setattr__(self, "mode", resolve_mode(self.mode, values, "values"))
         tol = self.near_tol
         for x in self.support:
-            if not near(x, max(-1, min(x, 1)), tol):
+            if not in_unit_interval(x, tol):
                 raise DomainError(f"support point {format_scalar(x)} outside [-1, 1]")
         # Each message names the first support point that recurs later.
         if tol is None:  # exact values are equal iff they count as one key
@@ -124,15 +117,6 @@ class WeightedConfiguration:
             raise DomainError("weights must be finite")
         if any(near(w, 0, tol) for w in self.weights):
             raise DomainError("weights must be nonzero")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
-
-    @property
-    def near_tol(self) -> float | None:
-        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
-        return None if self.is_exact else self.tolerance
 
     def __len__(self) -> int:
         return len(self.support)

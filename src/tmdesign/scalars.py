@@ -72,6 +72,28 @@ def near(a: Scalar, b: Scalar, tol: float | None, scale: float = 1.0) -> bool:
     return abs(float(a) - float(b)) <= tol * scale
 
 
+def in_unit_interval(x: Scalar, tol: float | None) -> bool:
+    """x lies in [-1, 1]: exactly when ``tol is None``, else within tol."""
+    return near(x, max(-1, min(x, 1)), tol)
+
+
+class Arithmetic:
+    """The arithmetic of a configuration dataclass with fields ``mode``
+    (resolved to "exact" or "approximate") and ``tolerance``."""
+
+    mode: str
+    tolerance: float
+
+    @property
+    def is_exact(self) -> bool:
+        return self.mode == "exact"
+
+    @property
+    def near_tol(self) -> float | None:
+        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
+        return None if self.is_exact else self.tolerance
+
+
 def clear_denominators(values: Iterable[int | Fraction]) -> tuple[int, list[int]]:
     """(L, [L*x for x in values]) with L the lcm of the denominators.
 

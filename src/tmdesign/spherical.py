@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product, repeat
@@ -58,10 +58,13 @@ from .errors import (
 )
 from .interval_design import Configuration, DesignReport, pair_negations
 from .scalars import (
+    Arithmetic,
     Scalar,
     clear_denominators,
     cos_turn,
     format_scalar,
+    in_unit_interval,
+    is_exact,
     mode_zero,
     near,
     read_document,
@@ -76,7 +79,7 @@ Point = tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
-class SphericalConfig:
+class SphericalConfig(Arithmetic):
     """Nonempty list of unit vectors of a common dimension d >= 2."""
 
     points: tuple[Point, ...]
@@ -98,15 +101,6 @@ class SphericalConfig:
         for p in pts:
             if not near(sum(c * c for c in p), 1, self.near_tol):
                 raise DomainError(f"point {p!r} is not a unit vector")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
-
-    @property
-    def near_tol(self) -> float | None:
-        """The ``near`` tolerance: None in exact mode, else ``tolerance``."""
-        return None if self.is_exact else self.tolerance
 
     @property
     def dim(self) -> int:
@@ -151,11 +145,6 @@ def _coincide(p: Point, q: Point, tol: float | None) -> bool:
 
 def _are_negations(p: Point, q: Point, tol: float | None) -> bool:
     return all(near(a, -b, tol) for a, b in zip(p, q))
-
-
-def _tol(X: "SphericalConfig", tol: float | None) -> float | None:
-    """X's ``near`` tolerance, overridden by ``tol`` in approximate mode."""
-    return X.near_tol if tol is None or X.is_exact else tol
 
 
 @dataclass(frozen=True)
@@ -269,8 +258,9 @@ class GegenbauerEvaluator:
 def gegenbauer_value(
     d: int, t: int, s: Scalar, tol: float = DEFAULT_SPHERE_TOL
 ) -> Scalar:
-    """Q_{d,t}(s) under the Q(1) = 1 normalization; requires |s| <= 1 + tol."""
-    if abs(float(s)) > 1 + tol:
+    """Q_{d,t}(s) under the Q(1) = 1 normalization.  An exact s must lie in
+    [-1, 1], a float s within tol of it (the rule of ``Configuration``)."""
+    if not in_unit_interval(s, None if is_exact(s) else tol):
         raise DomainError(f"argument {s!r} outside [-1, 1]")
     return GegenbauerEvaluator(d).value(t, s)
 
@@ -432,18 +422,17 @@ _CONVENTIONS = (
 )
 
 
-def verify_spherical_Tm(
-    X: SphericalConfig, m: int, tol: float | None = None
-) -> SphericalDesignReport:
+def verify_spherical_Tm(X: SphericalConfig, m: int) -> SphericalDesignReport:
     """Check the odd index set T_m by Gegenbauer pair sums and moment probes.
 
     The verdict requires both routes to pass for every index; a disagreement
-    between the routes is recorded in ``diagnostics``.  Exact configurations
-    get exact zero tests (tolerance None in the report).
+    between the routes is recorded in ``diagnostics``.  The zero tests use
+    the configuration's tolerance: exact configurations get exact zero tests
+    (tolerance None in the report), float ones X.tolerance.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    tol, n, ts = _tol(X, tol), len(X), range(1, 2 * m, 2)
+    tol, n, ts = X.near_tol, len(X), range(1, 2 * m, 2)
     checks, diagnostics = [], []
     for t, pair, worst in zip(ts, _pair_sums(X, ts), _moment_residuals(X, ts)):
         geg_res = Fraction(pair, n * n) if X.is_exact else pair / (n * n)
@@ -470,23 +459,22 @@ def verify_spherical_Tm(
     )
 
 
-def verify_spherical_t_design_full(
-    X: SphericalConfig, t: int, tol: float | None = None
-) -> DesignReport:
+def verify_spherical_t_design_full(X: SphericalConfig, t: int) -> DesignReport:
     """Check the classical degree-t design condition, every k = 1..t.
 
     X is a spherical t-design exactly when the pair sum of Q_{d,k} vanishes
     for k = 1..t (Delsarte, Goethals and Seidel, 1977), odd and even k
     alike, so the check is complete in every dimension.  The residuals are
     the pair sums over n^2, the rule and scale of the Gegenbauer route of
-    ``verify_spherical_Tm``: exact configurations pass only exact identities
-    (tolerance None in the report), and float ones test the squared scale
-    |pair sum| / n^2 <= tol, which stays at rounding level on exactly
-    antipodal float input where its square root would not.
+    ``verify_spherical_Tm`` at the configuration's tolerance: exact
+    configurations pass only exact identities (tolerance None in the report),
+    and float ones test the squared scale |pair sum| / n^2 <= X.tolerance,
+    which stays at rounding level on exactly antipodal float input where its
+    square root would not.
     """
     if t < 1:
         raise DomainError("t must be a positive integer")
-    tol, n, ks = _tol(X, tol), len(X), range(1, t + 1)
+    tol, n, ks = X.near_tol, len(X), range(1, t + 1)
     residuals = tuple(
         Fraction(s, n * n) if X.is_exact else s / (n * n) for s in _pair_sums(X, ks)
     )
@@ -514,23 +502,23 @@ class AntipodalCertificate:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def check(self, X: SphericalConfig, tol: float | None = None) -> bool:
+    def check(self, X: SphericalConfig) -> bool:
+        """Whether the pairs cover X and each pair is a negation, coordinate
+        by coordinate, at the configuration's tolerance."""
         seen = sorted(i for p in self.pairs for i in p)
         if seen != list(range(len(X))):
             return False
-        tol = _tol(X, tol)
+        tol = X.near_tol
         return all(_are_negations(X.points[i], X.points[j], tol) for i, j in self.pairs)
 
     def to_json(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs]}
 
 
-def is_antipodal(
-    X: SphericalConfig, tol: float | None = None
-) -> tuple[bool, AntipodalCertificate | None]:
-    """Direct check that X is a union of pairs {x, -x} (design-free oracle)."""
-    tol = _tol(X, tol)
-    n = len(X)
+def is_antipodal(X: SphericalConfig) -> tuple[bool, AntipodalCertificate | None]:
+    """Direct check that X is a union of pairs {x, -x} (design-free oracle),
+    coordinate by coordinate at the configuration's tolerance."""
+    tol, n = X.near_tol, len(X)
     used = [False] * n
     pairs = []
     for i in range(n):
@@ -547,9 +535,7 @@ def is_antipodal(
     return True, AntipodalCertificate(tuple(sorted(pairs)))
 
 
-def certify_antipodal(
-    X: SphericalConfig, m: int, tol: float | None = None
-) -> AntipodalCertificate:
+def certify_antipodal(X: SphericalConfig, m: int) -> AntipodalCertificate:
     """Antipodal pairing of a T_m configuration with at most 2m points.
 
     Mirrors the forcing argument: for each unmatched x_i, project the
@@ -561,16 +547,16 @@ def certify_antipodal(
     <Lx_i, Lx_j> on the cleared integer points in exact mode (whose odd
     power sums the verification's Gram power table already holds) and
     <x_i, x_j> in float, and ``pair_negations`` names the partner.  Each
-    pair is then checked coordinatewise at ``tol``, the rule of
-    ``AntipodalCertificate.check``.
+    pair is then checked coordinatewise, the rule of
+    ``AntipodalCertificate.check``.  Every test uses the configuration's
+    tolerance.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    tol = _tol(X, tol)
-    n = len(X)
+    tol, n = X.near_tol, len(X)
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    report = verify_spherical_Tm(X, m, tol)
+    report = verify_spherical_Tm(X, m)
     if not report.verdict:
         bad = next(
             c.t for c in report.checks if not (c.gegenbauer_ok and c.moment_ok)
@@ -643,9 +629,7 @@ def embed(X: SphericalConfig, d_target: int) -> SphericalConfig:
     if d_target <= X.dim:
         raise DomainError(f"target dimension must exceed {X.dim}")
     pad = (mode_zero(X.mode),) * (d_target - X.dim)
-    return SphericalConfig(
-        tuple(p + pad for p in X.points), tolerance=X.tolerance, mode=X.mode
-    )
+    return replace(X, points=tuple(p + pad for p in X.points))
 
 
 def pad_with_antipodal_pairs_spherical(
@@ -661,7 +645,7 @@ def pad_with_antipodal_pairs_spherical(
             if any(_coincide(w, p, X.near_tol) for p in new_points):
                 raise DomainError(f"duplicate point {w!r}")
             new_points.append(w)
-    return SphericalConfig(tuple(new_points), tolerance=X.tolerance, mode=X.mode)
+    return replace(X, points=tuple(new_points))
 
 
 def escalation_diagnostic(

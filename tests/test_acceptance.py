@@ -231,7 +231,7 @@ def test_c08_route_agreement():
                 v /= np.linalg.norm(v)
                 pts.append(tuple(float(c) for c in v))
             config = SphericalConfig(tuple(pts))
-        report = verify_spherical_Tm(config, m, tol=1e-9)
+        report = verify_spherical_Tm(config, m)
         assert report.gegenbauer_verdict == report.moment_verdict
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -18,6 +19,7 @@ from tmdesign import (
     SymmetryCertificate,
     WeightedConfiguration,
 )
+from tmdesign import cli
 from tmdesign.cli import main
 
 
@@ -360,6 +362,77 @@ def test_output_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_path.read_text()) == {"s=0": "-3", "s=1": "0"}
+
+
+# The option names each subcommand registers: exactly the ones its handler
+# reads (--help aside).
+OPTIONS = {
+    "construct": {"--m", "--n", "--epsilon", "--precision", "--out"},
+    "verify": {"--m", "--tol", "--mode", "--out"},
+    "certify": {"--m", "--tol", "--mode", "--out"},
+    "identities": {"--n", "--roots", "--k", "--out"},
+    "search": {"--tol", "--trials", "--seed", "--margin", "--out"},
+    "quadrature": {"--n", "--k", "--out"},
+}
+
+
+def test_each_command_registers_the_options_it_reads():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert registered == OPTIONS
+    assert sum(map(len, registered.values())) == 25
+
+
+# Invocations that add an option the command does not read; "DOC" stands for
+# a valid document.
+UNREAD = [
+    ["construct", "perturbed", "--m", "1", "--tol", "5"],
+    ["construct", "binomial", "--n", "3", "--mode", "exact"],
+    ["verify", "interval", "DOC", "--m", "1", "--n", "7"],
+    ["certify", "symmetry", "DOC", "--m", "1", "--n", "7"],
+    ["identities", "binom-sum", "--n", "3", "--m", "2"],
+    ["identities", "binom-sum", "--n", "3", "--tol", "1"],
+    ["identities", "newton", "--roots", "1,2", "--mode", "exact"],
+    ["search", "six-point", "--trials", "1", "--m", "3"],
+    ["search", "six-point", "--trials", "1", "--n", "3"],
+    ["search", "six-point", "--trials", "1", "--mode", "exact"],
+    ["quadrature", "--n", "3", "--m", "1"],
+    ["quadrature", "--n", "3", "--tol", "1"],
+    ["quadrature", "--n", "3", "--mode", "exact"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=" ".join)
+def test_unread_option_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"points": ["1/2", "-1/2"]}))
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --m would otherwise stand for --margin, the one search option it prefixes
+        ["search", "six-point", "--trials", "1", "--m", "1"],
+        ["construct", "perturbed", "--m", "1", "--eps", "3/16"],
+    ],
+    ids=" ".join,
+)
+def test_options_are_not_abbreviated(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # A valid document of each certify kind, run with a negative --m.

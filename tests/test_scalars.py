@@ -98,9 +98,9 @@ def _boundary_verdicts(kind, arith, tol):
     # |x|^2 = 1 + 2**-20 against the scale 1
     x = (1, F(1, 2**10))
     unit = _builds(lambda: sphere(arith, (x, tuple(-c for c in x)), tol))
-    # the coordinate gap |1 + (-1 + 2**-20)| against the scale 1
-    pair = sphere(arith, ((1, 0), (F(1, 2**20) - 1, 0)), 2.0**-19)
-    return unit, is_antipodal(pair, tol)[0]
+    # the coordinate gap |0 + 2**-20| against the scale 1 (|x|^2 = 1 + 2**-40)
+    pair = sphere(arith, ((1, 0), (-1, F(1, 2**20))), tol)
+    return unit, is_antipodal(pair)[0]
 
 
 @pytest.mark.parametrize("kind", ["interval", "weighted", "sphere"])

@@ -327,6 +327,16 @@ class TestGegenbauer:
         with pytest.raises(DomainError):
             gegenbauer_value(3, 2, 1.5)
 
+    def test_exact_argument_gets_no_tolerance(self):
+        # the range rule of Configuration: an exact s must lie in [-1, 1],
+        # a float s within tol of it
+        for s in (F(1) + F(1, 10**12), F(-1) - F(1, 10**12)):
+            with pytest.raises(DomainError, match="outside"):
+                gegenbauer_value(3, 2, s)
+        assert abs(gegenbauer_value(3, 2, 1.0 + 1e-12) - 1) < 1e-11
+        with pytest.raises(DomainError, match="outside"):
+            gegenbauer_value(3, 2, 1.0 + 2e-9)
+
 
 class TestHarmonicIndexResidual:
     def test_triangle_first_index(self):
@@ -382,7 +392,7 @@ class TestVerifySphericalTm:
                     v /= np.linalg.norm(v)
                     pts.append(tuple(float(c) for c in v))
                 config = SphericalConfig(tuple(pts))
-            report = verify_spherical_Tm(config, m, tol=1e-9)
+            report = verify_spherical_Tm(config, m)
             assert report.gegenbauer_verdict == report.moment_verdict
             for c in report.checks:
                 # a passing moment dominates the same-degree pair sum
@@ -494,8 +504,8 @@ class TestCertifyAntipodal:
     def test_rotated_pairs_in_three_dimensions(self):
         rng = random.Random(123)
         config = random_antipodal_config(rng, 3, 3)
-        cert = certify_antipodal(config, 3, tol=1e-9)
-        assert cert.check(config, tol=1e-9)
+        cert = certify_antipodal(config, 3)
+        assert cert.check(config)
 
     def test_random_suite(self):
         rng = random.Random(2718)
@@ -516,7 +526,8 @@ class TestCertifyAntipodal:
         with pytest.raises(ToleranceError, match="not negations") as exc:
             certify_antipodal(X, 1)
         assert exc.value.reason == "hypothesis approximately violated"
-        assert certify_antipodal(X, 1, tol=2e-9).check(X, tol=2e-9)
+        X = SphericalConfig(X.points, tolerance=2e-9)
+        assert certify_antipodal(X, 1).check(X)
 
     def test_float_row_gap_is_pairing_ambiguous(self):
         # -y turned by 2.5e-9 rad: every moment stays within tol, and in
