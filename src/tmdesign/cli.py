@@ -69,7 +69,7 @@ def _load(path: str) -> dict:
 
 
 def _document(args) -> dict:
-    """The input document, with --mode applied.
+    """The input document, with --mode and --tol applied.
 
     A tolerance comes from --tol or from the document, never from both;
     approximate mode needs one.
@@ -82,22 +82,30 @@ def _document(args) -> dict:
             raise DomainError("approximate mode requires an explicit --tol")
         if args.mode:
             doc = dict(doc, mode=args.mode)
+        if args.tol is not None:
+            doc = dict(doc, tolerance=parse_nonnegative(args.tol, "--tol"))
     return doc
 
 
-# construct kind: (the option it reads, build, self-check, index offset); the
-# self-check runs at the option's value plus the offset
+# The options each construct and identities kind reads, the required one first
+_READS = {
+    "perturbed": ("m", "epsilon", "precision"), "spherical-polygon": ("m",),
+    "binomial": ("n",), "polygon-weighted": ("n",), "binom-sum": ("n",),
+    "newton": ("roots", "k"),
+}
+
+
+# construct kind: (build, self-check, index offset); the self-check runs at
+# the value of the kind's option plus the offset
 _BUILDS = {
-    "binomial": ("n", binomial_weighted_design, verify_weighted_design, -1),
-    "polygon-weighted": ("n", polygon_weighted_design, verify_weighted_design, -1),
-    "spherical-polygon": ("m", polygon_on_circle, verify_spherical_Tm, 0),
+    "binomial": (binomial_weighted_design, verify_weighted_design, -1),
+    "polygon-weighted": (polygon_weighted_design, verify_weighted_design, -1),
+    "spherical-polygon": (polygon_on_circle, verify_spherical_Tm, 0),
 }
 
 
 def cmd_construct(args) -> int:
     if args.kind == "perturbed":
-        if args.m is None:
-            raise DomainError("construct perturbed requires --m")
         eps = parse_scalar(args.epsilon, exact_only=True) if args.epsilon else None
         precision = (
             parse_scalar(args.precision, exact_only=True)
@@ -109,10 +117,8 @@ def cmd_construct(args) -> int:
         doc = result.to_json()
         ok = report.verdict and all(r == 0 for r in result.certificate)
     else:
-        option, build, check, offset = _BUILDS[args.kind]
-        value = getattr(args, option)
-        if value is None:
-            raise DomainError(f"construct {args.kind} requires --{option}")
+        build, check, offset = _BUILDS[args.kind]
+        value = getattr(args, _READS[args.kind][0])
         design = build(value)
         report = check(design, value + offset)
         doc = design.to_json()
@@ -140,9 +146,7 @@ def _check(args):
     if args.m is None:
         raise DomainError(f"{args.command} requires --m")
     cls, check = _CHECKS[args.kind]
-    doc = _document(args)
-    tol = {} if args.tol is None else {"tolerance": parse_nonnegative(args.tol, "--tol")}
-    return check(cls.from_json(doc, **tol), args.m)
+    return check(cls.from_json(_document(args)), args.m)
 
 
 def cmd_verify(args) -> int:
@@ -168,7 +172,7 @@ def cmd_certify(args) -> int:
 
 def cmd_identities(args) -> int:
     if args.kind == "binom-sum":
-        if args.n is None or args.n < 1:
+        if args.n < 1:
             raise DomainError("identities binom-sum requires --n >= 1")
         doc = {
             f"s={s}": format_scalar(binom_alternating_sum(args.n, s))
@@ -177,8 +181,6 @@ def cmd_identities(args) -> int:
         _emit(doc, args.out)
         return 0
     # newton, the one kind left
-    if not args.roots:
-        raise DomainError("identities newton requires --roots")
     roots = [parse_scalar(r, exact_only=True) for r in args.roots.split(",")]
     n = len(roots)
     K = args.k if args.k is not None else n
@@ -235,6 +237,19 @@ _OPTIONS = {
 }
 
 
+def _check_kind(args) -> None:
+    """Refuse, as argparse would, an option the kind does not read; require its own."""
+    reads = _READS.get(getattr(args, "kind", None))
+    if reads is None:
+        return
+    given = [o[2:] for o in _OPTIONS if getattr(args, o[2:], None) is not None]
+    unread = [f"--{o} {getattr(args, o)}" for o in given if o not in (*reads, "out")]
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    if getattr(args, reads[0]) is None:
+        raise DomainError(f"{args.command} {args.kind} requires --{reads[0]}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # No abbreviations: an option is read under its full name only, so an
     # option a command does not read (--m on search) never stands for one it
@@ -254,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="JSON input document")
         for option in (*options, "--out"):
             p.add_argument(option, **_OPTIONS[option])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
 
     command(
         "construct", cmd_construct, "build a design and self-verify it",
@@ -288,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_kind(args)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

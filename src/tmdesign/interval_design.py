@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -39,7 +40,7 @@ from .scalars import (
     read_document,
     resolve_mode,
 )
-from .symfun import extend_odd_power_sums, power_scale, power_sums
+from .symfun import extend_odd_power_sums, power_scale
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,9 @@ class Configuration(Arithmetic):
         }
 
     @staticmethod
-    def from_json(doc: dict, tolerance: float = DEFAULT_TOL) -> "Configuration":
-        mode, tolerance, parse = read_document(doc, ("points",), tolerance)
-        pts = tuple(parse(x) for x in doc["points"])
-        return Configuration(pts, tolerance=tolerance, mode=mode)
+    def from_json(doc: dict) -> "Configuration":
+        settings, parse = read_document(doc, ("points",))
+        return Configuration(tuple(parse(x) for x in doc["points"]), **settings)
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,12 @@ class WeightedConfiguration(Arithmetic):
         }
 
     @staticmethod
-    def from_json(doc: dict, tolerance: float = DEFAULT_TOL) -> "WeightedConfiguration":
-        mode, tolerance, parse = read_document(doc, ("support", "weights"), tolerance)
+    def from_json(doc: dict) -> "WeightedConfiguration":
+        settings, parse = read_document(doc, ("support", "weights"))
         return WeightedConfiguration(
             tuple(parse(x) for x in doc["support"]),
             tuple(parse(w) for w in doc["weights"]),
-            tolerance=tolerance,
-            mode=mode,
+            **settings,
         )
 
 
@@ -156,11 +155,8 @@ class SymmetryCertificate:
         return seen == list(range(n))
 
     def check_multiset(self, points: Sequence[Scalar], tol: float | None = None) -> bool:
-        if not self.covers(len(points)):
-            return False
-        return all(near(points[i], -points[j], tol) for i, j in self.pairs) and all(
-            near(points[i], 0, tol) for i in self.fixed
-        )
+        """``check_weighted`` at unit weights."""
+        return self.check_weighted(points, (1,) * len(points), tol)
 
     def check_weighted(
         self,
@@ -188,6 +184,7 @@ class DesignReport:
     residuals: tuple[Scalar, ...]
     verdict: bool
     tolerance: float | None = None  # None: exact-arithmetic zero tests
+    failing_index: int | None = None  # first failing index, None iff verdict
 
     def to_json(self) -> dict:
         return {
@@ -202,33 +199,50 @@ def _sorted_pairs(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
 
 
-def _moment_scale(xs: Sequence[Scalar], ws: Sequence[Scalar], k: int) -> float:
-    """Scale 1 + sum |x|^k |w| of a weighted power-sum residual."""
-    return 1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(xs, ws))
-
-
 def verify_interval_design(config: Configuration, m: int) -> DesignReport:
     """Residuals p_1, p_3, ..., p_{2m-1} of the points, and whether all vanish.
 
-    Exact mode tests p_k == 0; approximate mode tests |p_k| <= tol * scale
-    with scale 1 + sum |x|^k.
+    A multiset is the weighted design with unit weights, so this is
+    ``verify_weighted_design`` with every weight 1.
+    """
+    if m > 0 and len(config) == 0:
+        raise DomainError("empty configuration")
+    return _odd_moments(config.points, (1,) * len(config), m, config.near_tol)
+
+
+def _odd_moments(
+    xs: Sequence[Scalar], ws: Sequence[Scalar], m: int, tol: float | None
+) -> DesignReport:
+    """Residuals sum_i w_i x_i^k for k = 1, 3, ..., 2m-1, and the first k
+    whose residual is not zero at scale ``power_scale(xs, k, ws)``.
+
+    Exact values run on integers: with a_i = L x_i and b_i = W w_i cleared
+    separately, the k-th residual is sum a_i^k b_i / (L^k W).
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    if m == 0:
-        return DesignReport((), (), True, config.near_tol)
-    if len(config) == 0:
-        raise DomainError("empty configuration")
-    pts, tol = config.points, config.near_tol
-    p = power_sums(pts, 2 * m - 1)
+    exact = all_exact(xs) and all_exact(ws)
+    if exact:
+        L, a = clear_denominators(xs)
+        W, b = clear_denominators(ws)
+    else:
+        a, b = xs, ws
     index_set = tuple(range(1, 2 * m, 2))
-    residuals = tuple(p.p(k) for k in index_set)
+    residuals = []
+    powers = list(a)
+    for k in range(1, 2 * m):
+        if k > 1:
+            powers = list(map(mul, powers, a))
+        if k % 2 == 1:
+            r = sum(map(mul, powers, b))
+            residuals.append(Fraction(r, L**k * W) if exact else r)
     # near ignores the scale in exact mode.
-    ok = all(
-        near(r, 0, tol, 1.0 if tol is None else power_scale(pts, k))
+    tests = (
+        near(r, 0, tol, 1.0 if tol is None else power_scale(xs, k, ws))
         for k, r in zip(index_set, residuals)
     )
-    return DesignReport(index_set, residuals, ok, tol)
+    failing = next((k for k, ok in zip(index_set, tests) if not ok), None)
+    return DesignReport(index_set, tuple(residuals), failing is None, tol, failing)
 
 
 def pair_negations(values: Sequence[Scalar], tol: float | None) -> SymmetryCertificate:
@@ -306,38 +320,10 @@ def verify_weighted_design(wconfig: WeightedConfiguration, m: int) -> DesignRepo
     """Residuals sum_x x^(2k-1) f(x) for k = 1..m, and whether all vanish.
 
     The 1/n averaging of the general definition is omitted: the uniform odd
-    moments are zero, so it cannot affect the verdict.
-
-    Exact values run on integers: with a_i = L x_i and b_i = W w_i cleared
-    separately, the k-th residual is sum a_i^k b_i / (L^k W).
+    moments are zero, so it cannot affect the verdict.  Approximate mode
+    tests at scale 1 + sum |w| |x|^k; unit weights give the multiset check.
     """
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    tol = wconfig.near_tol
-    if m == 0:
-        return DesignReport((), (), True, tol)
-    xs, ws = wconfig.support, wconfig.weights
-    exact = all_exact(xs) and all_exact(ws)
-    if exact:
-        L, a = clear_denominators(xs)
-        W, b = clear_denominators(ws)
-    else:
-        a, b = xs, ws
-    index_set = tuple(range(1, 2 * m, 2))
-    residuals = []
-    powers = list(a)
-    for k in range(1, 2 * m):
-        if k > 1:
-            powers = [pw * x for pw, x in zip(powers, a)]
-        if k % 2 == 1:
-            r = sum(pw * w for pw, w in zip(powers, b))
-            residuals.append(Fraction(r, L**k * W) if exact else r)
-    # near ignores the scale in exact mode.
-    ok = all(
-        near(r, 0, tol, 1.0 if tol is None else _moment_scale(xs, ws, k))
-        for k, r in zip(index_set, residuals)
-    )
-    return DesignReport(index_set, tuple(residuals), ok, tol)
+    return _odd_moments(wconfig.support, wconfig.weights, m, wconfig.near_tol)
 
 
 def certify_weighted_symmetry(
@@ -361,13 +347,8 @@ def certify_weighted_symmetry(
         raise PreconditionError(
             f"requires at most m nonzero support points; got {active} > m={m}"
         )
-    report = verify_weighted_design(wconfig, m)
-    if not report.verdict:
-        k = next(
-            k
-            for k, r in zip(report.index_set, report.residuals)
-            if not near(r, 0, tol, 1.0 if tol is None else _moment_scale(xs, ws, k))
-        )
+    k = verify_weighted_design(wconfig, m).failing_index
+    if k is not None:
         raise HypothesisError(
             f"weighted design residual at index {k} is nonzero", failing_index=k
         )

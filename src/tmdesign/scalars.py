@@ -173,25 +173,25 @@ def parse_nonnegative(text: str, what: str) -> float:
 
 
 def read_document(
-    doc: object, fields: tuple[str, ...], tolerance: float
-) -> tuple[str, float, Callable[[object], Scalar]]:
-    """(mode, tolerance, entry parser) of a JSON configuration document.
+    doc: object, fields: tuple[str, ...]
+) -> tuple[dict, Callable[[object], Scalar]]:
+    """(settings, entry parser) of a JSON configuration document.
 
     The document must be an object holding a list under each name in
-    ``fields``.  Its optional "tolerance" overrides ``tolerance``; the entry
-    parser is ``parse_scalar``, exact-only when the document asks for exact
-    mode.
+    ``fields``.  The settings are its "mode" and any "tolerance", as keyword
+    arguments of the configuration class (whose default tolerance applies
+    otherwise); the entry parser is ``parse_scalar``, exact-only in exact mode.
     """
     if not isinstance(doc, dict):
         raise DomainError("input document must be a JSON object")
     for name in fields:
         if not isinstance(doc.get(name), list):
             raise DomainError(f"input document needs a list {name!r}")
-    mode = doc.get("mode", "auto")
+    settings = {"mode": doc.get("mode", "auto")}
     if "tolerance" in doc:
-        tolerance = parse_nonnegative(str(doc["tolerance"]), "tolerance")
-    exact_only = mode == "exact"
-    return mode, tolerance, lambda x: parse_scalar(str(x), exact_only=exact_only)
+        settings["tolerance"] = parse_nonnegative(str(doc["tolerance"]), "tolerance")
+    exact_only = settings["mode"] == "exact"
+    return settings, lambda x: parse_scalar(str(x), exact_only=exact_only)
 
 
 def format_scalar(x: Scalar) -> str:

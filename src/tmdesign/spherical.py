@@ -127,12 +127,12 @@ class SphericalConfig(Arithmetic):
         }
 
     @staticmethod
-    def from_json(doc: dict, tolerance: float = DEFAULT_SPHERE_TOL) -> "SphericalConfig":
-        mode, tolerance, parse = read_document(doc, ("points",), tolerance)
+    def from_json(doc: dict) -> "SphericalConfig":
+        settings, parse = read_document(doc, ("points",))
         if not all(isinstance(p, list) for p in doc["points"]):
             raise DomainError("each point must be a list of coordinates")
         pts = tuple(tuple(parse(c) for c in p) for p in doc["points"])
-        return SphericalConfig(pts, tolerance=tolerance, mode=mode)
+        return SphericalConfig(pts, **settings)
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -393,6 +393,7 @@ class SphericalDesignReport:
     tolerance: float | None
     conventions: tuple[tuple[str, str], ...]
     diagnostics: tuple[str, ...] = ()
+    failing_index: int | None = None  # first t either route fails, None iff verdict
 
     def to_json(self) -> dict:
         return {
@@ -453,9 +454,10 @@ def verify_spherical_Tm(X: SphericalConfig, m: int) -> SphericalDesignReport:
             f"{'pass' if geg_verdict else 'fail'}, moments "
             f"{'pass' if mom_verdict else 'fail'}"
         )
+    failing = next((c.t for c in checks if not (c.gegenbauer_ok and c.moment_ok)), None)
     return SphericalDesignReport(
-        tuple(ts), tuple(checks), geg_verdict and mom_verdict, geg_verdict,
-        mom_verdict, tol, _CONVENTIONS, tuple(diagnostics),
+        tuple(ts), tuple(checks), failing is None, geg_verdict, mom_verdict, tol,
+        _CONVENTIONS, tuple(diagnostics), failing,
     )
 
 
@@ -478,8 +480,8 @@ def verify_spherical_t_design_full(X: SphericalConfig, t: int) -> DesignReport:
     residuals = tuple(
         Fraction(s, n * n) if X.is_exact else s / (n * n) for s in _pair_sums(X, ks)
     )
-    verdict = all(near(r, 0, tol) for r in residuals)
-    return DesignReport(tuple(ks), residuals, verdict, tol)
+    failing = next((k for k, r in zip(ks, residuals) if not near(r, 0, tol)), None)
+    return DesignReport(tuple(ks), residuals, failing is None, tol, failing)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +558,8 @@ def certify_antipodal(X: SphericalConfig, m: int) -> AntipodalCertificate:
     tol, n = X.near_tol, len(X)
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    report = verify_spherical_Tm(X, m)
-    if not report.verdict:
-        bad = next(
-            c.t for c in report.checks if not (c.gegenbauer_ok and c.moment_ok)
-        )
+    bad = verify_spherical_Tm(X, m).failing_index
+    if bad is not None:
         raise HypothesisError(
             f"configuration fails the design condition at index {bad}",
             failing_index=bad,

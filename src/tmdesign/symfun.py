@@ -181,9 +181,11 @@ def newton_p_from_e(e: ElemSymVector, n: int, K: int) -> PowerSumVector:
     return PowerSumVector(tuple(p[1:]), e.exact)
 
 
-def power_scale(values: Sequence[Scalar], k: int) -> float:
-    """Scale 1 + sum |x_i|^k used by approximate zero tests."""
-    return 1.0 + float(sum(abs(float(v)) ** k for v in values))
+def power_scale(values: Sequence[Scalar], k: int, weights=None) -> float:
+    """Scale 1 + sum |w_i| |x_i|^k of approximate zero tests; w_i = 1 unless given."""
+    if weights is None:
+        return 1.0 + sum(abs(float(x)) ** k for x in values)
+    return 1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(values, weights))
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,15 @@ def test_each_command_registers_the_options_it_reads():
 UNREAD = [
     ["construct", "perturbed", "--m", "1", "--tol", "5"],
     ["construct", "binomial", "--n", "3", "--mode", "exact"],
+    # options that only another kind of the same command reads
+    ["construct", "binomial", "--n", "3", "--epsilon", "1/2"],
+    ["construct", "binomial", "--n", "3", "--precision", "1/8"],
+    ["construct", "polygon-weighted", "--n", "3", "--m", "2"],
+    ["construct", "perturbed", "--m", "1", "--n", "3"],
+    ["construct", "spherical-polygon", "--m", "2", "--n", "3"],
+    ["identities", "binom-sum", "--n", "3", "--roots", "1"],
+    ["identities", "binom-sum", "--n", "3", "--k", "2"],
+    ["identities", "newton", "--roots", "1,2", "--n", "3"],
     ["verify", "interval", "DOC", "--m", "1", "--n", "7"],
     ["certify", "symmetry", "DOC", "--m", "1", "--n", "7"],
     ["identities", "binom-sum", "--n", "3", "--m", "2"],

@@ -17,6 +17,8 @@ from tmdesign import (
     verify_interval_design,
     verify_weighted_design,
 )
+from tmdesign.scalars import near
+from tmdesign.symfun import power_scale
 
 
 def random_symmetric_points(rng, m):
@@ -81,6 +83,108 @@ class TestVerifyIntervalDesign:
     def test_empty_configuration_rejected(self):
         with pytest.raises(DomainError):
             verify_interval_design(Configuration(()), 1)
+
+
+def distinct_point_sets():
+    """(points, mode) for distinct points as exact rationals, as floats and as
+    rationals forced into approximate mode.  The sets are symmetric (T_m for
+    every m), balanced (p_1 = 0, up to rounding for floats, but not
+    symmetric) or random, so their first failing index varies."""
+    rng = random.Random(1717)
+    for kind, mode in (("exact", "exact"), ("float", "auto"), ("rational", "approximate")):
+        for shape in ("symmetric", "balanced", "random"):
+            for _ in range(8):
+                while True:
+                    n = rng.randint(2, 7)
+                    pts = [F(rng.randint(-40, 40), 41) for _ in range(n)]
+                    if shape == "symmetric":
+                        half = pts[: n // 2]
+                        pts = half + [-x for x in half] + [F(0)] * (n % 2)
+                    elif shape == "balanced":
+                        pts[-1] = -sum(pts[:-1])
+                    if len(set(pts)) == n and all(abs(x) <= 1 for x in pts):
+                        break
+                rng.shuffle(pts)
+                if kind == "float":
+                    pts = [float(x) for x in pts]
+                yield tuple(pts), mode
+
+
+def first_failing(report, points, weights):
+    """The first index of a report whose residual fails its zero test."""
+    return next(
+        (
+            k
+            for k, r in zip(report.index_set, report.residuals)
+            if not near(r, 0, report.tolerance, power_scale(points, k, weights))
+        ),
+        None,
+    )
+
+
+class TestUnitWeights:
+    """A multiset is the weighted design with unit weights."""
+
+    def test_interval_report_is_the_unit_weight_report(self):
+        seen = set()
+        for pts, mode in distinct_point_sets():
+            config = Configuration(pts, tolerance=1e-9, mode=mode)
+            ones = (1,) * len(pts)
+            w = WeightedConfiguration(pts, ones, tolerance=1e-9, mode=mode)
+            for m in range(5):
+                multiset, weighted = verify_interval_design(config, m), verify_weighted_design(w, m)
+                assert multiset.to_json() == weighted.to_json()
+                assert multiset.failing_index == weighted.failing_index
+                seen.add(multiset.failing_index)
+        assert {None, 1, 3} <= seen
+
+    def test_check_multiset_is_check_weighted_at_unit_weights(self):
+        verdicts = set()
+        for pts, mode in distinct_point_sets():
+            config = Configuration(pts, tolerance=1e-9, mode=mode)
+            ok, cert = is_symmetric(config)
+            if not ok:
+                continue
+            pairs, fixed = cert.pairs, cert.fixed
+            certs = [(cert, True)]
+            if pairs:  # one pair left out, or its nonzero points called fixed
+                certs.append((SymmetryCertificate(pairs[1:], fixed), False))
+                fixed_too = tuple(sorted(fixed + pairs[0]))
+                certs.append((SymmetryCertificate(pairs[1:], fixed_too), False))
+            if len(pairs) > 1:  # two pairs crossed
+                (i, j), (k, l) = pairs[:2]
+                crossed = ((i, k), (j, l)) + pairs[2:]
+                certs.append((SymmetryCertificate(crossed, fixed), False))
+            for c, valid in certs:
+                got = c.check_multiset(pts, config.near_tol)
+                assert got == c.check_weighted(pts, (1,) * len(pts), config.near_tol)
+                assert got == valid
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+class TestFailingIndex:
+    """Each interval report names its first failing index, None exactly when
+    the verdict holds, and keeps it out of the JSON."""
+
+    def test_interval_and_weighted_reports(self):
+        rng = random.Random(1718)
+        keys = {"index_set", "residuals", "verdict", "tolerance"}
+        seen = set()
+        for pts, mode in distinct_point_sets():
+            config = Configuration(pts, tolerance=1e-9, mode=mode)
+            ws = tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in pts)
+            w = WeightedConfiguration(pts, ws, tolerance=1e-9, mode=mode)
+            for m in range(5):
+                for report, weights in (
+                    (verify_interval_design(config, m), None),
+                    (verify_weighted_design(w, m), ws),
+                ):
+                    assert report.failing_index == first_failing(report, pts, weights)
+                    assert report.verdict == (report.failing_index is None)
+                    assert set(report.to_json()) == keys
+                    seen.add(report.failing_index)
+        assert {None, 1, 3} <= seen
 
 
 class TestCertifySymmetry:

@@ -31,6 +31,7 @@ from tmdesign import (
     verify_spherical_t_design_full,
 )
 from tmdesign import spherical
+from tmdesign.scalars import near
 from tmdesign.spherical import _GramTable, _project_margin, antipodal_defect
 
 CROSS = SphericalConfig(
@@ -472,6 +473,43 @@ class TestFullDesignCheck:
         else:
             assert all(abs(r) <= 1e-15 for r in report.residuals[:2])
             assert abs(report.residuals[2] - 576 / 3125) < 1e-12
+
+
+class TestFailingIndex:
+    """Each spherical report names its first failing index, None exactly
+    when the verdict holds, and keeps it out of the JSON."""
+
+    def test_both_spherical_reports(self):
+        configs = list(pinned_configs()) + [X for X, _ in benchmark_sized_configs()]
+        tm_keys = {
+            "index_set", "checks", "verdict", "gegenbauer_verdict",
+            "moment_verdict", "tolerance", "conventions", "diagnostics",
+        }
+        seen = set()
+        for X in configs:
+            for m in range(4):
+                report = verify_spherical_Tm(X, m)
+                failing = [
+                    c.t for c in report.checks if not (c.gegenbauer_ok and c.moment_ok)
+                ]
+                assert report.failing_index == (failing[0] if failing else None)
+                assert report.verdict == (report.failing_index is None)
+                assert set(report.to_json()) == tm_keys
+                seen.add(report.failing_index)
+            for t in range(1, 6):
+                report = verify_spherical_t_design_full(X, t)
+                failing = [
+                    k
+                    for k, r in zip(report.index_set, report.residuals)
+                    if not near(r, 0, X.near_tol)
+                ]
+                assert report.failing_index == (failing[0] if failing else None)
+                assert report.verdict == (report.failing_index is None)
+                assert set(report.to_json()) == {
+                    "index_set", "residuals", "verdict", "tolerance",
+                }
+                seen.add(report.failing_index)
+        assert {None, 1, 2, 5} <= seen
 
 
 class TestProjectToLine:

@@ -27,7 +27,6 @@ from tmdesign import (
     verify_interval_design,
     verify_weighted_design,
 )
-from tmdesign.interval_design import _moment_scale
 from tmdesign.scalars import all_exact, clear_denominators, is_exact, near
 from tmdesign.symfun import power_scale
 
@@ -260,11 +259,15 @@ def ref_verify_interval_design(config, m):
     p = ref_power_sums(pts, 2 * m - 1)
     index_set = tuple(range(1, 2 * m, 2))
     residuals = tuple(p[k - 1] for k in index_set)
-    ok = all(
-        near(r, 0, config.near_tol, power_scale(pts, k))
-        for k, r in zip(index_set, residuals)
+    failing = next(
+        (
+            k
+            for k, r in zip(index_set, residuals)
+            if not near(r, 0, config.near_tol, power_scale(pts, k))
+        ),
+        None,
     )
-    return DesignReport(index_set, residuals, ok, config.near_tol)
+    return DesignReport(index_set, residuals, failing is None, config.near_tol, failing)
 
 
 def ref_verify_weighted_design(wconfig, m):
@@ -278,9 +281,18 @@ def ref_verify_weighted_design(wconfig, m):
             powers = [pw * x for pw, x in zip(powers, xs)]
         if k % 2 == 1:
             residuals.append(sum(pw * w for pw, w in zip(powers, ws)))
-            scales.append(_moment_scale(xs, ws, k))
-    ok = all(near(r, 0, wconfig.near_tol, s) for r, s in zip(residuals, scales))
-    return DesignReport(index_set, tuple(residuals), ok, wconfig.near_tol)
+            scales.append(power_scale(xs, k, ws))
+    failing = next(
+        (
+            k
+            for k, r, s in zip(index_set, residuals, scales)
+            if not near(r, 0, wconfig.near_tol, s)
+        ),
+        None,
+    )
+    return DesignReport(
+        index_set, tuple(residuals), failing is None, wconfig.near_tol, failing
+    )
 
 
 def same_values(a, b):
@@ -455,14 +467,14 @@ class TestIntervalKernelPinned:
         pts = (F(1, 3), F(-1, 3), F(1, 7))
         config = Configuration(pts, tolerance=1e-9, mode="approximate")
         verify_interval_design(config, 2)
-        assert len(calls) == 1
+        assert len(calls) == 2  # the points and their unit weights
         extend_odd_power_sums(pts[:2], 1, 3, tol=1e-9)
-        assert len(calls) == 2
+        assert len(calls) == 3
         w = WeightedConfiguration(
             pts, (1, F(1, 2), 3), tolerance=1e-9, mode="approximate"
         )
         verify_weighted_design(w, 2)
-        assert len(calls) == 4  # support and weights apart
+        assert len(calls) == 5  # support and weights apart
         verify_interval_design(Configuration((0.5, -0.5, F(1, 3))), 1)
         power_sums((F(1, 2), 1, 0.25), 3)
-        assert len(calls) == 4
+        assert len(calls) == 5
