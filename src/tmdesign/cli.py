@@ -17,13 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .constructions import (
-    binom_alternating_sum,
-    binomial_weighted_design,
-    chebyshev_gauss_check,
-    perturbed_interval_design,
-    polygon_weighted_design,
-)
+from . import constructions, interval_design, spherical, symfun
 from .errors import (
     DesignError,
     DomainError,
@@ -31,23 +25,7 @@ from .errors import (
     PreconditionError,
     ToleranceError,
 )
-from .interval_design import (
-    Configuration,
-    WeightedConfiguration,
-    certify_symmetry,
-    certify_weighted_symmetry,
-    verify_interval_design,
-    verify_weighted_design,
-)
 from .scalars import format_scalar, parse_nonnegative, parse_scalar
-from .spherical import (
-    SphericalConfig,
-    certify_antipodal,
-    polygon_on_circle,
-    six_point_search,
-    verify_spherical_Tm,
-)
-from .symfun import elementary_symmetric, newton_e_from_p, newton_p_from_e, power_sums
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -95,12 +73,22 @@ _READS = {
 }
 
 
+def _resolve(*paths: str) -> list:
+    """The objects named "module.name" in this package, looked up when called,
+    so a module runs on its first use and a replaced function is the one run."""
+    return [getattr(globals()[module], name) for module, name in (p.split(".") for p in paths)]
+
+
 # construct kind: (build, self-check, index offset); the self-check runs at
 # the value of the kind's option plus the offset
 _BUILDS = {
-    "binomial": (binomial_weighted_design, verify_weighted_design, -1),
-    "polygon-weighted": (polygon_weighted_design, verify_weighted_design, -1),
-    "spherical-polygon": (polygon_on_circle, verify_spherical_Tm, 0),
+    "binomial": (
+        "constructions.binomial_weighted_design", "interval_design.verify_weighted_design", -1
+    ),
+    "polygon-weighted": (
+        "constructions.polygon_weighted_design", "interval_design.verify_weighted_design", -1
+    ),
+    "spherical-polygon": ("spherical.polygon_on_circle", "spherical.verify_spherical_Tm", 0),
 }
 
 
@@ -112,12 +100,13 @@ def cmd_construct(args) -> int:
             if args.precision
             else Fraction(1, 10**12)
         )
-        result = perturbed_interval_design(args.m, eps, precision)
-        report = verify_interval_design(result.points, args.m)
+        result = constructions.perturbed_interval_design(args.m, eps, precision)
+        report = interval_design.verify_interval_design(result.points, args.m)
         doc = result.to_json()
         ok = report.verdict and all(r == 0 for r in result.certificate)
     else:
-        build, check, offset = _BUILDS[args.kind]
+        *functions, offset = _BUILDS[args.kind]
+        build, check = _resolve(*functions)
         value = getattr(args, _READS[args.kind][0])
         design = build(value)
         report = check(design, value + offset)
@@ -131,12 +120,16 @@ def cmd_construct(args) -> int:
 
 # verify and certify kind: (configuration class, check)
 _CHECKS = {
-    "interval": (Configuration, verify_interval_design),
-    "weighted": (WeightedConfiguration, verify_weighted_design),
-    "spherical": (SphericalConfig, verify_spherical_Tm),
-    "symmetry": (Configuration, certify_symmetry),
-    "weighted-symmetry": (WeightedConfiguration, certify_weighted_symmetry),
-    "antipodal": (SphericalConfig, certify_antipodal),
+    "interval": ("interval_design.Configuration", "interval_design.verify_interval_design"),
+    "weighted": (
+        "interval_design.WeightedConfiguration", "interval_design.verify_weighted_design"
+    ),
+    "spherical": ("spherical.SphericalConfig", "spherical.verify_spherical_Tm"),
+    "symmetry": ("interval_design.Configuration", "interval_design.certify_symmetry"),
+    "weighted-symmetry": (
+        "interval_design.WeightedConfiguration", "interval_design.certify_weighted_symmetry"
+    ),
+    "antipodal": ("spherical.SphericalConfig", "spherical.certify_antipodal"),
 }
 
 
@@ -145,7 +138,7 @@ def _check(args):
     --tol, the configuration class's own default tolerance applies."""
     if args.m is None:
         raise DomainError(f"{args.command} requires --m")
-    cls, check = _CHECKS[args.kind]
+    cls, check = _resolve(*_CHECKS[args.kind])
     return check(cls.from_json(_document(args)), args.m)
 
 
@@ -175,7 +168,7 @@ def cmd_identities(args) -> int:
         if args.n < 1:
             raise DomainError("identities binom-sum requires --n >= 1")
         doc = {
-            f"s={s}": format_scalar(binom_alternating_sum(args.n, s))
+            f"s={s}": format_scalar(constructions.binom_alternating_sum(args.n, s))
             for s in range(args.n)
         }
         _emit(doc, args.out)
@@ -184,10 +177,10 @@ def cmd_identities(args) -> int:
     roots = [parse_scalar(r, exact_only=True) for r in args.roots.split(",")]
     n = len(roots)
     K = args.k if args.k is not None else n
-    p = power_sums(roots, max(K, 1))
-    e = elementary_symmetric(roots, max(K, 1))
-    e_round = newton_e_from_p(p, min(K, n))
-    p_round = newton_p_from_e(e, n, K)
+    p = symfun.power_sums(roots, max(K, 1))
+    e = symfun.elementary_symmetric(roots, max(K, 1))
+    e_round = symfun.newton_e_from_p(p, min(K, n))
+    p_round = symfun.newton_p_from_e(e, n, K)
     consistent = all(
         e.e(j) == e_round.e(j) for j in range(min(K, n) + 1)
     ) and all(p.p(k) == p_round.p(k) for k in range(1, K + 1))
@@ -206,7 +199,7 @@ def cmd_identities(args) -> int:
 def cmd_search(args) -> int:
     tol = {} if args.tol is None else {"tolerance": parse_nonnegative(args.tol, "--tol")}
     margin = parse_nonnegative(args.margin, "--margin")
-    report = six_point_search(args.trials, args.seed, margin, **tol)
+    report = spherical.six_point_search(args.trials, args.seed, margin, **tol)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -215,7 +208,7 @@ def cmd_quadrature(args) -> int:
     if args.n is None:
         raise DomainError("quadrature requires --n")
     s_max = args.k if args.k is not None else 2 * args.n - 1
-    report = chebyshev_gauss_check(args.n, s_max)
+    report = constructions.chebyshev_gauss_check(args.n, s_max)
     _emit(report.to_json(), args.out)
     return 0 if report.verdict else 1
 

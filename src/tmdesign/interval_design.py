@@ -299,9 +299,9 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     """Symmetry certificate for a T_m multiset with at most 2m points.
 
     Follows the forcing argument: first the odd power sums are extended to
-    all orders (they vanish identically once the first m do), then
-    ``pair_negations`` removes points from the top of the |value| order,
-    each as a zero or together with its antipodal partner.
+    all orders (they vanish identically once the first m do; checked in
+    exact mode), then ``pair_negations`` removes points from the top of the
+    |value| order, each as a zero or together with its antipodal partner.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -311,8 +311,10 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
     # Verifies the design hypothesis (raising with the smallest failing odd
-    # index) and certifies that all higher odd power sums vanish with it.
-    extend_odd_power_sums(config.points, m, max(n, 1), tol=config.near_tol)
+    # index); in exact mode it also certifies that all higher odd power sums
+    # vanish with it, which approximate mode has no test for.
+    K = n if config.is_exact else m
+    extend_odd_power_sums(config.points, m, K, tol=config.near_tol)
     return pair_negations(config.points, config.near_tol)
 
 

@@ -279,7 +279,8 @@ def extend_odd_power_sums(
                 failing_index=idx,
             )
 
-    E = _elem_nums(nums, n)
+    # The e's are built only where they are tested (exact) or used (K > m).
+    E = _elem_nums(nums, n) if exact or K > m else []
     if exact:
         for j in range(1, n + 1, 2):
             if E[j] != 0:

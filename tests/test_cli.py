@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -362,6 +363,68 @@ def test_output_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_path.read_text()) == {"s=0": "-3", "s=1": "0"}
+
+
+class _Stub:
+    """A report or certificate that names the replaced function that made it."""
+
+    verdict = True
+
+    def __init__(self, name):
+        self.name = name
+
+    def to_json(self):
+        return {"stub": self.name}
+
+
+POINTS = {"points": ["1/2", "-1/2"]}
+WEIGHTED = {"support": ["1/3", "-1/3"], "weights": ["1", "1"]}
+SPHERE = {"dim": 2, "points": [["1", "0"], ["-1", "0"]]}
+# a document of each verify and certify kind
+DOCUMENTS = {
+    "interval": POINTS, "symmetry": POINTS, "weighted": WEIGHTED,
+    "weighted-symmetry": WEIGHTED, "spherical": SPHERE, "antipodal": SPHERE,
+}
+
+# argv (FILE stands for the kind's document), module, function that must run
+LOOKED_UP = [
+    (["certify", "symmetry", "FILE", "--m", "1"], "interval_design", "certify_symmetry"),
+    (["verify", "interval", "FILE", "--m", "1"], "interval_design", "verify_interval_design"),
+    (
+        ["certify", "weighted-symmetry", "FILE", "--m", "1"],
+        "interval_design",
+        "certify_weighted_symmetry",
+    ),
+    (["verify", "weighted", "FILE", "--m", "1"], "interval_design", "verify_weighted_design"),
+    (["certify", "antipodal", "FILE", "--m", "1"], "spherical", "certify_antipodal"),
+    (["verify", "spherical", "FILE", "--m", "1"], "spherical", "verify_spherical_Tm"),
+    (["construct", "binomial", "--n", "3"], "interval_design", "verify_weighted_design"),
+    (["construct", "spherical-polygon", "--m", "2"], "spherical", "verify_spherical_Tm"),
+    (["construct", "perturbed", "--m", "1"], "interval_design", "verify_interval_design"),
+    (["search", "six-point", "--trials", "1"], "spherical", "six_point_search"),
+    (["quadrature", "--n", "2"], "constructions", "chebyshev_gauss_check"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name", LOOKED_UP, ids=[" ".join(argv[:2]) for argv, *_ in LOOKED_UP]
+)
+def test_functions_are_looked_up_when_called(tmp_path, capsys, monkeypatch, argv, module, name):
+    # a function replaced in its module after import is the one the command
+    # runs, which a tracer that wraps module functions relies on
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(DOCUMENTS.get(argv[1])))
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        return _Stub(name)
+
+    monkeypatch.setattr(importlib.import_module(f"tmdesign.{module}"), name, stub)
+    code, doc, _ = run_json(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 0
+    assert len(calls) == 1
+    assert doc.get("verification", doc) == {"stub": name}
 
 
 # The option names each subcommand registers: exactly the ones its handler

@@ -7,13 +7,16 @@ from tmdesign import (
     Configuration,
     DomainError,
     HypothesisError,
+    InternalDefectError,
     PreconditionError,
     SymmetryCertificate,
     ToleranceError,
     WeightedConfiguration,
     certify_symmetry,
     certify_weighted_symmetry,
+    interval_design,
     is_symmetric,
+    symfun,
     verify_interval_design,
     verify_weighted_design,
 )
@@ -242,6 +245,52 @@ class TestCertifySymmetry:
         assert certify_symmetry(config, 1).pairs == ((0, 1),)
         with pytest.raises(HypothesisError, match="p_1"):
             certify_symmetry(Configuration(pts), 1)
+
+    @pytest.mark.parametrize("mode, K", [("exact", 4), ("approximate", 3)])
+    def test_extension_runs_where_it_is_checked(self, monkeypatch, mode, K):
+        # exact mode extends to K = n and certifies every forced odd sum;
+        # approximate mode has no test for them and stops at the hypothesis
+        seen = []
+
+        def spy(values, m, K, tol):
+            sums = extend(values, m, K, tol)
+            seen.append(sums)
+            return sums
+
+        extend = symfun.extend_odd_power_sums
+        monkeypatch.setattr(interval_design, "extend_odd_power_sums", spy)
+        pts = (F(1, 2), F(-1, 2), F(3, 4), F(-3, 4))
+        cert = certify_symmetry(Configuration(pts, mode=mode, tolerance=1e-9), 3)
+        assert seen == [(0,) * K]
+        assert cert.pairs == ((0, 1), (2, 3))
+
+    def test_exact_mode_keeps_the_defect_guards(self, monkeypatch):
+        # a nonzero odd e under vanishing odd power sums is a defect that
+        # only exact mode can see; approximate mode builds no e's at all
+        built = []
+
+        def broken(nums, K):
+            built.append(K)
+            return [1] + [1] * K
+
+        monkeypatch.setattr(symfun, "_elem_nums", broken)
+        pts = (F(1, 2), F(-1, 2))
+        with pytest.raises(InternalDefectError, match="e_1 nonzero"):
+            certify_symmetry(Configuration(pts), 1)
+        assert built == [2]
+        config = Configuration(pts, mode="approximate", tolerance=1e-9)
+        assert certify_symmetry(config, 1).pairs == ((0, 1),)
+        assert built == [2]
+
+    def test_float_failure_reads_the_same_at_every_K(self):
+        pts = (0.5, -0.5, 0.75, -0.7)
+        errors = []
+        for K in (2, 4):
+            with pytest.raises(HypothesisError) as exc:
+                symfun.extend_odd_power_sums(pts, 2, K, tol=1e-9)
+            errors.append((str(exc.value), exc.value.failing_index))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 1
 
     def test_soundness_on_random_symmetric_multisets(self):
         rng = random.Random(4242)
