@@ -1,7 +1,9 @@
 """Batch command line with JSON input/output.
 
 Subcommands: construct, verify, certify, identities, search, quadrature.  Each
-registers only the options its handler reads, so any other exits 2.  Exit
+registers only the options its handler reads, so any other exits 2.  A call
+builds the parser of its own command only; --help, an unknown command and an
+empty command line build all six, with the same output either way.  Exit
 codes: 0 = verified/certified, 1 = mathematically negative result (failed
 verdict, violated hypothesis or precondition), 2 = usage or parse error.  All
 numbers in emitted JSON are strings ("p/q" for exact values, shortest
@@ -243,7 +245,41 @@ def _check_kind(args) -> None:
         raise DomainError(f"{args.command} {args.kind} requires --{reads[0]}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command: (handler, summary, kinds, options besides --out, reads a document)
+_COMMANDS = {
+    "construct": (
+        cmd_construct, "build a design and self-verify it",
+        ["perturbed", *_BUILDS], ("--m", "--n", "--epsilon", "--precision"), False,
+    ),
+    "verify": (
+        cmd_verify, "verify a design from a JSON file",
+        ["interval", "weighted", "spherical"], ("--m", "--tol", "--mode"), True,
+    ),
+    "certify": (
+        cmd_certify, "produce a symmetry/antipodality certificate",
+        ["symmetry", "weighted-symmetry", "antipodal"], ("--m", "--tol", "--mode"), True,
+    ),
+    "identities": (
+        cmd_identities, "identity tables (Newton, binomial sums)",
+        ["newton", "binom-sum"], ("--n", "--roots", "--k"), False,
+    ),
+    "search": (
+        cmd_search, "seeded constrained residual search",
+        ["six-point"], ("--tol", "--trials", "--seed", "--margin"), False,
+    ),
+    "quadrature": (
+        cmd_quadrature, "equal-weight arcsine moment check", None, ("--n", "--k"), False,
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command, or with the command ``only`` alone.
+
+    A usage error that no command takes is reported with the top-level
+    usage, which names the registered commands; with one registered, that
+    list is spelled out, so the message is the full parser's.
+    """
     # No abbreviations: an option is read under its full name only, so an
     # option a command does not read (--m on search) never stands for one it
     # does (--margin).
@@ -252,9 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, verify and certify designs with odd harmonic indices.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, kinds, *options, document=False):
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, summary, kinds, options, document) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         if kinds:
             p.add_argument("kind", choices=kinds)
@@ -263,37 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in (*options, "--out"):
             p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(func=func, parser=p)
-
-    command(
-        "construct", cmd_construct, "build a design and self-verify it",
-        ["perturbed", *_BUILDS], "--m", "--n", "--epsilon", "--precision",
-    )
-    command(
-        "verify", cmd_verify, "verify a design from a JSON file",
-        ["interval", "weighted", "spherical"], "--m", "--tol", "--mode", document=True,
-    )
-    command(
-        "certify", cmd_certify, "produce a symmetry/antipodality certificate",
-        ["symmetry", "weighted-symmetry", "antipodal"], "--m", "--tol", "--mode",
-        document=True,
-    )
-    command(
-        "identities", cmd_identities, "identity tables (Newton, binomial sums)",
-        ["newton", "binom-sum"], "--n", "--roots", "--k",
-    )
-    command(
-        "search", cmd_search, "seeded constrained residual search",
-        ["six-point"], "--tol", "--trials", "--seed", "--margin",
-    )
-    command(
-        "quadrature", cmd_quadrature, "equal-weight arcsine moment check",
-        None, "--n", "--k",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the invoked command's parser is built; --help, a bad command and
+    # an empty argv need them all.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _check_kind(args)

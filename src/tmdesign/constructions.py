@@ -260,6 +260,28 @@ class PerturbedDesignResult:
         }
 
 
+def _refine_mirrored(
+    g: RationalPolynomial, intervals: Sequence[IsolatingInterval], precision: Fraction
+) -> list[Fraction]:
+    """``refine_root`` on each of the 2m ascending intervals of the even g,
+    run only on the right half where the left interval i is the mirror image
+    (-hi, -lo) of interval 2m-1-i; the root there is the negation.
+
+    No interval end is a root of g (g = eps at the roots of f, g < 0 at the
+    critical points, and split points are not roots), so both intervals of
+    a mirrored pair take the grid path of ``refine_root`` on mirrored grids,
+    and the cell midpoint or exact grid root it returns does not depend on
+    the search path.
+    """
+    half = len(intervals) // 2
+    right = [refine_root(g, iv, precision) for iv in intervals[half:]]
+    left = [
+        -r if (iv.lo, iv.hi) == (-mirror.hi, -mirror.lo) else refine_root(g, iv, precision)
+        for iv, mirror, r in zip(intervals[:half], reversed(intervals[half:]), reversed(right))
+    ]
+    return left + right
+
+
 def perturbed_interval_design(
     m: int,
     epsilon: Scalar | None = None,
@@ -320,7 +342,7 @@ def perturbed_interval_design(
         certificate.append(r)
 
     intervals = tuple(isolate_in_brackets(g, base.brackets(eps)))
-    approx_roots = [refine_root(g, iv, prec / 64) for iv in intervals]
+    approx_roots = _refine_mirrored(g, intervals, prec / 64)
     shift = Fraction(-1, s)
     points = tuple(r + shift for r in approx_roots) + (Fraction(1),)
     config = Configuration(

@@ -439,15 +439,84 @@ OPTIONS = {
 }
 
 
-def test_each_command_registers_the_options_it_reads():
-    parser = cli._build_parser()
+def _commands(parser):
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_command_registers_the_options_it_reads():
+    full = _commands(cli._build_parser())
     registered = {
         name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-        for name, p in sub.choices.items()
+        for name, p in full.items()
     }
     assert registered == OPTIONS
     assert sum(map(len, registered.values())) == 25
+    # the parser built for one command holds that command alone, the same
+    # as in the full parser
+    for name, p in full.items():
+        alone = _commands(cli._build_parser(name))
+        assert list(alone) == [name]
+        assert [a.option_strings for a in alone[name]._actions] == [
+            a.option_strings for a in p._actions
+        ]
+        assert alone[name].format_help() == p.format_help()
+        assert alone[name].format_usage() == p.format_usage()
+
+
+# A stray positional after a valid invocation of each command; "DOC" stands
+# for a valid document.
+STRAY = [
+    ["construct", "binomial", "--n", "3", "stray"],
+    ["verify", "interval", "DOC", "--m", "1", "stray"],
+    ["certify", "symmetry", "DOC", "--m", "1", "stray"],
+    ["identities", "binom-sum", "--n", "3", "stray"],
+    ["search", "six-point", "--trials", "1", "stray"],
+    ["quadrature", "--n", "4", "stray"],
+]
+
+
+@pytest.mark.parametrize("argv", STRAY, ids=" ".join)
+def test_stray_positional_reports_the_full_usage(tmp_path, capsys, argv):
+    # argparse reports it with the top-level usage, which names all six
+    # commands although main built the parser of one
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"points": ["1/2", "-1/2"]}))
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    errors = []
+    for parse in (main, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "{construct,verify,certify,identities,search,quadrature} ..." in errors[0]
+    assert errors[0].endswith("tmdesign: error: unrecognized arguments: stray\n")
+
+
+@pytest.mark.parametrize(
+    "argv, only", [(["identities", "binom-sum", "--n", "3"], "identities"), (["--help"], None)]
+)
+def test_main_reads_sys_argv(capsys, monkeypatch, argv, only):
+    # the console script and python -m tmdesign.cli call main() with no
+    # arguments; it builds the parser of the command named in sys.argv
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: built.append(name) or build(name))
+
+    def outcome(*args):
+        try:
+            code = main(*args)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    monkeypatch.setattr(sys, "argv", ["tmdesign", *argv])
+    assert outcome() == outcome(argv)
+    assert outcome()[0] == 0
+    assert built == [only] * 3
 
 
 # Invocations that add an option the command does not read; "DOC" stands for

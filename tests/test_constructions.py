@@ -234,6 +234,33 @@ class TestIsolationFromBrackets:
         assert list(result.intervals) == isolate_real_roots(g)
         assert result.certificate == (0,) * m
 
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_mirrored_roots_equal_direct_refinement(self, m, monkeypatch):
+        # g is even and its intervals come in mirror pairs, so only the m
+        # right of 0 are refined; the negations are what refine_root gives
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return polyroot.refine_root(*args)
+
+        monkeypatch.setattr(constructions, "refine_root", counted)
+        result = perturbed_interval_design(m)
+        assert sum(args[0] == result.g for args in calls) == m  # the rest refine f's
+        prec = result.precision / 64
+        roots = [x + F(1, 2 * m) for x in result.points.points[:m]]
+        assert roots == [polyroot.refine_root(result.g, iv, prec) for iv in result.intervals[:m]]
+
+    def test_unmirrored_interval_is_refined_directly(self):
+        result = perturbed_interval_design(3)
+        prec = result.precision / 64
+        intervals = list(result.intervals)
+        r = polyroot.refine_root(result.g, intervals[0], prec)
+        intervals[0] = polyroot.IsolatingInterval(r - 2 * prec, r + 3 * prec)
+        roots = constructions._refine_mirrored(result.g, intervals, prec)
+        assert roots[0] == polyroot.refine_root(result.g, intervals[0], prec) != r
+        assert roots[1:] == [polyroot.refine_root(result.g, iv, prec) for iv in intervals[1:]]
+
     def test_no_sturm_chain_of_g(self, monkeypatch):
         # choose_epsilon counts the roots of f + 2 epsilon once at most;
         # isolation builds no chain
