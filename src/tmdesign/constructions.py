@@ -15,8 +15,10 @@ root extraction, and come out identically zero; the 2m+1 points themselves
 are only needed approximately and are the points certified bisection gives
 (``refine_root``).  f is built once, on integers, in the scaled variable
 y = 2m x, where its roots are the odd integers; the default epsilon comes
-from the critical values of f (``choose_epsilon``), and the same critical
-points bracket the roots of g for their isolation.
+from the critical values of f (``choose_epsilon``), evaluated on those
+integers, and the same critical points bracket the roots of g for their
+isolation.  The certificate's Newton sums run on g's integer coefficients
+in y.
 
 Also here: the regular-polygon cosine design, the alternating binomial sum
 with its closed form, the rational binomial weighted design, padding
@@ -42,7 +44,7 @@ from .interval_design import Configuration, WeightedConfiguration
 from .polyroot import (
     IsolatingInterval,
     RationalPolynomial,
-    evaluate,
+    _homogeneous,
     isolate_in_brackets,
     refine_root,
     sturm_root_count,
@@ -85,7 +87,7 @@ class _Unperturbed:
     and f' has one simple root in each.  ``wells`` are those intervals with
     right end > 0 (the others are their mirror images), ``crit`` the roots
     of f' in them refined to width (b - a)/2^20, and ``depth`` the values
-    -f there.
+    -f there, from the integers of F (``_depth``).
     """
 
     def __init__(self, m: int):
@@ -96,23 +98,30 @@ class _Unperturbed:
             z = [0] + z
             for i in range(len(z) - 1):
                 z[i] -= a * z[i + 1]
+        self.z = z
         self.F = [0] * (2 * m + 1)
         self.F[::2] = z
         s = 2 * m
         self.f = RationalPolynomial(
             tuple(Fraction(c, s ** (s - j)) for j, c in enumerate(self.F))
         )
-        self.df = RationalPolynomial.from_coeffs(
-            [i * c for i, c in enumerate(self.f.coeffs)][1:]
+        self.df = RationalPolynomial(
+            tuple(Fraction(j * c, s ** (s - j)) for j, c in enumerate(self.F) if j)
         )
         self.wells = [
             (a, b) for a, b in zip(self.roots[::2], self.roots[1::2]) if b > 0
         ]
         self.crit = [self._critical_point(a, b, 20) for a, b in self.wells]
-        self.depth = [-evaluate(self.f, c) for c in self.crit]
+        self.depth = [self._depth(c) for c in self.crit]
 
     def _critical_point(self, a: Fraction, b: Fraction, bits: int) -> Fraction:
         return refine_root(self.df, IsolatingInterval(a, b), (b - a) / 2**bits)
+
+    def _depth(self, x: Fraction) -> Fraction:
+        """-f(x) = -F(s x) / s^s for s = 2m, on integers: with x = p/q and
+        F(y) = Z(y^2), q^s F(s x) is ``_homogeneous`` of Z at (s p)^2 / q^2."""
+        p, q, s = x.numerator, x.denominator, len(self.roots)
+        return Fraction(-_homogeneous(self.z, (s * p) ** 2, q * q), (q * s) ** s)
 
     @cached_property
     def depth_bound(self) -> Fraction:
@@ -168,7 +177,7 @@ class _Unperturbed:
             while eps >= depth:
                 bits *= 2
                 c = self._critical_point(a, b, bits)
-                depth = -evaluate(self.f, c)
+                depth = self._depth(c)
             out += [IsolatingInterval(a, c), IsolatingInterval(c, b)]
             if a > 0:
                 out += [IsolatingInterval(-b, -c), IsolatingInterval(-c, -a)]
@@ -329,7 +338,8 @@ def perturbed_interval_design(
     coeffs = list(base.F)  # of the monic polynomial of 2m A'
     coeffs[0] += eps * s**s
     e = ElemSymVector(tuple((-1) ** k * coeffs[s - k] for k in range(s + 1)))
-    P = (s,) + newton_p_from_e(e, s, s - 1).entries
+    # power sums of the roots of a monic integer polynomial are integers
+    P = (s,) + tuple(int(x) for x in newton_p_from_e(e, s, s - 1).entries)
     certificate = []
     for k in range(m):
         n = 2 * k + 1

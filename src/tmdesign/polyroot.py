@@ -17,7 +17,11 @@ factors).  ``isolate_in_brackets`` takes brackets from the caller, each
 holding exactly one root, and counts the brackets left of a split point,
 plus one where the sign at the split point, which the search for that
 point has already computed, differs from the sign at the left end of the
-bracket holding it.
+bracket holding it.  The tree runs on integers: its points are dyadic
+multiples of the Cauchy bound, held as integer pairs and compared with
+bracket ends by cross-multiplication, and Fractions are built only for the
+intervals it returns.  An even polynomial has its half left of 0 mirrored
+from the right one wherever the two halves split alike.
 Refinement finds the cell of the bisection grid that holds the root by
 integer false position instead of halving to it.  Counts are for the
 half-open interval (lo, hi].
@@ -25,7 +29,6 @@ half-open interval (lo, hi].
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -176,10 +179,17 @@ def _homogeneous(c: list[int], p: int, q: int) -> int:
     return acc
 
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _eval_sign(c: list[int], x: Fraction) -> int:
     """Sign of the polynomial at x = p/q (q > 0), the sign of q^d c(p/q)."""
-    v = _homogeneous(c, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
+    return _sign(_homogeneous(c, x.numerator, x.denominator))
+
+
+def _is_even(c: list[int]) -> bool:
+    return not any(c[1::2])
 
 
 class _SturmChain:
@@ -207,12 +217,14 @@ class _SturmChain:
             )
         self.chain = chain
 
-    def variations_at(self, x: Fraction) -> int:
-        signs = [s for s in (_eval_sign(c, x) for c in self.chain) if s != 0]
+    def variations(self, p: int, q: int) -> int:
+        """Sign variations of the chain at p/q, q > 0."""
+        signs = [s for s in (_sign(_homogeneous(c, p, q)) for c in self.chain) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
-        return self.variations_at(lo) - self.variations_at(hi)
+        v = self.variations
+        return v(lo.numerator, lo.denominator) - v(hi.numerator, hi.denominator)
 
 
 def cauchy_root_bound(poly: RationalPolynomial) -> Fraction:
@@ -235,46 +247,93 @@ def sturm_root_count(poly: RationalPolynomial, lo: Scalar, hi: Scalar) -> int:
     return _SturmChain(poly).count(flo, fhi)
 
 
-def _split_point(c: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """A point near the middle of (lo, hi) that is not a root of c, and the
-    sign of c there."""
-    width = hi - lo
+def _split_point(
+    c: list[int], N: int, D: int, lo: tuple[int, int], hi: tuple[int, int]
+) -> tuple[tuple[int, int], int, int]:
+    """A point near the middle of (lo, hi) that is not a root of c, the sign
+    of c there, and the k of that point lo + (hi - lo) k/128, tried in the
+    order 64, 65, 63, 66, ...  Points are tree points (``_split_tree``)."""
+    (a, ea), (b, eb) = lo, hi
+    e = max(ea, eb)
+    a <<= e - ea
+    b <<= e - eb
     for j in range(len(c) + 1):
         k = 64 + (j + 1) // 2 * (1 if j % 2 else -1)
-        mid = lo + width * Fraction(k, 128)
-        sign = _eval_sign(c, mid)
+        v, f = (a << 7) + (b - a) * k, e + 7
+        if v == 0:
+            f = 0
+        else:
+            shift = min((v & -v).bit_length() - 1, f)
+            v, f = v >> shift, f - shift
+        sign = _sign(_homogeneous(c, N * v, D << f))
         if sign != 0:
-            return mid, sign
+            return (v, f), sign, k
     raise InternalDefectError("could not find a non-root split point")
 
 
-def _split_tree(poly: RationalPolynomial, rank) -> list[IsolatingInterval]:
-    """The isolating intervals of the split tree from the Cauchy bound.
+def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
+    """The isolating intervals of the split tree of c from the Cauchy bound.
 
-    ``rank(t, s)`` is, up to a constant, the number of roots <= t, for a
-    point t that is not a root, where the polynomial has the sign s; the
-    number of roots in (lo, hi] is rank(hi) - rank(lo).  An interval with
-    two or more roots is split at ``_split_point``, its left half pushed
-    first and its right half popped first.
+    The tree runs on integers: each of its points is x = B v / 2^e, held as
+    the pair (v, e), for integers v and e >= 0, v odd unless e = 0, and the
+    Cauchy bound B = N/D = 1 + max |c_i| / |c_d| in lowest terms; x reaches
+    c and ``rank`` as p/q = N v / (D 2^e).  Fractions are built only for the
+    intervals returned.  ``rank(p, q, s)`` is, up to a constant, the number
+    of roots <= p/q (q > 0), for a point that is not a root, where c has the
+    sign s; the number of roots in (lo, hi] is rank(hi) - rank(lo).  An
+    interval with two or more roots is split at ``_split_point``, its left
+    half pushed first and its right half popped first, so the intervals
+    come out in descending order.
+
+    For even c with c(0) != 0 the first split is at 0, and the left half is
+    the mirror image of the right one wherever no right split had to leave
+    the middle (k = 64): then the left half makes the same choices at the
+    negated points.  So only the right half is split, and the left one too
+    only if some right split left the middle.  The mirrored intervals are
+    the ones the left half would give, as no tree point is a root.
     """
-    c = poly._ints
-    bound = cauchy_root_bound(poly)
-    lo, hi = -bound, bound
-    stack = [(lo, hi, rank(lo, _eval_sign(c, lo)), rank(hi, _eval_sign(c, hi)))]
-    out: list[IsolatingInterval] = []
-    while stack:
-        lo, hi, rlo, rhi = stack.pop()
-        cnt = rhi - rlo
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append(IsolatingInterval(lo, hi))
-            continue
-        mid, sign = _split_point(c, lo, hi)
-        rmid = rank(mid, sign)
-        stack.append((lo, mid, rlo, rmid))
-        stack.append((mid, hi, rmid, rhi))
-    return sorted(out, key=lambda iv: iv.lo)
+    lead = abs(c[-1])
+    N = lead + max(abs(x) for x in c[:-1])
+    h = gcd(N, lead)
+    N, D = N // h, lead // h
+
+    def at(pt: tuple[int, int]) -> tuple[int, int]:
+        return N * pt[0], D << pt[1]
+
+    def ranked(pt: tuple[int, int]) -> int:
+        p, q = at(pt)
+        return rank(p, q, _sign(_homogeneous(c, p, q)))
+
+    def walk(node) -> tuple[list, bool]:
+        """Intervals of the subtree at ``node``, descending, and whether
+        every split in it took the middle."""
+        stack, out, middle = [node], [], True
+        while stack:
+            lo, hi, rlo, rhi = stack.pop()
+            cnt = rhi - rlo
+            if cnt == 0:
+                continue
+            if cnt == 1:
+                out.append(IsolatingInterval(Fraction(*at(lo)), Fraction(*at(hi))))
+                continue
+            mid, sign, k = _split_point(c, N, D, lo, hi)
+            middle = middle and k == 64
+            rmid = rank(*at(mid), sign)
+            stack.append((lo, mid, rlo, rmid))
+            stack.append((mid, hi, rmid, rhi))
+        return out, middle
+
+    lo, zero, hi = (-1, 0), (0, 0), (1, 0)
+    rlo, rhi = ranked(lo), ranked(hi)
+    if rhi - rlo < 2 or c[0] == 0 or not _is_even(c):
+        return walk((lo, hi, rlo, rhi))[0][::-1]
+    r0 = ranked(zero)
+    right, middle = walk((zero, hi, r0, rhi))
+    if middle:
+        left = [IsolatingInterval(-iv.hi, -iv.lo) for iv in right]
+    else:
+        left = walk((lo, zero, rlo, r0))[0][::-1]
+    return left + right[::-1]
 
 
 def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
@@ -282,7 +341,7 @@ def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
     chain = _SturmChain(poly)
     if poly.degree == 0:
         return []
-    return _split_tree(poly, lambda t, s: -chain.variations_at(t))
+    return _split_tree(poly._ints, lambda p, q, s: -chain.variations(p, q))
 
 
 def isolate_in_brackets(
@@ -294,31 +353,50 @@ def isolate_in_brackets(
     together they hold every real root; here it is checked only that the
     brackets are ascending and disjoint and that the polynomial has
     opposite, nonzero signs at the two ends of each.  A wrong certificate
-    gives wrong intervals.
+    gives wrong intervals.  Split points are compared with the bracket ends
+    by cross-multiplication.
     """
     if poly.is_zero:
         raise DomainError("zero polynomial")
     if not brackets:
         return []
     c = poly._ints
-    his = [iv.hi for iv in brackets]
-    los = [iv.lo for iv in brackets]
-    if any(h > l for h, l in zip(his, los[1:])):
+    his = [(iv.hi.numerator, iv.hi.denominator) for iv in brackets]
+    los = [(iv.lo.numerator, iv.lo.denominator) for iv in brackets]
+    if any(h * ld > l * hd for (h, hd), (l, ld) in zip(his, los[1:])):
         raise DomainError("brackets must be ascending and disjoint")
-    signs = {x: _eval_sign(c, x) for x in los + his}
-    left_signs = [signs[x] for x in los]
-    if any(signs[lo] * signs[hi] >= 0 for lo, hi in zip(los, his)):
-        raise DomainError("a bracket does not show a sign change")
+    even = _is_even(c)
+    signs: dict[tuple[int, int], int] = {}
 
-    def rank(t: Fraction, s: int) -> int:
-        # Brackets ending at or left of t, plus the bracket t lies inside,
-        # if t is right of its root.
-        i = bisect_right(his, t)
-        if i < len(los) and los[i] < t and s != left_signs[i]:
+    def sign_at(p: int, q: int) -> int:
+        # once per end that two brackets share; an even c has one sign at
+        # x and -x
+        key = (abs(p) if even else p, q)
+        if key not in signs:
+            signs[key] = _sign(_homogeneous(c, *key))
+        return signs[key]
+
+    left_signs = [sign_at(*x) for x in los]
+    if any(s * sign_at(*x) >= 0 for s, x in zip(left_signs, his)):
+        raise DomainError("a bracket does not show a sign change")
+    n = len(brackets)
+
+    def rank(p: int, q: int, s: int) -> int:
+        # Brackets ending at or left of t = p/q, plus the bracket t lies
+        # inside, if t is right of its root.
+        i, j = 0, n
+        while i < j:
+            mid = (i + j) // 2
+            h, hd = his[mid]
+            if h * q <= p * hd:
+                i = mid + 1
+            else:
+                j = mid
+        if i < n and los[i][0] * q < p * los[i][1] and s != left_signs[i]:
             i += 1
         return i
 
-    return _split_tree(poly, rank)
+    return _split_tree(c, rank)
 
 
 def refine_root(

@@ -15,14 +15,17 @@ elementary symmetric polynomials of the same indices do.
 Exact input (int/Fraction) runs on cleared integers: with L the lcm of the
 denominators and a_i = L x_i, p_k = p_k(a) / L^k and e_k = e_k(a) / L^k, so
 each result costs one division and every exact zero test is an integer
-test.  Float input runs the same loops on the values themselves.  Exact
-inputs yield exact outputs.
+test.  The Newton recursions run the same way on the graded numerators
+L^k p_k and L^k e_k (``_graded``).  Float input runs the same loops on the
+values themselves.  Whether a computation is exact is read from its values:
+exact inputs yield exact outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -71,6 +74,28 @@ class ElemSymVector:
 def _numerators(vals: tuple[Scalar, ...]) -> tuple[int | None, Sequence[Scalar]]:
     """(L, a_i = L x_i) for exact values; (None, the values) otherwise."""
     return clear_denominators(vals) if all_exact(vals) else (None, vals)
+
+
+def _graded(vals: tuple[Scalar, ...]) -> tuple[int | None, list[Scalar]]:
+    """(L, [L^k x_k]) for exact values x_1, x_2, ... whose k-th entry has
+    degree k, such as p_k or e_k; (None, the values) otherwise.
+
+    L grows one index at a time by the part of the denominator of x_k that
+    L^k lacks, so every L^k x_k is an integer.  For values of points over
+    one denominator d, L stays near d, where the lcm of the denominators
+    would be near d^K.
+    """
+    if not all_exact(vals):
+        return None, list(vals)
+    L = 1
+    for k, x in enumerate(vals, 1):
+        d = x.denominator
+        L *= d // gcd(d, pow(L, k, d))
+    out, Lk = [], 1
+    for x in vals:
+        Lk *= L
+        out.append(x.numerator * (Lk // x.denominator))
+    return L, out
 
 
 def _over(L: int | None, nums: Sequence[Scalar], first: int) -> list[Scalar]:
@@ -129,56 +154,78 @@ def elementary_symmetric(values: Sequence[Scalar], K: int) -> ElemSymVector:
 def newton_e_from_p(p: PowerSumVector, K: int) -> ElemSymVector:
     """e_1 .. e_K from power sums via k*e_k = sum (-1)^(i-1) e_{k-i} p_i.
 
-    Valid for K up to the size of the originating multiset.
+    Valid for K up to the size of the originating multiset.  Exact
+    p_1 .. p_K run on the integers P_i = L^i p_i (``_graded``) and carry
+    E_k = k! L^k e_k, an integer:
+
+        E_k = sum_{i=1..k} (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} P_i,
+
+    so each e_k is one division, E_k / (k! L^k).
     """
     if K < 1:
         raise DomainError("K must be a positive integer")
     if len(p) < K:
         raise DomainError(f"need power sums through {K}, have {len(p)}")
+    L, P = _graded(p.entries[:K])
     e: list[Scalar] = [1]
     for k in range(1, K + 1):
         acc: Scalar = 0
+        if L is None:
+            for i in range(1, k + 1):
+                term = e[k - i] * P[i - 1]
+                acc = acc + term if i % 2 == 1 else acc - term
+            e.append(acc / k)
+            continue
+        fall = 1  # (k-1)!/(k-i)!
         for i in range(1, k + 1):
-            term = e[k - i] * p.p(i)
+            term = fall * e[k - i] * P[i - 1]
             acc = acc + term if i % 2 == 1 else acc - term
-        e.append(Fraction(acc, k) if p.exact else acc / k)
-    return ElemSymVector(tuple(e), p.exact)
+            fall *= k - i
+        e.append(acc)
+    if L is None:
+        return ElemSymVector(tuple(e), False)
+    out, scale = [], 1
+    for k, num in enumerate(e):
+        out.append(Fraction(num, scale))
+        scale *= (k + 1) * L
+    return ElemSymVector(tuple(out), True)
 
 
 def newton_p_from_e(e: ElemSymVector, n: int, K: int) -> PowerSumVector:
     """p_1 .. p_K of the n-element multiset determined by e.
 
     Uses the k <= n recursion while it applies, then the k > n variant in
-    which e_j is zero for j > n.  Only e_0 .. e_{min(K, n)} are consulted.
+    which e_j is zero for j > n.  Only e_1 .. e_{min(K, n)} are consulted.
+    Both are homogeneous, so exact values run on the integers E_j = L^j e_j
+    (``_graded``) with no division, and p_k = P_k / L^k.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if K < 1:
         raise DomainError("K must be a positive integer")
-    if e.order < min(K, n):
+    top = min(K, n)
+    if e.order < top:
         raise DomainError(
-            f"inconsistent e length: need entries through {min(K, n)}, have {e.order}"
+            f"inconsistent e length: need entries through {top}, have {e.order}"
         )
-
-    def e_at(j: int) -> Scalar:
-        return e.e(j) if j <= min(e.order, n) else 0
-
-    p: list[Scalar] = [n]  # p_0 = n by convention
+    L, nums = _graded(e.entries[1 : top + 1])
+    E = [1, *nums]  # E[0] is never consulted
+    p: list[Scalar] = [n]  # p_0 = n by convention, never consulted
     for k in range(1, K + 1):
         if k <= n:
             acc: Scalar = 0
             for i in range(1, k):
-                term = e_at(k - i) * p[i]
+                term = E[k - i] * p[i]
                 acc = acc + term if i % 2 == 1 else acc - term
-            rhs = k * e_at(k) - acc
+            rhs = k * E[k] - acc
             p.append(rhs if k % 2 == 1 else -rhs)
         else:
             acc = 0
             for i in range(k - n, k):
-                term = e_at(k - i) * p[i]
+                term = E[k - i] * p[i]
                 acc = acc + term if i % 2 == 1 else acc - term
             p.append(-acc if k % 2 == 1 else acc)
-    return PowerSumVector(tuple(p[1:]), e.exact)
+    return PowerSumVector(tuple(_over(L, p[1:], 1)), L is not None)
 
 
 def power_scale(values: Sequence[Scalar], k: int, weights=None) -> float:

@@ -9,6 +9,7 @@ from tmdesign import (
     DomainError,
     NotSquarefreeError,
     PreconditionError,
+    RationalPolynomial,
     add_zero,
     base_roots,
     binom_alternating_sum,
@@ -30,6 +31,8 @@ from tmdesign import (
 )
 from tmdesign import cli, constructions, polyroot
 from tmdesign.constructions import DEFAULT_EPSILON_START
+
+from test_polyroot import ref_isolate_in_brackets, ref_isolate_real_roots
 
 
 class TestBaseRoots:
@@ -136,6 +139,20 @@ class TestChooseEpsilon:
             choose_epsilon(m)
             assert len(calls) == (1 if m == 2 else 0), m
 
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_integer_depths_and_derivative(self, m):
+        # the depths come from the integers of F, f' is built from them too;
+        # both equal the Fraction values
+        base = constructions._Unperturbed(m)
+        assert base.df == RationalPolynomial.from_coeffs(
+            [i * c for i, c in enumerate(base.f.coeffs)][1:]
+        )
+        assert base.depth == [-evaluate(base.f, c) for c in base.crit]
+        a, b = base.wells[0]
+        for bits in (40, 80):
+            c = base._critical_point(a, b, bits)
+            assert base._depth(c) == -evaluate(base.f, c)
+
     @pytest.mark.parametrize("m", range(1, 13))
     def test_depth_bound_is_a_tight_upper_bound(self, m):
         # depth_bound >= eps*, so f + depth_bound has lost its 2m simple
@@ -203,6 +220,32 @@ class TestIsolationFromBrackets:
         eps = choose_epsilon(m, base=base)
         g = base.f.plus_constant(eps)
         assert isolate_in_brackets(g, base.brackets(eps)) == isolate_real_roots(g)
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_same_intervals_as_the_fraction_tree(self, m):
+        # both counters of the split tree on Fraction points, walked on both
+        # halves (reference copies in test_polyroot)
+        base = constructions._Unperturbed(m)
+        eps = choose_epsilon(m, base=base)
+        g = base.f.plus_constant(eps)
+        brackets = base.brackets(eps)
+        ivs = isolate_in_brackets(g, brackets)
+        assert ivs == ref_isolate_in_brackets(g, brackets) == ref_isolate_real_roots(g)
+
+    @pytest.mark.slow
+    def test_sixty(self):
+        # m = 60 in the two tests around this one and in the Fraction tree
+        m = 60
+        result = perturbed_interval_design(m)
+        base = constructions._Unperturbed(m)
+        g = base.f.plus_constant(result.epsilon)
+        brackets = base.brackets(result.epsilon)
+        assert result.g == g
+        intervals = list(result.intervals)
+        assert intervals == isolate_real_roots(g) == ref_isolate_in_brackets(g, brackets)
+        prec = result.precision / 64
+        roots = [x + F(1, 2 * m) for x in result.points.points[:m]]
+        assert roots == [polyroot.refine_root(g, iv, prec) for iv in intervals[:m]]
 
     @pytest.mark.parametrize(
         "m, eps, refined",

@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import random
@@ -241,6 +242,157 @@ class TestIsolateInBrackets:
         brackets = [IsolatingInterval(F(-2), hi), IsolatingInterval(F(0), F(1))]
         with pytest.raises(DomainError, match="sign change"):
             isolate_in_brackets(poly, brackets[:1] if hi == F(1) else brackets)
+
+
+# ---------------------------------------------------------------------------
+# Pinned: the integer split tree against the Fraction tree it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_split_point(c, lo, hi):
+    width = hi - lo
+    for j in range(len(c) + 1):
+        k = 64 + (j + 1) // 2 * (1 if j % 2 else -1)
+        mid = lo + width * F(k, 128)
+        sign = polyroot._eval_sign(c, mid)
+        if sign != 0:
+            return mid, sign
+    raise AssertionError("no non-root split point")
+
+
+def ref_split_tree(poly, rank):
+    """The split tree on Fraction points, both halves walked (reference copy)."""
+    c = poly._ints
+    bound = cauchy_root_bound(poly)
+    lo, hi = -bound, bound
+    stack = [(lo, hi, rank(lo, polyroot._eval_sign(c, lo)), rank(hi, polyroot._eval_sign(c, hi)))]
+    out = []
+    while stack:
+        lo, hi, rlo, rhi = stack.pop()
+        cnt = rhi - rlo
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append(IsolatingInterval(lo, hi))
+            continue
+        mid, sign = ref_split_point(c, lo, hi)
+        rmid = rank(mid, sign)
+        stack.append((lo, mid, rlo, rmid))
+        stack.append((mid, hi, rmid, rhi))
+    return sorted(out, key=lambda iv: iv.lo)
+
+
+def ref_isolate_real_roots(poly):
+    """The Sturm counter on Fraction points (reference copy)."""
+    chain = polyroot._SturmChain(poly)
+    if poly.degree == 0:
+        return []
+
+    def rank(t, s):
+        signs = [v for v in (polyroot._eval_sign(c, t) for c in chain.chain) if v]
+        return -sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    return ref_split_tree(poly, rank)
+
+
+def ref_isolate_in_brackets(poly, brackets):
+    """The bracket counter on Fraction points (reference copy)."""
+    c = poly._ints
+    his = [iv.hi for iv in brackets]
+    los = [iv.lo for iv in brackets]
+    left_signs = [polyroot._eval_sign(c, x) for x in los]
+
+    def rank(t, s):
+        i = bisect.bisect_right(his, t)
+        if i < len(los) and los[i] < t and s != left_signs[i]:
+            i += 1
+        return i
+
+    return ref_split_tree(poly, rank)
+
+
+def _even_poly_with_known_roots(rng):
+    """A squarefree even polynomial and its real roots, ascending: pairs
+    +-r on a grid of eighths, maybe 0, an irrational pair and a complex
+    pair, each present or not."""
+    pos = sorted({F(rng.randint(1, 40), 8) for _ in range(rng.randint(0, 5))})
+    coeffs = [F(1)]
+    for r in pos:
+        coeffs = _times(coeffs, [-r * r, F(0), F(1)])
+    real = [float(r) for r in pos]
+    if rng.random() < 0.3:
+        coeffs = _times(coeffs, [F(0), F(1)])
+        real.append(0.0)
+    if rng.random() < 0.5:
+        c = rng.choice([2, 3, 5, 7, 11, 13])
+        if all(abs(x - math.sqrt(c)) > 1e-3 for x in real):
+            coeffs = _times(coeffs, [F(-c), F(0), F(1)])
+            real.append(math.sqrt(c))
+    if rng.random() < 0.5:
+        coeffs = _times(coeffs, [F(rng.randint(1, 9), rng.randint(1, 4)), F(0), F(1)])
+    real = sorted({-x for x in real} | set(real))
+    return RationalPolynomial.from_coeffs(coeffs), real
+
+
+class TestSplitTreePinned:
+    """The split tree on integer points gives the intervals of the Fraction
+    tree with both counters; an even polynomial has its left half mirrored
+    only where every right split took the middle."""
+
+    @pytest.mark.parametrize("make", [_poly_with_known_roots, _even_poly_with_known_roots])
+    def test_random_squarefree_polynomials(self, make):
+        rng = random.Random(4711)
+        for _ in range(80):
+            poly, real = make(rng)
+            if poly.degree == 0:
+                continue
+            assert isolate_real_roots(poly) == ref_isolate_real_roots(poly)
+            if real:
+                brackets = _brackets(real)
+                expected = ref_isolate_in_brackets(poly, brackets)
+                assert isolate_in_brackets(poly, brackets) == expected
+
+    def _splits(self, monkeypatch):
+        points = []
+        split_point = polyroot._split_point
+
+        def recorded(c, N, D, lo, hi):
+            out = split_point(c, N, D, lo, hi)
+            points.append((F(N * out[0][0], D << out[0][1]), out[2]))
+            return out
+
+        monkeypatch.setattr(polyroot, "_split_point", recorded)
+        return points
+
+    def test_middle_splits_mirror_the_left_half(self, monkeypatch):
+        # roots +-1/2, +-3/2 and Cauchy bound 1 + 5/2: every right split
+        # takes the middle, so no split point is left of 0
+        poly = monic_from_roots([F(-3, 2), F(-1, 2), F(1, 2), F(3, 2)])
+        points = self._splits(monkeypatch)
+        ivs = isolate_real_roots(poly)
+        assert ivs == ref_isolate_real_roots(poly)
+        assert points == [(F(7, 4), 64), (F(7, 8), 64)]
+        assert ivs[:2] == [IsolatingInterval(-iv.hi, -iv.lo) for iv in reversed(ivs[2:])]
+
+    def test_root_at_the_middle_takes_the_direct_left_path(self, monkeypatch):
+        # (x^2 - 1/4)(x^2 - 1)(x^2 + 1) has Cauchy bound 2, so the middle of
+        # (0, 2] is the root 1; the right split takes k = 65 and the left half
+        # is split on its own, at points that mirror no right split
+        poly = RationalPolynomial.from_coeffs(
+            _times(_times([F(-1, 4), 0, 1], [F(-1), 0, 1]), [F(1), 0, 1])
+        )
+        assert cauchy_root_bound(poly) == 2
+        points = self._splits(monkeypatch)
+        ivs = isolate_real_roots(poly)
+        assert ivs == ref_isolate_real_roots(poly)
+        assert (F(65, 64), 65) in points and (F(-63, 64), 65) in points
+        assert ivs[:2] != [IsolatingInterval(-iv.hi, -iv.lo) for iv in reversed(ivs[2:])]
+        brackets = _brackets([-1, -0.5, 0.5, 1])
+        assert isolate_in_brackets(poly, brackets) == ivs
+
+    def test_root_at_zero_splits_both_halves(self):
+        poly = monic_from_roots([F(-1), F(0), F(1)])
+        assert isolate_real_roots(poly) == ref_isolate_real_roots(poly)
 
 
 class TestRefineRoot:

@@ -10,8 +10,10 @@ from tmdesign import (
     DesignError,
     DesignReport,
     DomainError,
+    ElemSymVector,
     HypothesisError,
     InternalDefectError,
+    PowerSumVector,
     PreconditionError,
     WeightedConfiguration,
     certify_symmetry,
@@ -107,6 +109,24 @@ class TestNewtonPFromE:
         e = elementary_symmetric([1, 2, 3], 2)
         with pytest.raises(DomainError):
             newton_p_from_e(e, 3, 3)
+
+
+class TestNewtonExactness:
+    """Exactness comes from the values, whatever the vector's flag says."""
+
+    def test_float_power_sums(self):
+        e = newton_e_from_p(PowerSumVector((0.5, 0.25)), 2)
+        assert e.entries == (1, 0.5, 0.0) and not e.exact
+
+    def test_float_elementary_values(self):
+        p = newton_p_from_e(ElemSymVector((1, 0.5, 0.25)), 2, 3)
+        assert p.entries == (0.5, -0.25, -0.25) and not p.exact
+
+    def test_exact_values_under_a_false_flag(self):
+        e = newton_e_from_p(PowerSumVector((F(1, 2), F(1, 4)), exact=False), 2)
+        assert e.entries == (1, F(1, 2), 0) and e.exact
+        p = newton_p_from_e(ElemSymVector((1, F(1, 2)), exact=False), 1, 2)
+        assert p.entries == (F(1, 2), F(1, 4)) and p.exact
 
 
 class TestOddEquivalence:
@@ -478,3 +498,101 @@ class TestIntervalKernelPinned:
         verify_interval_design(Configuration((0.5, -0.5, F(1, 3))), 1)
         power_sums((F(1, 2), 1, 0.25), 3)
         assert len(calls) == 5
+
+
+# ---------------------------------------------------------------------------
+# Pinned: the integer Newton recursions against the Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def ref_newton_e_from_p(p, K, exact):
+    """e_0 .. e_K by the per-entry loop on the values (reference copy)."""
+    e = [1]
+    for k in range(1, K + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i - 1]
+            acc = acc + term if i % 2 == 1 else acc - term
+        e.append(F(acc, k) if exact else acc / k)
+    return tuple(e)
+
+
+def ref_newton_p_from_e(e, n, K):
+    """p_1 .. p_K by the per-entry loop on the values (reference copy)."""
+
+    def e_at(j):
+        return e[j] if j <= min(len(e) - 1, n) else 0
+
+    p = [n]
+    for k in range(1, K + 1):
+        if k <= n:
+            acc = 0
+            for i in range(1, k):
+                term = e_at(k - i) * p[i]
+                acc = acc + term if i % 2 == 1 else acc - term
+            rhs = k * e_at(k) - acc
+            p.append(rhs if k % 2 == 1 else -rhs)
+        else:
+            acc = 0
+            for i in range(k - n, k):
+                term = e_at(k - i) * p[i]
+                acc = acc + term if i % 2 == 1 else acc - term
+            p.append(-acc if k % 2 == 1 else acc)
+    return tuple(p[1:])
+
+
+def _newton_cases():
+    """(kind, p or e values, n): multisets, and vectors of no multiset."""
+    rng = random.Random(1707)
+    for kind, pts, _, _ in pinned_multisets():
+        yield kind, pts
+    for n in range(1, 11):
+        # random rationals, not the power sums or elementary values of any
+        # multiset: k e_k and p_k need not be integral over the points' L
+        yield "free", tuple(F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n))
+        yield "free-int", tuple(rng.randint(-99, 99) for _ in range(n))
+        yield "free-float", tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+
+
+class TestNewtonPinned:
+    """The integer recursions give the values of the per-entry Fraction
+    loops, and float input runs those loops bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_newton_cases()), ids=_ids)
+    def test_e_from_p(self, case):
+        kind, vals = case
+        n = len(vals)
+        exact = all_exact(vals)
+        if kind.startswith("free"):
+            p = vals
+        else:
+            p = power_sums(vals, n).entries
+        for K in range(1, n + 1):
+            e = newton_e_from_p(PowerSumVector(p), K)
+            assert same_values(e.entries, ref_newton_e_from_p(p, K, exact))
+            assert e.exact == exact
+
+    @pytest.mark.parametrize("case", list(_newton_cases()), ids=_ids)
+    def test_p_from_e(self, case):
+        kind, vals = case
+        n = len(vals)
+        exact = all_exact(vals)
+        e = (1,) + vals if kind.startswith("free") else elementary_symmetric(vals, n).entries
+        for K in (1, n, n + 1, 2 * n + 3):  # K > n runs the second recursion
+            p = newton_p_from_e(ElemSymVector(e), n, K)
+            assert same_values(p.entries, ref_newton_p_from_e(e, n, K))
+            assert p.exact == exact
+
+    def test_integer_input(self):
+        # L = 1: oracle (T-1)(T-2)(T-3)(T+4) and the powers of 2 and -3
+        e = newton_e_from_p(power_sums([1, 2, 3, -4], 4), 4)
+        assert e.entries == (1, 2, -13, -38, -24)
+        p = newton_p_from_e(elementary_symmetric([2, -3], 2), 2, 5)
+        assert p.entries == (-1, 13, -19, 97, -211)
+
+    def test_entries_past_n_are_not_consulted(self):
+        # e_3 of a 2-point multiset would be 0; a stored value there, even a
+        # float, changes neither the values nor their exactness
+        e = ElemSymVector((1, F(1, 2), F(-3, 4), 0.5))
+        p = newton_p_from_e(e, 2, 6)
+        assert p.entries == ref_newton_p_from_e(e.entries[:3], 2, 6) and p.exact
