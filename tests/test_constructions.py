@@ -234,7 +234,9 @@ class TestIsolationFromBrackets:
 
     @pytest.mark.slow
     def test_sixty(self):
-        # m = 60 in the two tests around this one and in the Fraction tree
+        # test_same_intervals_as_the_sturm_walk, the bracket counter of
+        # test_same_intervals_as_the_fraction_tree and
+        # test_mirrored_roots_equal_direct_refinement at m = 60
         m = 60
         result = perturbed_interval_design(m)
         base = constructions._Unperturbed(m)
