@@ -40,7 +40,7 @@ from .scalars import (
     read_document,
     resolve_mode,
 )
-from .symfun import extend_odd_power_sums, power_scale
+from .symfun import extend_odd_power_sums, folded_odd_sums, power_scale
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,10 @@ class WeightedConfiguration(Arithmetic):
             if not in_unit_interval(x, tol):
                 raise DomainError(f"support point {format_scalar(x)} outside [-1, 1]")
         # Each message names the first support point that recurs later.
-        if tol is None:  # exact values are equal iff they count as one key
-            count = Counter(self.support)
-            dups = [x for x in self.support if count[x] > 1]
+        if tol is None:  # exact values are equal iff their (p, q) are
+            keys = [(x.numerator, x.denominator) for x in self.support]
+            count = Counter(keys)
+            dups = [x for x, key in zip(self.support, keys) if count[key] > 1]
         else:
             dups = [
                 xi
@@ -168,7 +169,7 @@ class SymmetryCertificate:
             return False
         return all(
             near(support[i], -support[j], tol)
-            and near(weights[i], weights[j], tol, 1 + abs(float(weights[i])))
+            and _same_weight(weights[i], weights[j], tol)
             for i, j in self.pairs
         ) and all(near(support[i], 0, tol) for i in self.fixed)
 
@@ -199,6 +200,12 @@ def _sorted_pairs(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
 
 
+def _same_weight(u: Scalar, w: Scalar, tol: float | None) -> bool:
+    """Equal weights: exactly, or within tol at scale 1 + |u|.  The scale is
+    built only in float, where every weight converts (``resolve_mode``)."""
+    return u == w if tol is None else near(u, w, tol, 1 + abs(float(u)))
+
+
 def verify_interval_design(config: Configuration, m: int) -> DesignReport:
     """Residuals p_1, p_3, ..., p_{2m-1} of the points, and whether all vanish.
 
@@ -217,25 +224,28 @@ def _odd_moments(
     whose residual is not zero at scale ``power_scale(xs, k, ws)``.
 
     Exact values run on integers: with a_i = L x_i and b_i = W w_i cleared
-    separately, the k-th residual is sum a_i^k b_i / (L^k W).
+    separately, the k-th residual is sum a_i^k b_i / (L^k W), and the
+    integer sum comes folded by |a_i| (``folded_odd_sums``).  Float values
+    run the power loop on the floats.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    exact = all_exact(xs) and all_exact(ws)
-    if exact:
-        L, a = clear_denominators(xs)
-        W, b = clear_denominators(ws)
-    else:
-        a, b = xs, ws
     index_set = tuple(range(1, 2 * m, 2))
     residuals = []
-    powers = list(a)
-    for k in range(1, 2 * m):
-        if k > 1:
-            powers = list(map(mul, powers, a))
-        if k % 2 == 1:
-            r = sum(map(mul, powers, b))
-            residuals.append(Fraction(r, L**k * W) if exact else r)
+    if all_exact(xs) and all_exact(ws):
+        L, a = clear_denominators(xs)
+        W, b = clear_denominators(ws)
+        den, step = L * W, L * L
+        for r in folded_odd_sums(a, b, m):
+            residuals.append(Fraction(r, den))
+            den *= step
+    else:
+        powers = list(xs)
+        for k in range(1, 2 * m):
+            if k > 1:
+                powers = list(map(mul, powers, xs))
+            if k % 2 == 1:
+                residuals.append(sum(map(mul, powers, ws)))
     # near ignores the scale in exact mode.
     tests = (
         near(r, 0, tol, 1.0 if tol is None else power_scale(xs, k, ws))
@@ -255,12 +265,17 @@ def pair_negations(values: Sequence[Scalar], tol: float | None) -> SymmetryCerti
     anything worse as "hypothesis approximately violated".  In exact mode a
     value without its negation is an internal defect: callers pair only
     values whose symmetry a verified design forces.
+
+    Exact values are cleared to integers and grouped by value, each group
+    in the same |value| order.  The rule above then pairs the k-th
+    position of a group with the k-th position of its negation's group, so
+    the pairs come from one pass over the groups, and the first group (in
+    that order) whose negation's group differs in size has the value
+    without a partner.
     """
-    exact = tol is None
-    remaining = sorted(
-        range(len(values)),
-        key=lambda i: (-abs(values[i] if exact else float(values[i])), i),
-    )
+    if tol is None:
+        return _pair_exact(values)
+    remaining = sorted(range(len(values)), key=lambda i: (-abs(float(values[i])), i))
     pairs: list[tuple[int, int]] = []
     fixed: list[int] = []
     while remaining:
@@ -269,39 +284,56 @@ def pair_negations(values: Sequence[Scalar], tol: float | None) -> SymmetryCerti
         if near(v, 0, tol):
             fixed.append(i)
             continue
-        if exact:
-            j = next((c for c in remaining if values[c] == -v), None)
-            if j is None:
-                raise InternalDefectError(
-                    f"verified design has no partner for value {format_scalar(v)}"
-                )
-        else:
-            gap, j = min(
-                ((abs(float(v) + float(values[c])), c) for c in remaining),
-                default=(float("inf"), None),
+        gap, j = min(
+            ((abs(float(v) + float(values[c])), c) for c in remaining),
+            default=(float("inf"), None),
+        )
+        if j is None or gap > tol:
+            reason = (
+                "pairing ambiguous"
+                if gap <= 10 * tol
+                else "hypothesis approximately violated"
             )
-            if j is None or gap > tol:
-                reason = (
-                    "pairing ambiguous"
-                    if gap <= 10 * tol
-                    else "hypothesis approximately violated"
-                )
-                raise ToleranceError(
-                    f"no partner for {v!r} within {tol} (best gap {gap:.3e})",
-                    reason=reason,
-                )
+            raise ToleranceError(
+                f"no partner for {v!r} within {tol} (best gap {gap:.3e})",
+                reason=reason,
+            )
         remaining.remove(j)
         pairs.append((i, j))
+    return SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+
+
+def _pair_exact(values: Sequence[Scalar]) -> SymmetryCertificate:
+    """``pair_negations`` in exact mode."""
+    _, a = clear_denominators(values)
+    groups: dict[int, list[int]] = {}
+    for i in sorted(range(len(a)), key=lambda i: -abs(a[i])):  # stable: ties by position
+        groups.setdefault(a[i], []).append(i)
+    pairs: list[tuple[int, int]] = []
+    fixed: list[int] = groups.get(0, [])
+    for v, own in groups.items():
+        if v == 0 or (v < 0 and -v in groups):  # paired from the positive side
+            continue
+        other = groups.get(-v, [])
+        if len(own) != len(other):
+            longer = own if len(own) > len(other) else other
+            i = longer[min(len(own), len(other))]
+            raise InternalDefectError(
+                f"verified design has no partner for value {format_scalar(values[i])}"
+            )
+        pairs += zip(own, other)
     return SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
 
 
 def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
     """Symmetry certificate for a T_m multiset with at most 2m points.
 
-    Follows the forcing argument: first the odd power sums are extended to
-    all orders (they vanish identically once the first m do; checked in
-    exact mode), then ``pair_negations`` removes points from the top of the
-    |value| order, each as a zero or together with its antipodal partner.
+    Follows the forcing argument: ``extend_odd_power_sums`` with K = m
+    verifies the hypothesis, that p_1, p_3, ..., p_{2m-1} vanish, and in
+    exact mode also that the odd elementary symmetric values e_1, e_3, ...
+    vanish with them, which forces every higher odd power sum to vanish;
+    then ``pair_negations`` removes points from the top of the |value|
+    order, each as a zero or together with its antipodal partner.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -310,11 +342,8 @@ def certify_symmetry(config: Configuration, m: int) -> SymmetryCertificate:
         return SymmetryCertificate((), ())
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    # Verifies the design hypothesis (raising with the smallest failing odd
-    # index); in exact mode it also certifies that all higher odd power sums
-    # vanish with it, which approximate mode has no test for.
-    K = n if config.is_exact else m
-    extend_odd_power_sums(config.points, m, K, tol=config.near_tol)
+    # Raises with the smallest failing odd index.
+    extend_odd_power_sums(config.points, m, m, tol=config.near_tol)
     return pair_negations(config.points, config.near_tol)
 
 
@@ -357,7 +386,7 @@ def certify_weighted_symmetry(
 
     cert = pair_negations(xs, tol)
     for a, b in cert.pairs:
-        if not near(ws[a], ws[b], tol, 1 + abs(float(ws[a]))):
+        if not _same_weight(ws[a], ws[b], tol):
             if wconfig.is_exact:
                 raise InternalDefectError(
                     "antipodal support pair of a verified design has unequal weights"
@@ -435,7 +464,7 @@ def _is_symmetric_weighted(w: WeightedConfiguration):
         if (
             j is None
             or not near(xs[i], -xs[j], tol)
-            or not near(ws[i], ws[j], tol, 1 + abs(float(ws[i])))
+            or not _same_weight(ws[i], ws[j], tol)
         ):
             return False, None
         used[j] = True

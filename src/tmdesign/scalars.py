@@ -73,7 +73,10 @@ def near(a: Scalar, b: Scalar, tol: float | None, scale: float = 1.0) -> bool:
 
 
 def in_unit_interval(x: Scalar, tol: float | None) -> bool:
-    """x lies in [-1, 1]: exactly when ``tol is None``, else within tol."""
+    """x lies in [-1, 1]: exactly when ``tol is None`` (x = p/q in lowest
+    terms, q > 0, with |p| <= q), else within tol."""
+    if tol is None:
+        return abs(x.numerator) <= x.denominator
     return near(x, max(-1, min(x, 1)), tol)
 
 
@@ -196,11 +199,10 @@ def read_document(
 
 def format_scalar(x: Scalar) -> str:
     """Render exact values as ``"p"`` / ``"p/q"``, floats as shortest repr."""
-    if is_exact(x):
-        f = Fraction(x)
-        if f.denominator == 1:
-            return _digits(f.numerator)
-        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
+    if is_exact(x):  # an int or a Fraction: both carry numerator, denominator
+        if x.denominator == 1:
+            return _digits(x.numerator)
+        return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     return repr(float(x))
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -117,6 +118,30 @@ def _power_sum_nums(nums: Sequence[Scalar], K: int) -> list[Scalar]:
         if k > 1:
             powers = [pw * v for pw, v in zip(powers, nums)]
         out.append(sum(powers))
+    return out
+
+
+def folded_odd_sums(points: Sequence[int], weights: Sequence[int], m: int) -> list[int]:
+    """sum_i w_i a_i^k for k = 1, 3, ..., 2m-1, on integers a_i and w_i.
+
+    An odd power is an odd function, so the points fold by |a|: with
+    c_v = (weight at v) - (weight at -v) for v > 0, the k-th sum is
+    sum_v c_v v^k.  Zeros and every v with c_v = 0 drop out (a symmetric
+    set folds to nothing), and each term steps to the next odd power by v^2.
+    """
+    fold: dict[int, int] = {}
+    for a, w in zip(points, weights):
+        if a < 0:
+            a, w = -a, -w
+        fold[a] = fold.get(a, 0) + w
+    fold.pop(0, None)
+    terms = [c * v for v, c in fold.items() if c]
+    squares = [v * v for v, c in fold.items() if c]
+    out = []
+    for k in range(m):
+        if k:
+            terms = list(map(mul, terms, squares))
+        out.append(sum(terms))
     return out
 
 
@@ -286,15 +311,19 @@ def extend_odd_power_sums(
 
     Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m (verified here
     with ``near`` at tolerance ``tol``: scale-aware for a float, exactly for
-    None, which also checks that the forced odd e's and p's come out zero).
-    The remaining odd sums are then forced: for 2k-1 > n the k >= n
-    recursion splits into a sum of odd-index e's times even-index p's and a
-    sum of even-index e's times lower odd-index p's, and both families of
-    odd-index factors vanish.
+    None, which also checks that the forced odd e_1, e_3, ... through e_n
+    come out zero).  The odd sums past 2m-1 are then forced: for
+    2k-1 > n the k >= n recursion splits into a sum of odd-index e's times
+    even-index p's and a sum of even-index e's times lower odd-index p's,
+    and both families of odd-index factors vanish.  K = m asks for the
+    hypothesis alone; K > m also runs that recursion, on the even sums
+    through 2K-2.
 
     Exact values run on their cleared numerators P_k = L^k p_k and
-    E_j = L^j e_j.  The recursion is homogeneous of degree 2k-1 in them, so
-    it yields L^(2k-1) p_(2k-1), and every exact zero test is an integer one.
+    E_j = L^j e_j: the odd P_k through 2m-1 come folded by |value|
+    (``folded_odd_sums``), and the recursion is homogeneous of degree 2k-1
+    in them, so it yields L^(2k-1) p_(2k-1), and every exact zero test is
+    an integer one.  Float values run the power-sum loop on the floats.
 
     Returns the K odd sums in order; entry k-1 is p_{2k-1}.  Raises with the
     smallest violating odd index if the hypothesis fails.
@@ -313,16 +342,21 @@ def extend_odd_power_sums(
     def value(num: Scalar, k: int) -> Scalar:
         return num if L is None else Fraction(num, L**k)
 
-    P = _power_sum_nums(nums, max(2 * K - 2, 2 * m - 1, 1))
+    if L is None:
+        P = _power_sum_nums(nums, max(2 * K - 2, 2 * m - 1, 1))
+        odd = P[0 : 2 * m - 1 : 2]
+    else:
+        odd = folded_odd_sums(nums, [1] * n, m)
+        P = _power_sum_nums(nums, 2 * K - 2) if K > m else []
     for k in range(1, m + 1):
         idx = 2 * k - 1
         if exact:
-            ok = P[idx - 1] == 0
+            ok = odd[k - 1] == 0
         else:
-            ok = near(value(P[idx - 1], idx), 0, tol, power_scale(vals, idx))
+            ok = near(value(odd[k - 1], idx), 0, tol, power_scale(vals, idx))
         if not ok:
             raise HypothesisError(
-                f"odd power sum p_{idx} = {value(P[idx - 1], idx)} is nonzero",
+                f"odd power sum p_{idx} = {value(odd[k - 1], idx)} is nonzero",
                 failing_index=idx,
             )
 
@@ -339,7 +373,7 @@ def extend_odd_power_sums(
     def e_at(j: int) -> Scalar:
         return E[j] if j <= n else 0
 
-    out: list[Scalar] = [P[2 * k - 2] for k in range(1, min(m, K) + 1)]
+    out: list[Scalar] = odd[:K]
     for k in range(m + 1, K + 1):
         acc: Scalar = 0
         for i in range(1, m + 1):

@@ -234,6 +234,17 @@ class TestCertify:
         assert code == 0
         assert doc == {"pairs": [[1, 2]], "fixed": [0]}
 
+    def test_weighted_symmetry_with_weights_past_float_range(self, tmp_path, capsys):
+        # exact weight tests build no float scale, so 10^400 does not overflow
+        path = tmp_path / "w.json"
+        big = str(10**400)
+        path.write_text(json.dumps({"support": ["1/2", "-1/2"], "weights": [big, big]}))
+        code, doc, _ = run_json(
+            capsys, "certify", "weighted-symmetry", str(path), "--m", "2"
+        )
+        assert code == 0
+        assert doc == {"pairs": [[0, 1]], "fixed": []}
+
     def test_antipodal_cross(self, tmp_path, capsys):
         path = tmp_path / "cross.json"
         path.write_text(

@@ -246,10 +246,10 @@ class TestCertifySymmetry:
         with pytest.raises(HypothesisError, match="p_1"):
             certify_symmetry(Configuration(pts), 1)
 
-    @pytest.mark.parametrize("mode, K", [("exact", 4), ("approximate", 3)])
+    @pytest.mark.parametrize("mode, K", [("exact", 3), ("approximate", 3)])
     def test_extension_runs_where_it_is_checked(self, monkeypatch, mode, K):
-        # exact mode extends to K = n and certifies every forced odd sum;
-        # approximate mode has no test for them and stops at the hypothesis
+        # both modes stop at the hypothesis, K = m; exact mode forces the
+        # higher odd sums through the odd e's, which it checks
         seen = []
 
         def spy(values, m, K, tol):
@@ -345,6 +345,13 @@ class TestWeightedConfiguration:
         w = WeightedConfiguration((F(1, 2), F(-1, 2)), (F(10**400), F(10**400)))
         report = verify_weighted_design(w, 1)
         assert report.verdict and report.residuals == (0,)
+
+    def test_huge_rational_weight_certified_and_checked(self):
+        w = WeightedConfiguration((F(1, 2), F(-1, 2)), (F(10**400), F(10**400)))
+        cert = certify_weighted_symmetry(w, 2)
+        assert cert.pairs == ((0, 1),)
+        assert cert.check_weighted(w.support, w.weights)
+        assert is_symmetric(w) == (True, cert)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
