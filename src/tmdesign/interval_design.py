@@ -418,7 +418,9 @@ def is_symmetric(
 def _is_symmetric_multiset(config: Configuration):
     pts, tol = config.points, config.near_tol
     n = len(pts)
-    order = sorted(range(n), key=lambda i: (float(pts[i]), i))
+    # exact values that round to one float must still sort by value
+    key = (lambda i: (pts[i], i)) if tol is None else (lambda i: (float(pts[i]), i))
+    order = sorted(range(n), key=key)
     lo, hi = 0, n - 1
     pairs: list[tuple[int, int]] = []
     fixed: list[int] = []

@@ -22,14 +22,20 @@ the integer Gram matrix G = <Lx, Ly> and its row power sums
 R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
 (S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
 R[i] holds the power sums of the projection onto x_i.  Float input runs the
-recurrence one degree at a time over the whole upper triangle of Gram
-entries <x, y>.  In both arithmetics the antipodal pairing pairs the values
-of row i of the Gram matrix at the unmatched points, their projection onto
-x_i, by negation.  The moment probes work on coordinate columns (of the
-cleared integer points in exact mode): a coordinate probe's inner products
-are its column, and a sign probe's are the sums of the first column and the
-other columns or their negations, the same terms in the same order as a
-per-point inner product.  Only the sign vectors with a_1 = +1 are taken:
+recurrence one degree at a time over the upper triangle of Gram entries
+<x, y>, keeping two degrees; only the degrees asked for are divided by their
+value at 1 and summed, their n^2 terms in the row order of the full matrix.
+Every float kernel keeps the operations, terms and order of a plain
+per-pair or per-point loop, with ``sum()`` and ``reduce(add, ..., 0)`` where
+that loop has them.  ``sum()`` is compensated from CPython 3.12 on, so the
+two are not interchangeable, but on every CPython each result is the float
+the plain loop gives there.  In both arithmetics the antipodal pairing pairs
+the values of row i of the Gram matrix at the unmatched points, their
+projection onto x_i, by negation.  The moment probes work on coordinate
+columns (of the cleared integer points in exact mode): a coordinate probe's
+inner products are its column, and a sign probe's are the sums of the first
+column and the other columns or their negations, the same terms in the same
+order as a per-point inner product.  Only the sign vectors with a_1 = +1 are taken:
 each other one is -a for one of them, whose inner products are the exact
 negations (x * -1 is exact and rounding is symmetric), so its odd power sums
 are exact negations too and its even ones are equal; it could never change a
@@ -46,7 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product, repeat
-from operator import add, mul, neg
+from operator import add, itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -98,8 +104,9 @@ class SphericalConfig(Arithmetic):
             raise DomainError("points must share one dimension")
         flat = [c for p in pts for c in p]
         object.__setattr__(self, "mode", resolve_mode(self.mode, flat, "coordinates"))
+        tol = self.near_tol
         for p in pts:
-            if not near(sum(c * c for c in p), 1, self.near_tol):
+            if not near(sum(map(mul, p, p)), 1, tol):
                 raise DomainError(f"point {p!r} is not a unit vector")
 
     @property
@@ -131,7 +138,7 @@ class SphericalConfig(Arithmetic):
         settings, parse = read_document(doc, ("points",))
         if not all(isinstance(p, list) for p in doc["points"]):
             raise DomainError("each point must be a list of coordinates")
-        pts = tuple(tuple(parse(c) for c in p) for p in doc["points"])
+        pts = tuple(tuple(map(parse, p)) for p in doc["points"])
         return SphericalConfig(pts, **settings)
 
 
@@ -173,7 +180,7 @@ class _GramTable:
         rows = [[n] + [0] * top for _ in range(n)]
         cols = [[0] * n for _ in range(top + 1)]
         for i, x in enumerate(ipts):
-            upper = [_dot(x, y) for y in ipts[i:]]
+            upper = [sum(map(mul, x, y)) for y in ipts[i:]]  # _dot, inline
             power = upper
             for k in range(1, top + 1):
                 if k > 1:
@@ -233,26 +240,42 @@ class GegenbauerEvaluator:
 
     def values(self, top: int, s: Scalar) -> list[Scalar]:
         """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
-        return [col[0] for col in self._columns(top, [s])]
+        self._extend(top)  # a negative top is an error, not an empty list
+        cols = self._columns(range(top + 1), [s], not isinstance(s, float))
+        return [col[0] for _, col in cols]
 
     def value(self, t: int, s: Scalar) -> Scalar:
         return self.values(t, s)[t]
 
-    def _columns(self, top: int, ss: Sequence[Scalar]) -> Iterator[list[Scalar]]:
-        """``values`` at every s in ss, one degree at a time: yields
-        [Q_{d,t}(s) for s in ss] for t = 0, ..., top, each a new list.  A list
-        of floats runs the float steps; any other list runs the exact steps
-        on Fractions."""
+    def _columns(
+        self, ts: Sequence[int], ss: Sequence[Scalar], exact: bool
+    ) -> Iterator[tuple[int, list[Scalar]]]:
+        """``values`` at every s in ss at the degrees in ts: runs the
+        recurrence one degree at a time through max(ts) and yields
+        (t, [Q_{d,t}(s) for s in ss]) for each t in ts, lowest first, each a
+        new list.  Only those degrees are divided by their value at 1.
+        ``exact`` runs the exact steps on Fractions; otherwise ss must be
+        floats, and the float steps run.  Step 1 is a_1 s: with the step's
+        u = 1, p = 0 and c = 1 the general step gives the same value, bit for
+        bit on floats (a s * 1.0 - 0.0 is a s, also when a s is -0.0)."""
+        top = max(ts, default=0)
         self._extend(top)
-        if all(isinstance(s, float) for s in ss):
-            steps, prev, cur = self._fsteps, [0.0] * len(ss), [1.0] * len(ss)
-        else:
-            steps, prev, cur = self._steps, [0] * len(ss), [1] * len(ss)
+        wanted = set(ts)
+        if exact:
+            steps, one = self._steps, 1
             ss = [Fraction(s) for s in ss]
-        yield list(cur)
-        for a, b, c, norm in steps[1 : top + 1]:
-            prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
-            yield [u / norm for u in cur]
+        else:
+            steps, one = self._fsteps, 1.0
+        cur = [one] * len(ss)
+        if 0 in wanted:
+            yield 0, list(cur)
+        for j, (a, b, c, norm) in enumerate(steps[1 : top + 1], 1):
+            if j == 1:
+                prev, cur = cur, [a * s for s in ss]
+            else:
+                prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
+            if j in wanted:
+                yield j, [u / norm for u in cur]
 
 
 def gegenbauer_value(
@@ -269,9 +292,13 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     """Ordered pair sums of Q_{d,t} for each t in ts.  Exact configurations
     read them off the Gram power sums, sum_k q_{t,k} S_k / L^(2k); the
     others run the float recurrence one degree at a time over the upper
-    triangle of the Gram matrix (rational entries, possible in forced
-    approximate mode, keep the exact recurrence of ``values``) and add the
-    n^2 terms of each wanted degree in row order, as a double loop."""
+    triangle of the Gram matrix, normalize only the degrees in ts, and add
+    the n^2 terms of each such degree in row order with
+    ``reduce(add, ..., 0)``, as a double loop would.  The types are tested
+    on the coordinates: all floats make every Gram entry a float.  Otherwise
+    (possible in forced approximate mode) each Gram entry that is not a
+    float keeps the exact recurrence of ``values``, substituted into the
+    degree's column before it is added."""
     ev = GegenbauerEvaluator(X.dim)
     top = max(ts, default=0)
     if X.is_exact:
@@ -285,20 +312,23 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
             out.append(Fraction(num, sum(polys[t]) * L2**t))
         return out
     pts, n = X.points, len(X)
-    grams = [_dot(x, y) for i, x in enumerate(pts) for y in pts[i:]]
-    exact = {k: ev.values(top, s) for k, s in enumerate(grams) if not isinstance(s, float)}
-    floats = [0.0 if k in exact else s for k, s in enumerate(grams)]
+    grams = [sum(map(mul, x, y)) for i, x in enumerate(pts) for y in pts[i:]]  # _dot
+    exact = {}
+    if not all(map(isinstance, chain.from_iterable(pts), repeat(float))):
+        exact = {k: ev.values(top, s) for k, s in enumerate(grams) if not isinstance(s, float)}
+        grams = [0.0 if k in exact else s for k, s in enumerate(grams)]
     start = [i * n - i * (i + 1) // 2 for i in range(n)]  # (i, j), i <= j: start[i] + j
     order = []
     for i in range(n):  # row i: the pairs (j, i) for j < i, then (i, j) for j >= i
         order += [s + i for s in start[:i]]
         order += range(start[i] + i, start[i] + n)
-    sums = dict.fromkeys(ts)
-    for t, col in enumerate(ev._columns(top, floats)):  # one degree kept at a time
-        if t in sums:
-            for k, v in exact.items():
-                col[k] = v[t]
-            sums[t] = reduce(add, map(col.__getitem__, order), 0)
+    # itemgetter of one index returns the item itself; at n = 1 the column is the row
+    gather = itemgetter(*order) if n > 1 else tuple
+    sums = {}
+    for t, col in ev._columns(ts, grams, exact=False):  # one degree kept at a time
+        for k, v in exact.items():
+            col[k] = v[t]
+        sums[t] = reduce(add, gather(col), 0)
     return [sums[t] for t in ts]
 
 
@@ -332,7 +362,10 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     Each tensor entry adds its terms in point order with
     ``reduce(add, ..., 0)`` and each power sum with ``sum()``.  For floats
     the two differ from CPython 3.12 on, where ``sum()`` is compensated, so
-    neither can stand in for the other without changing printed residuals."""
+    neither can stand in for the other without changing printed residuals.
+    A t = 1 power sum adds the values themselves: pow(v, 1) is v for an
+    int, a Fraction and a float (-0.0 and subnormals included), so ``sum()``
+    sees the same terms."""
     d, top, pts = X.dim, max(ts, default=0), X.points
     if X.is_exact:  # cleared points: every entry is an integer over L^t
         table = X._gram_table(top)
@@ -347,7 +380,7 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     raws: dict[int, list] = {t: [] for t in ts}
     for ip in probes:
         for t in ts:
-            raws[t].append(sum(map(pow, ip, repeat(t))))
+            raws[t].append(sum(ip) if t == 1 else sum(map(pow, ip, repeat(t))))
     if d <= 4:  # x^alpha over the points, in combinations_with_replacement order
         level = [(col, i) for i, col in enumerate(cols)]  # (x^alpha, last index)
         for k in range(1, top + 1):
@@ -359,7 +392,8 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
                 raws[k] += [reduce(add, v, 0) for v, _ in level]
     if X.is_exact:
         return [Fraction(max([0] + raws[t], key=abs), L**t) for t in ts]
-    return [max([0] + [r / float(len(X)) for r in raws[t]], key=abs) for t in ts]
+    nf = float(len(X))
+    return [max([0] + [r / nf for r in raws[t]], key=abs) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -667,10 +701,8 @@ def escalation_diagnostic(
         raise PreconditionError(
             "diagnostic not applicable: -x belongs to the configuration"
         )
-    out = []
-    for k in range(1, K + 1):
-        out.append(float(sum(_dot(y, xv) ** (2 * k - 1) for y in X.points)))
-    return tuple(out)
+    ips = [_dot(y, xv) for y in X.points]
+    return tuple(float(sum(s ** (2 * k - 1) for s in ips)) for k in range(1, K + 1))
 
 
 # ---------------------------------------------------------------------------

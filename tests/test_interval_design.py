@@ -470,6 +470,14 @@ class TestIsSymmetric:
         ok, _ = is_symmetric(WeightedConfiguration((F(1, 2), F(-1, 2)), (2, 3)))
         assert not ok
 
+    def test_exact_values_sharing_one_float_sort_by_value(self):
+        # e and 2e both round to 0.0: a float key would leave them in position order
+        e = F(1, 10**400)
+        config = Configuration((e, 2 * e, -e, -2 * e))
+        ok, cert = is_symmetric(config)
+        assert ok and cert.pairs == ((0, 2), (1, 3)) and cert.fixed == ()
+        assert cert.pairs == certify_symmetry(config, 2).pairs
+
     def test_certificate_covers_all_positions(self):
         cert = SymmetryCertificate(((0, 1),), (2,))
         assert cert.covers(3)

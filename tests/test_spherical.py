@@ -161,7 +161,11 @@ def benchmark_sized_configs():
     """(X, m) beyond ``pinned_configs``: the float d = 8, n = 40 and exact
     n = 12, m = 6 sets of the ``sphere`` benchmark, signed zeros, integer
     poles among floats, points mixing floats with rationals, float designs
-    in d <= 4 (where a tensor entry can be the worst), n = 1, m = 0."""
+    in d <= 4 (where a tensor entry can be the worst), n = 1, m = 0; then
+    subnormal coordinates that make the worst t = 1 entry, d = 2
+    sets at n = 40 (recurrence step 1 is 1.0 * s) and a forced approximate
+    n = 20 set with one rational point (its Gram entry with itself keeps
+    the exact recurrence)."""
     rng = random.Random(1983)
     for antipodal in (True, False):
         yield float_set(rng, 8, 40, antipodal), 3
@@ -192,6 +196,14 @@ def benchmark_sized_configs():
     yield SphericalConfig(((F(3, 5), F(4, 5)),)), 2
     yield SphericalConfig(((0.6, -0.8),)), 2
     yield polygon_on_circle(3, rotation=0.1), 0
+    # d = 5 has no tensor, so the worst t = 1 entry is the e_2 probe's subnormal sum
+    tiny = ((1.0, 5e-324, 0.0), (-1.0, 0.0, 0.0), (0.0, 1e-310, 1.0), (0.0, 0.0, -1.0))
+    yield SphericalConfig(tuple(p + (0.0, 0.0) for p in tiny)), 2
+    for antipodal in (True, False):
+        yield float_set(rng, 2, 40, antipodal), 3
+    pts = [unit_float(rng, 3) for _ in range(19)] + [(F(2, 3), F(-1, 3), F(2, 3))]
+    rng.shuffle(pts)
+    yield SphericalConfig(tuple(pts), mode="approximate"), 3
 
 
 class TestKernelPinned:
@@ -246,6 +258,18 @@ class TestKernelPinned:
         else:
             assert report.tolerance == X.tolerance
             assert report.verdict == all(abs(r) <= X.tolerance for r in report.residuals)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_full_design_report_every_degree(self, d):
+        # each t = 1..6 runs the recurrence to a different top degree
+        rng = random.Random(1991 + d)
+        for X in (float_set(rng, d, 14, True), float_set(rng, d, 9, False)):
+            n = len(X)
+            pairs = [reference_pair_sum(X, k) for k in range(1, 7)]
+            for t in range(1, 7):
+                report = verify_spherical_t_design_full(X, t)
+                assert len(report.residuals) == t
+                assert all(same(r, p / (n * n)) for r, p in zip(report.residuals, pairs))
 
     def test_integer_coordinates_stay_exact(self):
         X = SphericalConfig(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
@@ -795,6 +819,19 @@ class TestEscalationDiagnostic:
     def test_membership_required(self):
         with pytest.raises(DomainError):
             escalation_diagnostic(CROSS, (F(3, 5), F(4, 5)), 3)
+
+    @pytest.mark.parametrize("exact", (True, False))
+    def test_values_match_the_direct_formula(self, exact):
+        rng = random.Random(2026)
+        unit = unit_exact if exact else unit_float
+        X = SphericalConfig(tuple(unit(rng, 3) for _ in range(7)))
+        x, K = X.points[3], 6
+        direct = tuple(
+            float(sum(sum(a * b for a, b in zip(y, x)) ** (2 * k - 1) for y in X.points))
+            for k in range(1, K + 1)
+        )
+        seq = escalation_diagnostic(X, x, K)
+        assert len(seq) == K and all(map(same, seq, direct))
 
     def test_exact_membership_is_equality(self):
         u = F(1, 10**10)
