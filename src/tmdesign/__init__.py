@@ -81,7 +81,6 @@ _EXPORTS = {
     ),
     "spherical": (
         "AntipodalCertificate",
-        "GegenbauerEvaluator",
         "SixPointSearchReport",
         "SphericalConfig",
         "SphericalDesignReport",

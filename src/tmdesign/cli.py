@@ -44,7 +44,9 @@ def _emit(doc: dict, out: str | None) -> None:
 def _load(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # Python's digit limit; RecursionError a nesting too deep to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read JSON input {path!r}: {exc}") from exc
 
 

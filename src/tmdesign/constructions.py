@@ -432,8 +432,7 @@ def pad_with_antipodal_pairs(
     """
     new_points = list(config.points)
     for a in pairs:
-        av = float(a)
-        if not 0 < av < 1:
+        if not 0 < a < 1:  # exact for rationals, False for NaN
             raise DomainError(f"pair value {a!r} must lie in the open interval (0, 1)")
         new_points.extend([a, -a])
     return replace(config, points=tuple(new_points))

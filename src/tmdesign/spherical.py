@@ -14,11 +14,14 @@ therefore antipodal (x in X forces -x in X), and this module produces the
 explicit pairing.
 
 Verification always runs both routes - the Gegenbauer pair sum and a
-deterministic moment probe (all coordinate vectors plus all sign vectors,
-with the full symmetric moment tensor assembled when d <= 4) - and requires
-agreement.  Each route makes one pass for all of T_m.  Exact input is
-cleared of denominators once: with L the lcm of all coordinate denominators,
-the integer Gram matrix G = <Lx, Ly> and its row power sums
+deterministic moment probe (all coordinate vectors plus the sign vectors
+with a_1 = +1, with the full symmetric moment tensor assembled when d <= 4)
+- and requires agreement.  Each route makes one pass for all of T_m.  Both
+arithmetics read the sphere polynomials from one table per dimension: their
+integer coefficient lists and the float steps of their recurrence, grown to
+the largest degree asked for.  Exact input is cleared of denominators once:
+with L the lcm of all coordinate denominators, the integer Gram matrix
+G = <Lx, Ly> and its row power sums
 R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
 (S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
 R[i] holds the power sums of the projection onto x_i.  Float input runs the
@@ -35,8 +38,8 @@ projection onto x_i, by negation.  The moment probes work on coordinate
 columns (of the cleared integer points in exact mode): a coordinate probe's
 inner products are its column, and a sign probe's are the sums of the first
 column and the other columns or their negations, the same terms in the same
-order as a per-point inner product.  Only the sign vectors with a_1 = +1 are taken:
-each other one is -a for one of them, whose inner products are the exact
+order as a per-point inner product.  The sign vectors with a_1 = -1 are
+left out: each is -a for one with a_1 = +1, whose inner products are the exact
 negations (x * -1 is exact and rounding is symmetric), so its odd power sums
 are exact negations too and its even ones are equal; it could never change a
 worst entry or a verdict.  The classical t-design check is the pair-sum route
@@ -51,7 +54,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product, repeat, zip_longest
 from operator import add, itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -139,7 +142,11 @@ class SphericalConfig(Arithmetic):
         if not all(isinstance(p, list) for p in doc["points"]):
             raise DomainError("each point must be a list of coordinates")
         pts = tuple(tuple(map(parse, p)) for p in doc["points"])
-        return SphericalConfig(pts, **settings)
+        X = SphericalConfig(pts, **settings)
+        dim = doc.get("dim", X.dim)
+        if type(dim) is not int or dim != X.dim:  # a bool is not a dimension
+            raise DomainError(f"dim {dim!r} does not match the points' dimension {X.dim}")
+        return X
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -195,97 +202,89 @@ class _GramTable:
 # ---------------------------------------------------------------------------
 
 
-class GegenbauerEvaluator:
-    """Degree-t sphere polynomials on S^(d-1), normalized to value 1 at 1.
+# d -> (P_0..P_T, the float steps (a_j, b_j, c_j, raw_j(1)) for j = 0..T).  A
+# longer table replaces a shorter one whole, so a caller keeps a whole table.
+_TABLES: dict[int, tuple[list[list[int]], list[tuple[float, ...]]]] = {}
 
-    d = 2 uses the cosine polynomials T_t (value cos(t*theta) at cos(theta));
-    d >= 3 runs the classical three-term recurrence with parameter
-    (d - 2)/2 and divides by the value at 1.  Odd t gives an odd polynomial.
-    Both have integer coefficients (floats on float input): rational inputs
-    are evaluated exactly.
+
+def _sphere_table(d: int, top: int) -> tuple[list[list[int]], list[tuple[float, ...]]]:
+    """The table of the degree-t sphere polynomials on S^(d-1) through degree
+    top at least, built on first use and grown to the largest degree asked.
+
+    d = 2 has the cosine polynomials T_t (value cos(t*theta) at cos(theta));
+    d >= 3 the classical three-term recurrence with parameter (d - 2)/2,
+    raw_j = (a_j s raw_(j-1) - b_j raw_(j-2)) / c_j.  Its integer form, with
+    the divisions by c_j deferred, is P_j = a_j s P_(j-1) - b_j c_(j-1) P_(j-2),
+    so Q_{d,t}(s) = P_t(s) / P_t(1) and raw_j(1) = P_j(1) / (c_1 ... c_j).
+    Odd t gives an odd polynomial.
     """
+    if d < 2:
+        raise DomainError("dimension must be at least 2")
+    if top < 0:
+        raise DomainError("degree must be nonnegative")
+    polys, steps = _TABLES.get(d, ([[1]], [(0.0, 0.0, 1.0, 1.0)]))
+    if len(polys) > top:
+        return polys, steps
+    polys, steps = list(polys), list(steps)
+    c_prev = c_prod = 1
+    for j in range(1, top + 1):
+        a, b, c = (2 * j + d - 4, j + d - 4, j) if d > 2 else (min(j, 2), 1, 1)
+        c_prod *= c
+        if j == len(polys):
+            older = zip_longest([0] + polys[-1], polys[-2] if j > 1 else [], fillvalue=0)
+            polys.append([a * hi - b * c_prev * lo for hi, lo in older])
+            steps.append((float(a), float(b), float(c), sum(polys[-1]) / c_prod))
+        c_prev = c
+    _TABLES[d] = polys, steps
+    return polys, steps
 
-    def __init__(self, d: int):
-        if d < 2:
-            raise DomainError("dimension must be at least 2")
-        self.d = d
-        # raw_j = (a_j s raw_(j-1) - b_j raw_(j-2)) / c_j: (a_j, b_j, c_j, raw_j(1))
-        self._steps: list[tuple] = [(0, 0, 1, Fraction(1))]
-        self._fsteps: list[tuple] = [(0.0, 0.0, 1.0, 1.0)]
 
-    def _extend(self, top: int) -> None:
-        if top < 0:
-            raise DomainError("degree must be nonnegative")
-        d, steps = self.d, self._steps
-        for j in range(len(steps), top + 1):
-            a, b, c = (2 * j + d - 4, j + d - 4, j) if d > 2 else (min(j, 2), 1, 1)
-            norm = Fraction(a * steps[-1][3] - b * (steps[-2][3] if j > 1 else 0), c)
-            steps.append((a, b, c, norm))
-            self._fsteps.append((float(a), float(b), float(c), float(norm)))
+def _rational_value(poly: list[int], s: Scalar) -> Scalar:
+    """P(s) / P(1) at a rational s = N/D, as sum_k P[k] N^k D^(t-k) over
+    P(1) D^t for t = len(poly) - 1: a Fraction, and the int 1 at t = 0."""
+    if len(poly) == 1:
+        return 1
+    s = Fraction(s)
+    N, D, t = s.numerator, s.denominator, len(poly) - 1
+    return Fraction(sum(p * N**k * D ** (t - k) for k, p in enumerate(poly)), sum(poly) * D**t)
 
-    def coefficients(self, top: int) -> list[list[int]]:
-        """Integer coefficient lists P_0, ..., P_top with
-        Q_{d,t}(s) = sum_k P_t[k] s^k / P_t(1).  The same step table as
-        ``values``, run on coefficient lists with the divisions by c_j
-        deferred: P_j = a_j s P_(j-1) - b_j c_(j-1) P_(j-2)."""
-        self._extend(top)
-        polys: list[list[int]] = [[], [1]]  # P_(-1), P_0
-        c_prev = 1
-        for a, b, c, _ in self._steps[1 : top + 1]:
-            older, last = polys[-2], [0] + polys[-1]
-            older = older + [0] * (len(last) - len(older))
-            polys.append([a * hi - b * c_prev * lo for hi, lo in zip(last, older)])
-            c_prev = c
-        return polys[1:]
 
-    def values(self, top: int, s: Scalar) -> list[Scalar]:
-        """Q_{d,0}(s), ..., Q_{d,top}(s) from one run of the recurrence."""
-        self._extend(top)  # a negative top is an error, not an empty list
-        cols = self._columns(range(top + 1), [s], not isinstance(s, float))
-        return [col[0] for _, col in cols]
-
-    def value(self, t: int, s: Scalar) -> Scalar:
-        return self.values(t, s)[t]
-
-    def _columns(
-        self, ts: Sequence[int], ss: Sequence[Scalar], exact: bool
-    ) -> Iterator[tuple[int, list[Scalar]]]:
-        """``values`` at every s in ss at the degrees in ts: runs the
-        recurrence one degree at a time through max(ts) and yields
-        (t, [Q_{d,t}(s) for s in ss]) for each t in ts, lowest first, each a
-        new list.  Only those degrees are divided by their value at 1.
-        ``exact`` runs the exact steps on Fractions; otherwise ss must be
-        floats, and the float steps run.  Step 1 is a_1 s: with the step's
-        u = 1, p = 0 and c = 1 the general step gives the same value, bit for
-        bit on floats (a s * 1.0 - 0.0 is a s, also when a s is -0.0)."""
-        top = max(ts, default=0)
-        self._extend(top)
-        wanted = set(ts)
-        if exact:
-            steps, one = self._steps, 1
-            ss = [Fraction(s) for s in ss]
+def _columns(
+    steps: Sequence[tuple[float, ...]], ts: Sequence[int], ss: Sequence[float]
+) -> Iterator[tuple[int, list[float]]]:
+    """Q_{d,t}(s) at every float s in ss at the degrees in ts, from the float
+    steps of the table: runs the recurrence one degree at a time through
+    max(ts) and yields (t, [Q_{d,t}(s) for s in ss]) for each t in ts, lowest
+    first, each a new list.  Only those degrees are divided by their value
+    at 1.  Step 1 is a_1 s: with the step's u = 1, p = 0 and c = 1 the
+    general step gives the same value, bit for bit (a s * 1.0 - 0.0 is a s,
+    also when a s is -0.0)."""
+    top = max(ts, default=0)
+    wanted = set(ts)
+    cur = [1.0] * len(ss)
+    if 0 in wanted:
+        yield 0, list(cur)
+    for j, (a, b, c, norm) in enumerate(steps[1 : top + 1], 1):
+        if j == 1:
+            prev, cur = cur, [a * s for s in ss]
         else:
-            steps, one = self._fsteps, 1.0
-        cur = [one] * len(ss)
-        if 0 in wanted:
-            yield 0, list(cur)
-        for j, (a, b, c, norm) in enumerate(steps[1 : top + 1], 1):
-            if j == 1:
-                prev, cur = cur, [a * s for s in ss]
-            else:
-                prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
-            if j in wanted:
-                yield j, [u / norm for u in cur]
+            prev, cur = cur, [(a * s * u - b * p) / c for s, u, p in zip(ss, cur, prev)]
+        if j in wanted:
+            yield j, [u / norm for u in cur]
 
 
 def gegenbauer_value(
     d: int, t: int, s: Scalar, tol: float = DEFAULT_SPHERE_TOL
 ) -> Scalar:
-    """Q_{d,t}(s) under the Q(1) = 1 normalization.  An exact s must lie in
-    [-1, 1], a float s within tol of it (the rule of ``Configuration``)."""
+    """Q_{d,t}(s) under the Q(1) = 1 normalization: a float at a float s,
+    otherwise exact.  An exact s must lie in [-1, 1], a float s within tol
+    of it (the rule of ``Configuration``)."""
     if not in_unit_interval(s, None if is_exact(s) else tol):
         raise DomainError(f"argument {s!r} outside [-1, 1]")
-    return GegenbauerEvaluator(d).value(t, s)
+    polys, steps = _sphere_table(d, t)
+    if isinstance(s, float):
+        return next(_columns(steps, (t,), [s]))[1][0]
+    return _rational_value(polys[t], s)
 
 
 def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
@@ -297,12 +296,11 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     ``reduce(add, ..., 0)``, as a double loop would.  The types are tested
     on the coordinates: all floats make every Gram entry a float.  Otherwise
     (possible in forced approximate mode) each Gram entry that is not a
-    float keeps the exact recurrence of ``values``, substituted into the
+    float is evaluated exactly, P_t(s) / P_t(1), and substituted into the
     degree's column before it is added."""
-    ev = GegenbauerEvaluator(X.dim)
     top = max(ts, default=0)
+    polys, steps = _sphere_table(X.dim, top)
     if X.is_exact:
-        polys = ev.coefficients(top)
         table = X._gram_table(top)
         L2, sums = table.L**2, [sum(col) for col in zip(*table.rows)]
         out = []
@@ -315,7 +313,7 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     grams = [sum(map(mul, x, y)) for i, x in enumerate(pts) for y in pts[i:]]  # _dot
     exact = {}
     if not all(map(isinstance, chain.from_iterable(pts), repeat(float))):
-        exact = {k: ev.values(top, s) for k, s in enumerate(grams) if not isinstance(s, float)}
+        exact = {k: s for k, s in enumerate(grams) if not isinstance(s, float)}
         grams = [0.0 if k in exact else s for k, s in enumerate(grams)]
     start = [i * n - i * (i + 1) // 2 for i in range(n)]  # (i, j), i <= j: start[i] + j
     order = []
@@ -325,9 +323,9 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     # itemgetter of one index returns the item itself; at n = 1 the column is the row
     gather = itemgetter(*order) if n > 1 else tuple
     sums = {}
-    for t, col in ev._columns(ts, grams, exact=False):  # one degree kept at a time
-        for k, v in exact.items():
-            col[k] = v[t]
+    for t, col in _columns(steps, ts, grams):  # one degree kept at a time
+        for k, s in exact.items():
+            col[k] = _rational_value(polys[t], s)
         sums[t] = reduce(add, gather(col), 0)
     return [sums[t] for t in ts]
 

@@ -180,18 +180,38 @@ MALFORMED = [
 ]
 
 
+# Bytes that json cannot read: not UTF-8, nested past the recursion limit,
+# and an integer past Python's digit limit for int-to-str conversions.
+UNREADABLE = [
+    (b'{"points": ["\xff"]}', ["certify", "symmetry", "--m", "1"]),
+    (b"[" * 100000, ["verify", "interval", "--m", "1"]),
+    (b'{"points": [' + b"7" * 5000 + b"]}", ["certify", "symmetry", "--m", "1"]),
+]
+
+
 @pytest.mark.parametrize(
     "doc, argv",
-    MALFORMED,
-    ids=["missing-points", "top-level-list", "tolerance-twice", "nan-point"],
+    MALFORMED + UNREADABLE,
+    ids=["missing-points", "top-level-list", "tolerance-twice", "nan-point",
+         "not-utf-8", "deep-nesting", "long-integer"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, doc, argv):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     code, out, err = run(capsys, *argv[:2], str(path), *argv[2:])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [5, 1, "x", "2", None, True, 2.0])
+@pytest.mark.parametrize("command, kind", [("verify", "spherical"), ("certify", "antipodal")])
+def test_spherical_dim_must_match_the_points(tmp_path, capsys, dim, command, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": dim, "points": [["1", "0"], ["-1", "0"]]}))
+    code, out, err = run(capsys, command, kind, str(path), "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dim ") and err.count("\n") == 1
 
 
 class TestDocumentTolerance:

@@ -442,6 +442,14 @@ class TestPadding:
         with pytest.raises(DomainError):
             pad_with_antipodal_pairs(Configuration((F(0),)), [F(1)])
 
+    def test_pad_tests_the_exact_value(self):
+        # both lie in (0, 1), though float() rounds them to 1.0 and 0.0
+        for a in (1 - F(1, 10**20), F(1, 10**400)):
+            padded = pad_with_antipodal_pairs(Configuration((F(0),)), [a])
+            assert padded.points == (F(0), a, -a)
+        with pytest.raises(DomainError, match="open interval"):  # float() overflows
+            pad_with_antipodal_pairs(Configuration((F(0),)), [F(10**400)])
+
     def test_add_zero(self):
         config = Configuration((F(-3, 4), F(-1, 4), F(1)))
         bigger = add_zero(config)

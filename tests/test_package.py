@@ -108,8 +108,8 @@ class TestStartUp:
 
 
 class TestPublicNames:
-    def test_sixty_eight_names_from_seven_submodules(self):
-        assert len(tmdesign.__all__) == len(set(tmdesign.__all__)) == 68
+    def test_sixty_seven_names_from_seven_submodules(self):
+        assert len(tmdesign.__all__) == len(set(tmdesign.__all__)) == 67
         assert tuple(tmdesign._EXPORTS) == SUBMODULES
 
     @pytest.mark.parametrize("submodule", SUBMODULES)

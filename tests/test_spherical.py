@@ -72,12 +72,12 @@ def unit_float(rng, d):
     return tuple(c / norm for c in v)
 
 
-def reference_pair_sum(X, t):
-    """Per-t pair sum: Fraction lambda, one recurrence per ordered pair."""
-    lam = F(X.dim - 2, 2)
+def reference_q(d, t, s):
+    """Q_{d,t}(s): the recurrence with Fraction lambda, one run per argument."""
+    lam = F(d - 2, 2)
 
     def raw(s):
-        if X.dim == 2:
+        if d == 2:
             prev, cur = 1, s
             for _ in range(t - 1):
                 prev, cur = cur, 2 * s * cur - prev
@@ -87,16 +87,18 @@ def reference_pair_sum(X, t):
             prev, cur = cur, (2 * (j + lam - 1) * s * cur - (j + 2 * lam - 2) * prev) / j
         return cur
 
-    def q(s):
-        if t == 0:
-            return 1 if isinstance(s, (int, F)) else 1.0
-        r, nrm = raw(s), F(raw(F(1)))
-        return r / nrm if isinstance(r, (int, F)) else r / float(nrm)
+    if t == 0:
+        return 1 if isinstance(s, (int, F)) else 1.0
+    r, nrm = raw(s), F(raw(F(1)))
+    return r / nrm if isinstance(r, (int, F)) else r / float(nrm)
 
+
+def reference_pair_sum(X, t):
+    """Per-t pair sum: Fraction lambda, one recurrence per ordered pair."""
     acc = 0
     for x in X.points:
         for y in X.points:
-            acc = acc + q(sum(a * b for a, b in zip(x, y)))
+            acc = acc + reference_q(X.dim, t, sum(a * b for a, b in zip(x, y)))
     return acc
 
 
@@ -164,8 +166,8 @@ def benchmark_sized_configs():
     in d <= 4 (where a tensor entry can be the worst), n = 1, m = 0; then
     subnormal coordinates that make the worst t = 1 entry, d = 2
     sets at n = 40 (recurrence step 1 is 1.0 * s) and a forced approximate
-    n = 20 set with one rational point (its Gram entry with itself keeps
-    the exact recurrence)."""
+    n = 20 set with one rational point (its Gram entry with itself is
+    evaluated exactly)."""
     rng = random.Random(1983)
     for antipodal in (True, False):
         yield float_set(rng, 8, 40, antipodal), 3
@@ -361,6 +363,73 @@ class TestGegenbauer:
         assert abs(gegenbauer_value(3, 2, 1.0 + 1e-12) - 1) < 1e-11
         with pytest.raises(DomainError, match="outside"):
             gegenbauer_value(3, 2, 1.0 + 2e-9)
+
+
+# Rationals in [-1, 1], ints among them: an exact value is a Fraction from t = 1 on
+RATIONALS = (F(-1), F(1), 0, -1, F(1, 2), F(-3, 7), F(5, 11), F(-2, 3),
+             F(1, 10**6), F(999, 1000), F(-1, 3), F(7, 8))
+
+# repr of gegenbauer_value(d, t, s) for t = 0, 3, 6, 11 and s = -0.77, 0.3
+FLOAT_VALUES = {
+    2: [("1.0", "1.0"), ("0.4838680000000001", "-0.792"),
+        ("-0.5317435171520001", "0.25452800000000003"),
+        ("-0.24010567356138857", "0.20848585727999996")],
+    3: [("1.0", "1.0"), ("0.013667499999999869", "-0.3825"),
+        ("-0.33325058434006266", "0.12918118750000002"),
+        ("-0.18838889644748577", "0.08611792585207034")],
+    5: [("1.0", "1.0"), ("-0.22143275000000018", "-0.17775"),
+        ("-0.14926331080967192", "0.05395689062499999"),
+        ("-0.07103668928775421", "0.023739404862128895")],
+    8: [("1.0", "1.0"), ("-0.32219000000000003", "-0.09"),
+        ("-0.029511220087688285", "0.02185793939393939"),
+        ("-0.01084477263710358", "0.00560069376")],
+}
+
+
+class TestSphereTable:
+    """One table of sphere polynomials per dimension, read by every caller."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_exact_values_match_the_fraction_recurrence(self, d):
+        for t in range(16):
+            for s in RATIONALS:
+                value, ref = gegenbauer_value(d, t, s), reference_q(d, t, s)
+                assert type(value) is type(ref) and value == ref
+
+    @pytest.mark.parametrize("d", sorted(FLOAT_VALUES))
+    def test_float_values_pinned(self, d):
+        got = [
+            tuple(repr(gegenbauer_value(d, t, s)) for s in (-0.77, 0.3)) for t in (0, 3, 6, 11)
+        ]
+        assert got == FLOAT_VALUES[d]
+
+    def test_one_table_grown_to_the_largest_degree(self):
+        with mock.patch.dict(spherical._TABLES, clear=True):
+            gegenbauer_value(5, 4, 0.5)
+            small = spherical._TABLES[5]
+            gegenbauer_value(5, 40, 0.5)
+            table = spherical._TABLES[5]
+            assert len(small[0]) == len(small[1]) == 5  # a reader keeps a whole table
+            assert len(table[0]) == len(table[1]) == 41
+            assert table[0][:5] == small[0] and table[1][:5] == small[1]
+            for t in (10, 20, *range(41)):
+                gegenbauer_value(5, t, F(1, 3))
+                assert spherical._TABLES == {5: table} and spherical._TABLES[5] is table
+
+    def test_repeated_verifications_reuse_the_table(self):
+        X = SphericalConfig(tuple(unit_float(random.Random(7), 4) for _ in range(6)))
+        with mock.patch.dict(spherical._TABLES, clear=True):
+            first = verify_spherical_Tm(X, 3)
+            table = spherical._TABLES[4]
+            for _ in range(3):
+                assert verify_spherical_Tm(X, 3) == first
+                assert spherical._TABLES[4] is table
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError, match="dimension must be at least 2"):
+            gegenbauer_value(1, 2, 0.5)
+        with pytest.raises(DomainError, match="degree must be nonnegative"):
+            gegenbauer_value(3, -1, F(1, 2))
 
 
 class TestHarmonicIndexResidual:
