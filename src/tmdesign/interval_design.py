@@ -107,11 +107,15 @@ class WeightedConfiguration(Arithmetic):
             count = Counter(keys)
             dups = [x for x, key in zip(self.support, keys) if count[key] > 1]
         else:
-            dups = [
-                xi
-                for i, xi in enumerate(self.support)
-                if any(near(xi, xj, tol) for xj in self.support[i + 1 :])
-            ]
+            # Float subtraction rounds monotonically, so a point between two
+            # near points is near both: the first point with a later near
+            # one is the earlier position of some pair of neighbours in
+            # value order.
+            xs = self.support
+            order = sorted(range(len(xs)), key=lambda i: (float(xs[i]), i))
+            pairs = zip(order, order[1:])
+            firsts = sorted(min(i, j) for i, j in pairs if near(xs[i], xs[j], tol))
+            dups = [xs[i] for i in firsts]
         if dups:
             raise DomainError(f"duplicate support point {format_scalar(dups[0])}")
         if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
@@ -169,7 +173,7 @@ class SymmetryCertificate:
             return False
         return all(
             near(support[i], -support[j], tol)
-            and _same_weight(weights[i], weights[j], tol)
+            and _same_weight(weights[min(i, j)], weights[max(i, j)], tol)
             for i, j in self.pairs
         ) and all(near(support[i], 0, tol) for i in self.fixed)
 
@@ -201,8 +205,9 @@ def _sorted_pairs(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def _same_weight(u: Scalar, w: Scalar, tol: float | None) -> bool:
-    """Equal weights: exactly, or within tol at scale 1 + |u|.  The scale is
-    built only in float, where every weight converts (``resolve_mode``)."""
+    """Equal weights: exactly, or within tol at scale 1 + |u|, where u is the
+    weight at the earlier position of a pair.  The scale is built only in
+    float, where every weight converts (``resolve_mode``)."""
     return u == w if tol is None else near(u, w, tol, 1 + abs(float(u)))
 
 
@@ -403,72 +408,41 @@ def is_symmetric(
 ) -> tuple[bool, SymmetryCertificate | None]:
     """Direct symmetry check, independent of any design hypothesis.
 
-    For a Configuration: is the multiset equal to its negation, multiplicity
-    included.  For a WeightedConfiguration: does every support point have its
-    negation in the support with the same weight.  Returns the witnessing
-    pairing when the answer is yes.
+    Is the weight function even: does every point have its negation, with
+    the same weight (``_same_weight``)?  A Configuration is read as its
+    points with unit weights, so for a multiset this asks whether it equals
+    its negation, multiplicity included.  Returns the witnessing pairing
+    when the answer is yes.
+
+    One routine serves both: sort the positions by value (exact value in
+    exact mode, float otherwise, ties by position), pair the k-th smallest
+    with the k-th largest, fix a middle value and two ends that are both
+    near 0, and let ``check_weighted`` judge that pairing.  No other
+    pairing needs a try.  An exact multiset equals its negation iff its
+    sorted pairing does.  Support points lie more than tol apart, so pairs
+    (x, y) and (x', y') with x < x' and y < y' cannot both lie within tol:
+    x' + y' exceeds x + y by more than 2 tol.  So if any pairing within tol
+    exists, the sorted one does.
     """
     if isinstance(obj, Configuration):
-        return _is_symmetric_multiset(obj)
-    if isinstance(obj, WeightedConfiguration):
-        return _is_symmetric_weighted(obj)
-    raise DomainError("expected a Configuration or WeightedConfiguration")
-
-
-def _is_symmetric_multiset(config: Configuration):
-    pts, tol = config.points, config.near_tol
-    n = len(pts)
+        xs, ws = obj.points, (1,) * len(obj)
+    elif isinstance(obj, WeightedConfiguration):
+        xs, ws = obj.support, obj.weights
+    else:
+        raise DomainError("expected a Configuration or WeightedConfiguration")
+    tol = obj.near_tol
+    n = len(xs)
     # exact values that round to one float must still sort by value
-    key = (lambda i: (pts[i], i)) if tol is None else (lambda i: (float(pts[i]), i))
+    key = (lambda i: (xs[i], i)) if tol is None else (lambda i: (float(xs[i]), i))
     order = sorted(range(n), key=key)
-    lo, hi = 0, n - 1
     pairs: list[tuple[int, int]] = []
     fixed: list[int] = []
-    while lo <= hi:
-        if lo == hi:
-            i = order[lo]
-            if not near(pts[i], 0, tol):
-                return False, None
+    for i, j in zip(order[: (n + 1) // 2], reversed(order)):
+        if i == j:
             fixed.append(i)
-            break
-        i, j = order[lo], order[hi]
-        if not near(pts[i], -pts[j], tol):
-            return False, None
-        if near(pts[i], 0, tol) and near(pts[j], 0, tol):
-            # both ends are zeros; report them as fixed points
-            fixed.extend([i, j])
+        elif near(xs[i], -xs[j], tol) and near(xs[i], 0, tol) and near(xs[j], 0, tol):
+            fixed += [i, j]
         else:
             pairs.append((i, j))
-        lo += 1
-        hi -= 1
-    return True, SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
-
-
-def _is_symmetric_weighted(w: WeightedConfiguration):
-    xs, ws = w.support, w.weights
-    tol = w.near_tol
-    n = len(xs)
-    used = [False] * n
-    pairs: list[tuple[int, int]] = []
-    fixed: list[int] = []
-    for i in range(n):
-        if used[i]:
-            continue
-        used[i] = True
-        if near(xs[i], 0, tol):
-            fixed.append(i)
-            continue
-        free = [j for j in range(n) if not used[j]]
-        if w.is_exact:
-            j = next((j for j in free if xs[j] == -xs[i]), None)
-        else:
-            j = min(free, key=lambda j: abs(float(xs[i]) + float(xs[j])), default=None)
-        if (
-            j is None
-            or not near(xs[i], -xs[j], tol)
-            or not _same_weight(ws[i], ws[j], tol)
-        ):
-            return False, None
-        used[j] = True
-        pairs.append((i, j))
-    return True, SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+    cert = SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+    return (True, cert) if cert.check_weighted(xs, ws, tol) else (False, None)

@@ -534,7 +534,5 @@ def power_sums_from_coeffs(
             raise DomainError("polynomial must be monic (or pass normalize=True)")
         coeffs = tuple(c / poly.leading for c in coeffs)
     n = len(coeffs) - 1
-    e = ElemSymVector(
-        tuple((-1) ** k * coeffs[n - k] for k in range(n + 1)), exact=True
-    )
+    e = ElemSymVector(tuple((-1) ** k * coeffs[n - k] for k in range(n + 1)))
     return newton_p_from_e(e, n, K)

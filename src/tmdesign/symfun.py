@@ -43,7 +43,11 @@ class PowerSumVector:
     """Power sums p_1 .. p_K of some multiset; ``entries[k-1]`` is p_k."""
 
     entries: tuple[Scalar, ...]
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        """Whether every entry is exact (int or Fraction)."""
+        return all_exact(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -59,7 +63,11 @@ class ElemSymVector:
     """Elementary symmetric values e_0 .. e_K; ``entries[k]`` is e_k."""
 
     entries: tuple[Scalar, ...]
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        """Whether every entry is exact (int or Fraction)."""
+        return all_exact(self.entries)
 
     @property
     def order(self) -> int:
@@ -161,7 +169,7 @@ def power_sums(values: Sequence[Scalar], K: int) -> PowerSumVector:
     if K < 1:
         raise DomainError("K must be a positive integer")
     L, nums = _numerators(vals)
-    return PowerSumVector(tuple(_over(L, _power_sum_nums(nums, K), 1)), L is not None)
+    return PowerSumVector(tuple(_over(L, _power_sum_nums(nums, K), 1)))
 
 
 def elementary_symmetric(values: Sequence[Scalar], K: int) -> ElemSymVector:
@@ -173,7 +181,7 @@ def elementary_symmetric(values: Sequence[Scalar], K: int) -> ElemSymVector:
     if K < 1:
         raise DomainError("K must be a positive integer")
     L, nums = _numerators(vals)
-    return ElemSymVector(tuple(_over(L, _elem_nums(nums, K), 0)), L is not None)
+    return ElemSymVector(tuple(_over(L, _elem_nums(nums, K), 0)))
 
 
 def newton_e_from_p(p: PowerSumVector, K: int) -> ElemSymVector:
@@ -208,12 +216,12 @@ def newton_e_from_p(p: PowerSumVector, K: int) -> ElemSymVector:
             fall *= k - i
         e.append(acc)
     if L is None:
-        return ElemSymVector(tuple(e), False)
+        return ElemSymVector(tuple(e))
     out, scale = [], 1
     for k, num in enumerate(e):
         out.append(Fraction(num, scale))
         scale *= (k + 1) * L
-    return ElemSymVector(tuple(out), True)
+    return ElemSymVector(tuple(out))
 
 
 def newton_p_from_e(e: ElemSymVector, n: int, K: int) -> PowerSumVector:
@@ -250,7 +258,7 @@ def newton_p_from_e(e: ElemSymVector, n: int, K: int) -> PowerSumVector:
                 term = E[k - i] * p[i]
                 acc = acc + term if i % 2 == 1 else acc - term
             p.append(-acc if k % 2 == 1 else acc)
-    return PowerSumVector(tuple(_over(L, p[1:], 1)), L is not None)
+    return PowerSumVector(tuple(_over(L, p[1:], 1)))
 
 
 def power_scale(values: Sequence[Scalar], k: int, weights=None) -> float:

@@ -123,9 +123,9 @@ class TestNewtonExactness:
         assert p.entries == (0.5, -0.25, -0.25) and not p.exact
 
     def test_exact_values_under_a_false_flag(self):
-        e = newton_e_from_p(PowerSumVector((F(1, 2), F(1, 4)), exact=False), 2)
+        e = newton_e_from_p(PowerSumVector((F(1, 2), F(1, 4))), 2)
         assert e.entries == (1, F(1, 2), 0) and e.exact
-        p = newton_p_from_e(ElemSymVector((1, F(1, 2)), exact=False), 1, 2)
+        p = newton_p_from_e(ElemSymVector((1, F(1, 2))), 1, 2)
         assert p.entries == (F(1, 2), F(1, 4)) and p.exact
 
 
