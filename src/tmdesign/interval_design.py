@@ -417,9 +417,10 @@ def is_symmetric(
     One routine serves both: sort the positions by value (exact value in
     exact mode, float otherwise, ties by position), pair the k-th smallest
     with the k-th largest, fix a middle value and two ends that are both
-    near 0, and let ``check_weighted`` judge that pairing.  No other
-    pairing needs a try.  An exact multiset equals its negation iff its
-    sorted pairing does.  Support points lie more than tol apart, so pairs
+    near 0 (the rule ``check_weighted`` holds fixed positions to), and let
+    ``check_weighted`` judge that pairing.  No other pairing needs a try.
+    An exact multiset equals its negation iff its sorted pairing does.
+    Support points lie more than tol apart, so pairs
     (x, y) and (x', y') with x < x' and y < y' cannot both lie within tol:
     x' + y' exceeds x + y by more than 2 tol.  So if any pairing within tol
     exists, the sorted one does.
@@ -440,7 +441,7 @@ def is_symmetric(
     for i, j in zip(order[: (n + 1) // 2], reversed(order)):
         if i == j:
             fixed.append(i)
-        elif near(xs[i], -xs[j], tol) and near(xs[i], 0, tol) and near(xs[j], 0, tol):
+        elif near(xs[i], 0, tol) and near(xs[j], 0, tol):
             fixed += [i, j]
         else:
             pairs.append((i, j))

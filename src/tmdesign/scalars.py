@@ -206,14 +206,12 @@ def format_scalar(x: Scalar) -> str:
     return repr(float(x))
 
 
-def decimal_string(x: Scalar, digits: int = 17) -> str:
-    """Fixed-precision decimal rendering (JSON output of approximate data)."""
-    if isinstance(x, float):
-        return repr(x)
-    f = Fraction(x)
+def decimal_string(x: Fraction, digits: int) -> str:
+    """A rational rounded to ``digits`` significant decimal digits (JSON
+    output of approximate data)."""
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(f.numerator) / Decimal(f.denominator))
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def cos_turn(j: int, q: int, offset: float = 0.0) -> float:

@@ -19,12 +19,12 @@ with a_1 = +1, with the full symmetric moment tensor assembled when d <= 4)
 - and requires agreement.  Each route makes one pass for all of T_m.  Both
 arithmetics read the sphere polynomials from one table per dimension: their
 integer coefficient lists and the float steps of their recurrence, grown to
-the largest degree asked for.  Exact input is cleared of denominators once:
-with L the lcm of all coordinate denominators, the integer Gram matrix
-G = <Lx, Ly> and its row power sums
-R[i][k] = sum_y G[i][y]^k give every pair sum as sum_k q_{t,k} S_k / L^(2k)
-(S_k = sum_i R[i][k], q_{t,k} the monomial coefficients of Q_{d,t}), and
-R[i] holds the power sums of the projection onto x_i.  Float input runs the
+the largest degree asked for.  Exact input is cleared of denominators by
+each routine that reads it, and nothing is kept between calls: with L the
+lcm of all coordinate denominators, one pass over the upper triangle of
+the integer Gram matrix G = <Lx, Ly> gives its power sums
+S_k = sum_{x,y} G[x][y]^k, and every pair sum is sum_k q_{t,k} S_k / L^(2k)
+(q_{t,k} the monomial coefficients of Q_{d,t}).  Float input runs the
 recurrence one degree at a time over the upper triangle of Gram entries
 <x, y>, keeping two degrees; only the degrees asked for are divided by their
 value at 1 and summed, their n^2 terms in the row order of the full matrix.
@@ -34,7 +34,8 @@ that loop has them.  ``sum()`` is compensated from CPython 3.12 on, so the
 two are not interchangeable, but on every CPython each result is the float
 the plain loop gives there.  In both arithmetics the antipodal pairing pairs
 the values of row i of the Gram matrix at the unmatched points, their
-projection onto x_i, by negation.  The moment probes work on coordinate
+projection onto x_i, by negation; in exact mode the folded odd power sums
+of the whole row must vanish first.  The moment probes work on coordinate
 columns (of the cleared integer points in exact mode): a coordinate probe's
 inner products are its column, and a sign probe's are the sums of the first
 column and the other columns or their negations, the same terms in the same
@@ -80,6 +81,7 @@ from .scalars import (
     resolve_mode,
     sin_turn,
 )
+from .symfun import folded_odd_sums
 
 #: Default tolerance for unit-norm and residual checks at double precision.
 DEFAULT_SPHERE_TOL = 1e-9
@@ -119,16 +121,6 @@ class SphericalConfig(Arithmetic):
     def __len__(self) -> int:
         return len(self.points)
 
-    def _gram_table(self, top: int) -> "_GramTable":
-        """The cleared Gram power table of exact points through degree top,
-        built on first use and kept with the (immutable) points, so one
-        verification and the pairing that follows it share one table."""
-        table = self.__dict__.get("_gram")
-        if table is None or len(table.rows[0]) <= top:
-            table = _GramTable.build(self.points, top)
-            object.__setattr__(self, "_gram", table)
-        return table
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -161,40 +153,29 @@ def _are_negations(p: Point, q: Point, tol: float | None) -> bool:
     return all(near(a, -b, tol) for a, b in zip(p, q))
 
 
-@dataclass(frozen=True)
-class _GramTable:
-    """Rational points with their denominators cleared.
+def _cleared(pts: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """Rational points with their denominators cleared: L, the lcm of all
+    coordinate denominators, and the integer points Lx."""
+    d = len(pts[0])
+    L, flat = clear_denominators(c for p in pts for c in p)
+    return L, [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
 
-    ``L`` is the lcm of all coordinate denominators, ``points`` the integer
-    points Lx and ``rows[i][k]`` the power sum sum_j G_ij^k for k = 0..top,
-    with G_ij = <Lx_i, Lx_j> the cleared Gram matrix.  So sum_{x,y} <x, y>^k
-    is sum_i rows[i][k] / L^(2k), and rows[i][k] / L^(2k) is the k-th power
-    sum of the projection of the points onto x_i.
-    """
 
-    L: int
-    points: list[tuple[int, ...]]
-    rows: list[list[int]]
-
-    @staticmethod
-    def build(pts: Sequence[Point], top: int) -> "_GramTable":
-        """One pass over the upper triangle: each G_ij^k (i <= j) is added
-        to row i directly and to row j through the column sums ``cols[k]``,
-        which hold sum_{i < j} G_ij^k by the time row j is reached."""
-        d, n = len(pts[0]), len(pts)
-        L, flat = clear_denominators(c for p in pts for c in p)
-        ipts = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
-        rows = [[n] + [0] * top for _ in range(n)]
-        cols = [[0] * n for _ in range(top + 1)]
-        for i, x in enumerate(ipts):
-            upper = [sum(map(mul, x, y)) for y in ipts[i:]]  # _dot, inline
-            power = upper
-            for k in range(1, top + 1):
-                if k > 1:
-                    power = list(map(mul, power, upper))
-                rows[i][k] = cols[k][i] + sum(power)
-                cols[k][i + 1 :] = map(add, cols[k][i + 1 :], power[1:])
-        return _GramTable(L, ipts, rows)
+def _gram_power_sums(pts: Sequence[Point], top: int) -> tuple[int, list[int]]:
+    """L and S_k = sum_{x,y} <Lx, Ly>^k for k = 0..top, the power sums of the
+    cleared Gram matrix G, in one pass over its upper triangle: each
+    off-diagonal G_ij^k counts twice and the diagonal once, and S_0 = n^2.
+    So sum_{x,y} <x, y>^k is S_k / L^(2k)."""
+    L, ipts = _cleared(pts)
+    sums = [len(ipts) ** 2] + [0] * top
+    for i, x in enumerate(ipts):
+        upper = [sum(map(mul, x, y)) for y in ipts[i:]]  # _dot, inline; G_ii first
+        power = upper
+        for k in range(1, top + 1):
+            if k > 1:
+                power = list(map(mul, power, upper))
+            sums[k] += 2 * sum(power) - power[0]
+    return L, sums
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +282,8 @@ def _pair_sums(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     top = max(ts, default=0)
     polys, steps = _sphere_table(X.dim, top)
     if X.is_exact:
-        table = X._gram_table(top)
-        L2, sums = table.L**2, [sum(col) for col in zip(*table.rows)]
-        out = []
+        L, sums = _gram_power_sums(X.points, top)
+        L2, out = L**2, []
         for t in ts:  # sum_k P_t[k] S_k / L^(2k), over P_t(1)
             terms = enumerate(zip(polys[t], sums))
             num = sum(p * s_k * L2 ** (t - k) for k, (p, s_k) in terms)
@@ -366,8 +346,7 @@ def _moment_residuals(X: SphericalConfig, ts: Sequence[int]) -> list[Scalar]:
     sees the same terms."""
     d, top, pts = X.dim, max(ts, default=0), X.points
     if X.is_exact:  # cleared points: every entry is an integer over L^t
-        table = X._gram_table(top)
-        L, pts = table.L, table.points
+        L, pts = _cleared(pts)
     cols = [list(col) for col in zip(*pts)]
     coords = cols
     if len({type(c) for col in cols for c in col}) > 1:  # mixed points round in _dot
@@ -578,10 +557,11 @@ def certify_antipodal(X: SphericalConfig, m: int) -> AntipodalCertificate:
     most 2m values; it is symmetric and pairs the value <x_i, x_i> = 1 with
     a value -1, and the point realizing -1 is -x_i itself (equality in
     Cauchy-Schwarz).  The projection is part of row i of the Gram matrix,
-    <Lx_i, Lx_j> on the cleared integer points in exact mode (whose odd
-    power sums the verification's Gram power table already holds) and
-    <x_i, x_j> in float, and ``pair_negations`` names the partner.  Each
-    pair is then checked coordinatewise, the rule of
+    <Lx_i, Lx_j> on the cleared integer points in exact mode and
+    <x_i, x_j> in float, and ``pair_negations`` names the partner.  In
+    exact mode the whole row, the projection of X onto x_i, must first fold
+    to nothing (``folded_odd_sums``): a verified design has no nonzero odd
+    power sum there.  Each pair is then checked coordinatewise, the rule of
     ``AntipodalCertificate.check``.  Every test uses the configuration's
     tolerance.
     """
@@ -602,19 +582,19 @@ def certify_antipodal(X: SphericalConfig, m: int) -> AntipodalCertificate:
             return InternalDefectError(f"verified design: {message}")
         return ToleranceError(message, reason=reason)
 
-    table = X._gram_table(2 * m - 1) if X.is_exact else None
-    pts = X.points if table is None else table.points
+    pts = _cleared(X.points)[1] if X.is_exact else X.points
     matched = [False] * n
     pairs: list[tuple[int, int]] = []
     for i in range(n):
         if matched[i]:
             continue
-        if table is not None and any(table.rows[i][k] for k in range(1, 2 * m, 2)):
+        row = [_dot(pts[i], y) for y in pts]
+        if X.is_exact and any(folded_odd_sums(row, [1] * n, m)):
             raise InternalDefectError(
                 f"verified design projects onto point {i} with a nonzero odd power sum"
             )
         free = [j for j in range(i, n) if not matched[j]]  # i first
-        cert = pair_negations([_dot(pts[i], pts[j]) for j in free], tol)
+        cert = pair_negations([row[j] for j in free], tol)
         partner = next((free[b] for a, b in cert.pairs if a == 0), None)
         if partner is None:
             raise fail(

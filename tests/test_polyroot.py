@@ -106,6 +106,9 @@ class TestIsolateRealRoots:
         assert ivs[0].lo < F(-1, 2) <= ivs[0].hi
         assert ivs[1].lo < F(1, 2) <= ivs[1].hi
 
+    def test_nonzero_constant_has_no_roots(self):
+        assert isolate_real_roots(RationalPolynomial.from_coeffs([F(3, 2)])) == []
+
     def test_single_zero(self):
         ivs = isolate_real_roots(RationalPolynomial.from_coeffs([0, 1]))
         assert len(ivs) == 1
@@ -412,6 +415,10 @@ class TestRefineRoot:
         poly = RationalPolynomial.from_coeffs([0, 1])
         iv = isolate_real_roots(poly)[0]
         assert abs(refine_root(poly, iv, F(1, 100))) <= F(1, 100)
+
+    def test_root_at_hi_is_returned(self):
+        poly = RationalPolynomial.from_coeffs([-1, 2])  # root 1/2
+        assert refine_root(poly, IsolatingInterval(F(0), F(1, 2)), F(1, 10**6)) == F(1, 2)
 
     def test_bracketing_invariant(self):
         poly = RationalPolynomial.from_coeffs([-3, 0, 0, 1])  # cube root of 3

@@ -13,6 +13,7 @@ from tmdesign import (
     AntipodalCertificate,
     DomainError,
     HypothesisError,
+    InternalDefectError,
     PreconditionError,
     SphericalConfig,
     ToleranceError,
@@ -32,7 +33,7 @@ from tmdesign import (
 )
 from tmdesign import spherical
 from tmdesign.scalars import near
-from tmdesign.spherical import _GramTable, _project_margin, antipodal_defect
+from tmdesign.spherical import _gram_power_sums, _project_margin, antipodal_defect
 
 CROSS = SphericalConfig(
     ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))
@@ -320,9 +321,8 @@ def test_half_triangle_gram_table_matches_full_build(seed):
         pts = [unit_exact(rng, d) for _ in range(rng.randint(1, 12))]
         pts += [pts[0], tuple(-c for c in pts[-1])]  # a repeat and an antipode
         rng.shuffle(pts)
-        table = _GramTable.build(pts, top)
-        L, ipts, _, rows = reference_gram_table(pts, top)
-        assert (table.L, table.points, table.rows) == (L, ipts, rows)
+        L, _, _, rows = reference_gram_table(pts, top)
+        assert _gram_power_sums(pts, top) == (L, [sum(col) for col in zip(*rows)])
 
 
 class TestGegenbauer:
@@ -709,6 +709,22 @@ class TestCertifyAntipodal:
             assert is_antipodal(X)[0] and verify_spherical_Tm(X, 3).verdict
             assert certify_antipodal(X, 3).check(X)
 
+    def test_a_broken_row_fold_is_a_defect(self, monkeypatch):
+        # a verified design's rows fold to nothing, so only a broken fold
+        # reaches the guard
+        monkeypatch.setattr(spherical, "folded_odd_sums", lambda *args: [0, 1])
+        with pytest.raises(InternalDefectError, match="point 0 with a nonzero odd power sum"):
+            certify_antipodal(CROSS, 2)
+
+    def test_exact_configuration_keeps_only_its_fields(self):
+        X = SphericalConfig(CROSS.points)
+        verify_spherical_Tm(X, 2)
+        certify_antipodal(X, 2)
+        assert sorted(vars(X)) == ["mode", "points", "tolerance"]
+
+    def test_a_pair_that_misses_two_points_does_not_check(self):
+        assert not AntipodalCertificate(((0, 1),)).check(CROSS)
+
     def test_direct_negation_oracle_agrees(self):
         rng = random.Random(31415)
         for _ in range(20):
@@ -757,7 +773,7 @@ def outcome(f, *args):
 
 
 class TestCertifyAntipodalPinned:
-    """Exact pairing from the Gram power table, against the projections."""
+    """Exact pairing from the cleared Gram rows, against the projections."""
 
     def test_repeated_points_pair_first_unmatched_antipode(self):
         x = (F(3, 5), F(4, 5))

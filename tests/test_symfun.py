@@ -143,6 +143,18 @@ class TestOddEquivalence:
         r = odd_equivalence_check([1, 1, -2], 2)
         assert (r.odd_p_all_zero, r.odd_e_all_zero) == (False, False)
 
+    @pytest.mark.parametrize(
+        "vals, zero",
+        [
+            ([0.5, -0.5, 0.25, -0.25], True),
+            ([0.5 + 1e-13, -0.5, 0.25, -0.25], True),
+            ([0.5, -0.5, 0.25, -0.2], False),
+        ],
+    )
+    def test_float_values_at_the_tolerance(self, vals, zero):
+        r = odd_equivalence_check(vals, 2)
+        assert (r.odd_p_all_zero, r.odd_e_all_zero) == (zero, zero)
+
     def test_precondition_names_inequality(self):
         with pytest.raises(PreconditionError, match="2m-1 <= n"):
             odd_equivalence_check([1, -1], 2)

@@ -6,7 +6,9 @@ multisets and weighted supports alike.  It is checked here against the two
 earlier oracles: a sorted pairing for multisets, and a greedy
 nearest-partner scan for weighted supports.  They agree everywhere except on
 float supports in the ambiguous band, where two support points lie within
-3 tol of each other.  There the greedy scan can take the wrong
+3 tol of each other, and on float multisets with two points near 0 that are
+not near negations of each other, which the sorted oracle paired and the
+certifier fixes.  In the band the greedy scan can take the wrong
 near-partner first, or fix a point near 0 whose partner then has none.  The
 float duplicate check, which sorts and tests neighbours, is checked against
 the all-pairs rule.
@@ -15,6 +17,7 @@ the all-pairs rule.
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -22,9 +25,12 @@ from tmdesign import (
     Configuration,
     DomainError,
     SymmetryCertificate,
+    ToleranceError,
     WeightedConfiguration,
+    certify_symmetry,
     is_symmetric,
 )
+from tmdesign.interval_design import pair_negations
 from tmdesign.scalars import format_scalar, near
 from tmdesign.symfun import ElemSymVector, PowerSumVector
 
@@ -60,6 +66,21 @@ def ref_multiset(pts, tol):
         lo += 1
         hi -= 1
     return True, SymmetryCertificate(_sorted_pairs(pairs), tuple(sorted(fixed)))
+
+
+def two_near_zero_apart(pts, tol):
+    """Two points within tol of 0 that are not near negations of each other:
+    ``ref_multiset`` pairs them, where the certifier fixes both."""
+    zs = [x for x in pts if near(x, 0, tol)]
+    return any(not near(a, -b, tol) for a, b in combinations(zs, 2))
+
+
+def certifier_accepts(pts, tol):
+    """Whether ``check_multiset`` accepts the pairing ``pair_negations`` gives."""
+    try:
+        return pair_negations(pts, tol).check_multiset(pts, tol)
+    except ToleranceError:
+        return False
 
 
 def ref_weighted(xs, ws, tol):
@@ -184,10 +205,18 @@ class TestCorpus:
         assert sum(symmetric) > 100
 
     def test_multisets_match_the_sorted_oracle(self):
+        carved = 0
         for pts, wts, tol in CORPUS:
             if wts is None:
                 config = Configuration(pts, **_settings(tol))
-                assert is_symmetric(config) == ref_multiset(pts, tol)
+                if two_near_zero_apart(pts, tol):  # the old rule paired them
+                    ok, cert = is_symmetric(config)
+                    assert ok == certifier_accepts(pts, tol)
+                    assert not ok or cert.check_multiset(pts, tol)
+                    carved += 1
+                else:
+                    assert is_symmetric(config) == ref_multiset(pts, tol)
+        assert carved > 0
 
     def test_supports_match_the_greedy_oracle_outside_the_band(self):
         for pts, wts, tol in CORPUS:
@@ -245,6 +274,23 @@ class TestAmbiguousBand:
             (0.5, 8e-11, -0.5, -7e-11), (2.0, 1.0, 2.0, 3.0), tolerance=1e-10
         )
         assert is_symmetric(w) == (True, SymmetryCertificate(((0, 2),), (1, 3)))
+
+
+class TestNearZeroEnds:
+    def test_two_same_sign_points_near_zero_are_fixed(self):
+        # neither near negations of each other nor of anything else: the
+        # certifier fixes each one, and so does the oracle
+        pts = (
+            -0.25000000002787737,
+            0.24999999996947922,
+            9.776504082341286e-11,
+            2.1607518184905184e-11,
+        )
+        config = Configuration(pts, tolerance=1e-10)
+        cert = certify_symmetry(config, 2)
+        assert (cert.pairs, cert.fixed) == (((0, 1),), (2, 3))
+        assert cert.check_multiset(pts, 1e-10)
+        assert is_symmetric(config) == (True, cert)
 
 
 class TestCheckWeightedOrientation:
