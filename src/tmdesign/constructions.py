@@ -53,7 +53,7 @@ from .scalars import (
     Scalar,
     as_fraction,
     clear_denominators,
-    cos_turn,
+    cos_turns,
     decimal_string,
     format_scalar,
     mode_zero,
@@ -375,7 +375,7 @@ def polygon_weighted_design(n: int) -> WeightedConfiguration:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    support = [cos_turn(j, 2 * n + 1) for j in range(1, n + 1)] + [1.0]
+    support = cos_turns(range(1, n + 1), 2 * n + 1) + [1.0]
     weights = [2.0] * n + [1.0]
     return WeightedConfiguration(
         tuple(support), tuple(weights), tolerance=1e-12, mode="approximate"
@@ -520,7 +520,7 @@ def chebyshev_gauss_nodes(n: int) -> tuple[float, ...]:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    half = [cos_turn(2 * k - 1, 4 * n) for k in range(1, n // 2 + 1)]
+    half = cos_turns(range(1, n // 2 * 2, 2), 4 * n)
     middle = [0.0] if n % 2 else []
     return tuple(half + middle + [-x for x in reversed(half)])
 
@@ -554,7 +554,7 @@ def chebyshev_gauss_check(
         err = abs(mean - float(target))
         ok = ok and err <= tolerance
         entries.append(QuadratureCheckEntry(s, mean, target, err))
-    variant = tuple(cos_turn(k, 2 * n - 1) for k in range(1, n + 1))
+    variant = tuple(cos_turns(range(1, n + 1), 2 * n - 1))
     variant_mean = sum(variant) / n
     return QuadratureReport(
         n=n,

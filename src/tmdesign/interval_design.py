@@ -40,7 +40,7 @@ from .scalars import (
     read_document,
     resolve_mode,
 )
-from .symfun import extend_odd_power_sums, folded_odd_sums, power_scale
+from .symfun import extend_odd_power_sums, folded_odd_sums, power_scales
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,9 @@ def _odd_moments(
             if k % 2 == 1:
                 residuals.append(sum(map(mul, powers, ws)))
     # near ignores the scale in exact mode.
+    scale = None if tol is None else power_scales(xs, ws)
     tests = (
-        near(r, 0, tol, 1.0 if tol is None else power_scale(xs, k, ws))
+        near(r, 0, tol, 1.0 if tol is None else scale(k))
         for k, r in zip(index_set, residuals)
     )
     failing = next((k for k, ok in zip(index_set, tests) if not ok), None)

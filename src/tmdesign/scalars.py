@@ -21,9 +21,6 @@ Scalar: TypeAlias = int | Fraction | float
 #: Default tolerance of scale-aware zero tests in approximate mode.
 DEFAULT_TOL = 1e-10
 
-#: Working precision (bits) for trigonometric constants before rounding.
-_TRIG_PREC = 80
-
 _MODES = ("auto", "exact", "approximate")
 
 
@@ -214,17 +211,25 @@ def decimal_string(x: Fraction, digits: int) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-def cos_turn(j: int, q: int, offset: float = 0.0) -> float:
-    """cos(offset + 2*pi*j/q), computed at 80-bit precision, one rounding."""
-    import mpmath  # on first use: most commands never need it
+def cos_turns(js: range, q: int, offset: float = 0.0) -> list[float]:
+    """cos(offset + 2*pi*j/q) for each j of the run ``js``, correctly rounded."""
+    from ._trig import turns  # on first use: most commands never need it
 
-    with mpmath.workprec(_TRIG_PREC):
-        return float(mpmath.cos(offset + 2 * mpmath.pi * mpmath.mpf(j) / q))
+    return turns(js, q, offset, 0)
+
+
+def sin_turns(js: range, q: int, offset: float = 0.0) -> list[float]:
+    """sin(offset + 2*pi*j/q) for each j of the run ``js``, correctly rounded."""
+    from ._trig import turns
+
+    return turns(js, q, offset, 1)
+
+
+def cos_turn(j: int, q: int, offset: float = 0.0) -> float:
+    """cos(offset + 2*pi*j/q), correctly rounded; exactly 0.0 at its zeros."""
+    return cos_turns(range(j, j + 1), q, offset)[0]
 
 
 def sin_turn(j: int, q: int, offset: float = 0.0) -> float:
-    """sin(offset + 2*pi*j/q), computed at 80-bit precision, one rounding."""
-    import mpmath
-
-    with mpmath.workprec(_TRIG_PREC):
-        return float(mpmath.sin(offset + 2 * mpmath.pi * mpmath.mpf(j) / q))
+    """sin(offset + 2*pi*j/q), correctly rounded; exactly 0.0 at its zeros."""
+    return sin_turns(range(j, j + 1), q, offset)[0]

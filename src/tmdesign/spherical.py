@@ -71,7 +71,7 @@ from .scalars import (
     Arithmetic,
     Scalar,
     clear_denominators,
-    cos_turn,
+    cos_turns,
     format_scalar,
     in_unit_interval,
     is_exact,
@@ -79,7 +79,7 @@ from .scalars import (
     near,
     read_document,
     resolve_mode,
-    sin_turn,
+    sin_turns,
 )
 from .symfun import folded_odd_sums
 
@@ -625,10 +625,8 @@ def polygon_on_circle(m: int, rotation: float = 0.0) -> SphericalConfig:
     if m < 1:
         raise DomainError("m must be a positive integer")
     q = 2 * m + 1
-    pts = tuple(
-        (cos_turn(j, q, offset=rotation), sin_turn(j, q, offset=rotation))
-        for j in range(q)
-    )
+    turns = range(q)
+    pts = tuple(zip(cos_turns(turns, q, rotation), sin_turns(turns, q, rotation)))
     return SphericalConfig(pts, mode="approximate")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
@@ -261,11 +261,19 @@ def newton_p_from_e(e: ElemSymVector, n: int, K: int) -> PowerSumVector:
     return PowerSumVector(tuple(_over(L, p[1:], 1)))
 
 
+def power_scales(values: Sequence[Scalar], weights=None) -> Callable[[int], float]:
+    """k -> ``power_scale(values, k, weights)``, the same floats, with each
+    value and weight converted to a float once rather than once per k."""
+    xs = [abs(float(x)) for x in values]
+    if weights is None:
+        return lambda k: 1.0 + sum(x**k for x in xs)
+    ws = [abs(float(w)) for w in weights]
+    return lambda k: 1.0 + sum(x**k * w for x, w in zip(xs, ws))
+
+
 def power_scale(values: Sequence[Scalar], k: int, weights=None) -> float:
     """Scale 1 + sum |w_i| |x_i|^k of approximate zero tests; w_i = 1 unless given."""
-    if weights is None:
-        return 1.0 + sum(abs(float(x)) ** k for x in values)
-    return 1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(values, weights))
+    return power_scales(values, weights)(k)
 
 
 @dataclass(frozen=True)
@@ -293,11 +301,13 @@ def odd_equivalence_check(
     e = elementary_symmetric(vals, 2 * m - 1)
     odd = range(1, 2 * m, 2)
     # near ignores the scale in exact mode.
+    mags = None if exact else [abs(float(v)) for v in vals]
+    p_scale = None if exact else power_scales(mags)
     p_zero = all(
-        near(p.p(k), 0, tol, 1.0 if exact else power_scale(vals, k)) for k in odd
+        near(p.p(k), 0, tol, 1.0 if exact else p_scale(k)) for k in odd
     )
     e_zero = all(
-        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(vals, k)) for k in odd
+        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(mags, k)) for k in odd
     )
     if exact and p_zero != e_zero:
         raise InternalDefectError(
@@ -307,8 +317,8 @@ def odd_equivalence_check(
     return OddEquivalence(p_zero, e_zero)
 
 
-def _elem_scale(values: Sequence[Scalar], k: int) -> float:
-    abs_e = elementary_symmetric([abs(float(v)) for v in values], k)
+def _elem_scale(mags: list[float], k: int) -> float:
+    abs_e = elementary_symmetric(mags, k)
     return 1.0 + float(abs_e.e(k))
 
 
@@ -356,12 +366,13 @@ def extend_odd_power_sums(
     else:
         odd = folded_odd_sums(nums, [1] * n, m)
         P = _power_sum_nums(nums, 2 * K - 2) if K > m else []
+    scale = None if exact else power_scales(vals)
     for k in range(1, m + 1):
         idx = 2 * k - 1
         if exact:
             ok = odd[k - 1] == 0
         else:
-            ok = near(value(odd[k - 1], idx), 0, tol, power_scale(vals, idx))
+            ok = near(value(odd[k - 1], idx), 0, tol, scale(idx))
         if not ok:
             raise HypothesisError(
                 f"odd power sum p_{idx} = {value(odd[k - 1], idx)} is nonzero",

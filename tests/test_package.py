@@ -29,13 +29,18 @@ SUBMODULES = (
     "errors", "scalars", "symfun", "polyroot", "interval_design", "constructions", "spherical"
 )
 
-#: Reports which tmdesign modules ran, and whether mpmath was imported.
+#: Notes the modules loaded at start-up, before the code under test.
+START = "import sys\nSTARTUP = set(sys.modules)\n"
+
+#: Reports which tmdesign modules ran, and which modules loaded since
+#: ``START`` are neither tmdesign's nor the standard library's.
 RAN = """
 import json, sys, types
 print(json.dumps({
     "ran": sorted(name for name, module in sys.modules.items()
                   if name.split(".")[0] == "tmdesign" and type(module) is types.ModuleType),
-    "mpmath": "mpmath" in sys.modules,
+    "foreign": sorted(name for name in set(sys.modules) - STARTUP
+                      if name.split(".")[0] not in {"tmdesign", *sys.stdlib_module_names}),
 }))
 """
 
@@ -61,27 +66,27 @@ def _ran(argv: list[str]) -> dict:
             except SystemExit:
                 pass
         """
-    proc = _fresh(textwrap.dedent(code) + RAN, *argv)
+    proc = _fresh(START + textwrap.dedent(code) + RAN, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 class TestStartUp:
     def test_import_runs_no_submodule(self):
-        proc = _fresh("import tmdesign" + RAN)
+        proc = _fresh(START + "import tmdesign" + RAN)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"ran": ["tmdesign"], "mpmath": False}
+        assert json.loads(proc.stdout) == {"ran": ["tmdesign"], "foreign": []}
 
     def test_help_runs_the_cli_and_its_support(self):
         ran = _ran(["--help"])
         expected = ["tmdesign", "tmdesign.cli", "tmdesign.errors", "tmdesign.scalars"]
-        assert ran == {"ran": expected, "mpmath": False}
+        assert ran == {"ran": expected, "foreign": []}
 
     def test_interval_certificate_runs_no_spherical_or_root_code(self, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"points": ["1/2", "-1/2"]}))
         ran = _ran(["certify", "symmetry", str(doc), "--m", "1"])
-        assert ran["mpmath"] is False
+        assert ran["foreign"] == []
         assert {"tmdesign.interval_design", "tmdesign.symfun"} <= set(ran["ran"])
         for name in ("spherical", "polyroot", "constructions"):
             assert f"tmdesign.{name}" not in ran["ran"]
@@ -105,6 +110,37 @@ class TestStartUp:
             full.stderr,
         )
         assert lazy.returncode == 0 and '"pairs"' in lazy.stdout
+
+    def test_commands_run_on_the_standard_library_alone(self, tmp_path):
+        # python -S leaves site-packages off the path, so a command that
+        # imported a third-party module would fail there
+        interval = tmp_path / "interval.json"
+        interval.write_text(json.dumps({"points": ["1/2", "-1/2"]}))
+        sphere = tmp_path / "sphere.json"
+        sphere.write_text(json.dumps({"dim": 2, "points": [["1", "0"], ["-1", "0"]]}))
+        commands = [
+            ["construct", "polygon-weighted", "--n", "4"],
+            ["construct", "spherical-polygon", "--m", "3"],
+            ["construct", "perturbed", "--m", "2"],
+            ["verify", "interval", str(interval), "--m", "1"],
+            ["certify", "antipodal", str(sphere), "--m", "1"],
+            ["identities", "newton", "--roots=1,2,-1/2"],
+            ["search", "six-point", "--trials", "2", "--seed", "1"],
+            ["quadrature", "--n", "5"],
+        ]
+        for argv in commands:
+            normal, bare = (
+                subprocess.run(
+                    [sys.executable, *flags, "-B", "-m", "tmdesign.cli", *argv],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "PYTHONPATH": str(SRC)},
+                    timeout=120,
+                )
+                for flags in ([], ["-S"])
+            )
+            assert normal.returncode == 0 and normal.stdout, (argv, normal.stderr)
+            assert (bare.returncode, bare.stdout) == (0, normal.stdout), (argv, bare.stderr)
 
 
 class TestPublicNames:

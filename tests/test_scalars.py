@@ -1,6 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
+import random
+import shutil
+import struct
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -23,7 +29,15 @@ from tmdesign import (
     verify_weighted_design,
 )
 from tmdesign.cli import main
-from tmdesign.scalars import cos_turn, format_scalar, near, parse_scalar, sin_turn
+from tmdesign.scalars import (
+    cos_turn,
+    cos_turns,
+    format_scalar,
+    near,
+    parse_scalar,
+    sin_turn,
+    sin_turns,
+)
 
 #: Exact rationals; exact rationals forced into approximate mode; floats.
 ARITHMETICS = ("exact", "forced", "float")
@@ -279,6 +293,27 @@ def test_malformed_documents_rejected(cls, doc):
         cls.from_json(doc)
 
 
+#: Prints the sha256 of every (cos_turn, sin_turn) over q = 1..600 and
+#: j = 0..2q, as little-endian doubles, computed a run of j per q.
+TRIG_GRID = """
+import hashlib, struct
+from tmdesign.scalars import cos_turns, sin_turns
+digest = hashlib.sha256()
+for q in range(1, 601):
+    turns = range(2 * q + 1)
+    for c, s in zip(cos_turns(turns, q), sin_turns(turns, q)):
+        digest.update(struct.pack("<2d", c, s))
+print(digest.hexdigest())
+"""
+
+
+def _trig_grid_digest() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(TRIG_GRID, {})
+    return out.getvalue().strip()
+
+
 class TestTrigTurns:
     #: (j, q, offset) -> (cos_turn, sin_turn), as computed with mpmath
     #: imported at module level.
@@ -291,17 +326,85 @@ class TestTrigTurns:
         (1, 3, 0.0): (-0.5, 0.8660254037844386),
     }
 
+    #: ``TRIG_GRID``'s digest of the values of 80-bit mpmath, rounded once,
+    #: with the exact zeros (where mpmath gives about 1e-24) set to 0.0.
+    GRID_DIGEST = "146fc26f9e6c90055a5813997c1f15fdb2ec97233f638766261d979c1a7e776e"
+
+    #: The digest of (cos_turn, sin_turn) at 2,000 seeded (j, q, offset) with
+    #: offset in [-8, 8], from 80-bit mpmath.
+    OFFSET_DIGEST = "2f506fd1faf7108bbf0fed1041df7a8a64e5ca85ef6e6ba3a6ab12992c7fb329"
+
     @pytest.mark.parametrize("args", sorted(PINNED))
     def test_values_unchanged(self, args):
         j, q, offset = args
         got = (cos_turn(j, q, offset=offset), sin_turn(j, q, offset=offset))
         assert got == self.PINNED[args]
 
-    def test_cli_import_leaves_mpmath_unloaded(self):
+    def test_grid_equals_mpmath(self):
+        assert _trig_grid_digest() == self.GRID_DIGEST
+
+    def test_offsets_equal_mpmath(self):
+        rng = random.Random(1991)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            q = rng.randint(1, 600)
+            j = rng.randint(0, 2 * q)
+            offset = rng.uniform(-8.0, 8.0)
+            pair = (cos_turn(j, q, offset), sin_turn(j, q, offset))
+            digest.update(struct.pack("<2d", *pair))
+        assert digest.hexdigest() == self.OFFSET_DIGEST
+
+    def test_exact_zeros_are_positive_zero(self):
+        # cos vanishes at 4j = q (mod 2q), sin at 2j = 0 (mod q); repr tells -0.0
+        for j, q in ((1, 4), (3, 4), (9, 12), (7, 4), (-1, 4), (150, 600)):
+            assert repr(cos_turn(j, q)) == "0.0"
+        for j, q in ((0, 1), (1, 2), (3, 6), (-4, 4), (600, 600), (1200, 600)):
+            assert repr(sin_turn(j, q)) == "0.0"
+
+    @pytest.mark.parametrize(
+        "turns, q, offset",
+        [
+            (range(1, 40, 2), 80, 0.0),
+            (range(-30, 30), 7, 0.0),
+            (range(50, -50, -3), 101, 2.5),
+            (range(0, 400, 7), 13, -1e-300),
+            (range(5), 3, 1e300),
+            (range(3), 1, 1.5707963267948966),
+        ],
+    )
+    def test_a_run_equals_its_single_values(self, turns, q, offset):
+        assert cos_turns(turns, q, offset) == [cos_turn(j, q, offset) for j in turns]
+        assert sin_turns(turns, q, offset) == [sin_turn(j, q, offset) for j in turns]
+
+    def test_values_near_zero_are_correctly_rounded(self):
+        # the double nearest pi/2: cos is 6.123233995736766e-17, which the
+        # first precision cannot place, so it is recomputed at a higher one
+        tiny = 6.123233995736766e-17
+        assert cos_turn(0, 1, math.pi / 2) == tiny
+        assert cos_turns(range(2), 2, math.pi / 2) == [tiny, -tiny]
+        assert sin_turn(1, 2, math.pi) == -1.2246467991473532e-16
+
+    def test_empty_run(self):
+        assert cos_turns(range(0), 5) == [] == sin_turns(range(3, 3), 5, 1.0)
+
+    @pytest.mark.parametrize("q", [0, -1, -7])
+    def test_q_below_one_rejected(self, q):
+        for f in (cos_turn, sin_turn):
+            with pytest.raises(DomainError, match="q must be a positive integer"):
+                f(1, q)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        for f in (cos_turns, sin_turns):
+            with pytest.raises(DomainError, match="offset must be finite"):
+                f(range(3), 5, offset)
+
+    def test_cli_import_loads_only_stdlib_modules(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
-            "import sys, tmdesign.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+            "import sys; before = set(sys.modules); import tmdesign.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] not in {'tmdesign', *sys.stdlib_module_names}))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -311,3 +414,22 @@ class TestTrigTurns:
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    def test_other_interpreters_give_the_same_grid(self, python):
+        # integer arithmetic and one correctly rounded division per value:
+        # the values cannot depend on the interpreter's version
+        path = shutil.which(python)
+        runs = path and subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60)
+        if not runs or runs.returncode != 0:
+            pytest.skip(f"no working {python} on PATH")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [path, "-S", "-c", TRIG_GRID],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == self.GRID_DIGEST

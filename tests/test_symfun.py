@@ -512,6 +512,95 @@ class TestIntervalKernelPinned:
         assert len(calls) == 5
 
 
+def per_index_scale(values, k, weights=None):
+    """The zero-test scale as first written, converting every value per k."""
+    if weights is None:
+        return 1.0 + sum(abs(float(x)) ** k for x in values)
+    return 1.0 + sum(abs(float(x)) ** k * abs(float(w)) for x, w in zip(values, weights))
+
+
+def scale_corpus():
+    """(family, values, weights): floats, subnormals, ints and Fractions
+    with 400-digit denominators, alone and mixed."""
+    rng = random.Random(4001)
+    draws = {
+        "float": lambda: rng.uniform(-1.0, 1.0),
+        "subnormal": lambda: rng.choice((-1, 1)) * rng.randint(1, 2**52) * 5e-324,
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: F(rng.randint(-_HUGE, _HUGE), _HUGE + rng.randint(1, 10**6)),
+        "tiny": lambda: F(rng.randint(1, 10**6), _HUGE),
+    }
+    for family, draw in draws.items():
+        for n in (1, 4, 9):
+            yield family, [draw() for _ in range(n)], [draw() for _ in range(n)]
+    for n in (5, 12):
+        mixed = [rng.choice(list(draws.values()))() for _ in range(2 * n)]
+        yield "mixed", mixed[:n], mixed[n:]
+
+
+class CountingFloat(float):
+    """A float that counts its conversions by ``float()``."""
+
+    calls = 0
+
+    def __float__(self):
+        CountingFloat.calls += 1
+        return super().__float__()
+
+
+class CountingFraction(F):
+    """A Fraction that counts its conversions by ``float()``."""
+
+    calls = 0
+
+    def __float__(self):
+        CountingFraction.calls += 1
+        return super().__float__()
+
+
+class TestPowerScales:
+    """The approximate zero tests convert each value and weight once per
+    call, and their scales are the floats of the per-index formula."""
+
+    @pytest.mark.parametrize("case", list(scale_corpus()), ids=lambda c: f"{c[0]}-{len(c[1])}")
+    def test_the_floats_of_the_per_index_formula(self, case):
+        _, values, weights = case
+        unweighted, weighted = symfun.power_scales(values), symfun.power_scales(values, weights)
+        for k in range(1, 40):
+            assert unweighted(k) == per_index_scale(values, k) == power_scale(values, k)
+            expected = per_index_scale(values, k, weights)
+            assert weighted(k) == expected == power_scale(values, k, weights)
+
+    @staticmethod
+    def _conversions(kind, f):
+        kind.calls = 0
+        f()
+        return kind.calls
+
+    def test_weighted_check_converts_once_per_call(self):
+        # rational points forced into approximate mode: the perturbed
+        # construction's self-check reads such points
+        support = tuple(CountingFraction(k, 12) for k in (-5, -3, -1, 1, 3, 5))
+        weights = tuple(CountingFraction(1) for _ in support)
+        w = WeightedConfiguration(support, weights, tolerance=1e-9, mode="approximate")
+        counts = {
+            m: self._conversions(CountingFraction, lambda: verify_weighted_design(w, m))
+            for m in (1, 3, 6)
+        }
+        assert counts[1] == counts[3] == counts[6] == 12
+
+    def test_interval_checks_convert_once_per_call(self):
+        pts = tuple(CountingFloat(x) for x in (0.5, -0.5, 0.25, -0.25, 0.125, -0.125))
+        config = Configuration(pts, tolerance=1e-9)
+        for f, ms in (
+            (lambda m: verify_interval_design(config, m), (1, 4)),
+            (lambda m: extend_odd_power_sums(pts, m, m, tol=1e-9), (3, 5)),
+            (lambda m: odd_equivalence_check(pts, m), (2, 3)),
+        ):
+            counts = [self._conversions(CountingFloat, lambda: f(m)) for m in ms]
+            assert counts[0] == counts[1], f
+
+
 # ---------------------------------------------------------------------------
 # Pinned: the integer Newton recursions against the Fraction loops
 # ---------------------------------------------------------------------------
