@@ -13,10 +13,21 @@ interval machinery: projecting X onto any unit direction gives a multiset in
 therefore antipodal (x in X forces -x in X), and this module produces the
 explicit pairing.
 
-Verification always runs both routes - the Gegenbauer pair sum and a
+Verification reports both routes - the Gegenbauer pair sum and a
 deterministic moment probe (all coordinate vectors plus the sign vectors
 with a_1 = +1, with the full symmetric moment tensor assembled when d <= 4)
-- and requires agreement.  Each route makes one pass for all of T_m.  Both
+- and requires agreement.  Each route makes one pass for all of T_m.  In
+exact mode the pair sums come first and spare the probes what they already
+prove.  For odd t, sum_{x,y} <x, y>^t is the squared Frobenius norm of the
+moment tensor sum_x x^(tensor t) (Delsarte, Goethals and Seidel, 1977), and
+s^t is a combination of the Q_{d,k} with k <= t of the same parity.  So
+when the exact pair sums vanish at every odd k <= t, every degree-t probe
+sum and tensor entry is exactly 0.  The probes run only from t0, the first
+index of T_m whose exact pair sum is nonzero; each index before it reports
+moment residual 0, the value the probes would give, and a design runs no
+probe at all.  Float input, and rational points in forced approximate mode,
+run the probes at every index: their residuals are rounded values, and the
+two routes can part there.  Both
 arithmetics read the sphere polynomials from one table per dimension: their
 integer coefficient lists and the float steps of their recurrence, grown to
 the largest degree asked for.  Exact input is cleared of denominators by
@@ -393,7 +404,11 @@ class SphericalDesignReport:
     per-index flags need not match pairwise: the pair sum at t sees only the
     degree-t component, while the degree-t moment also carries every lower
     odd component, so e.g. a set can pass the pair sum at t = 5 yet fail the
-    t = 5 moment through a surviving degree-3 part.
+    t = 5 moment through a surviving degree-3 part.  The other way round
+    holds in exact mode: a pair sum that vanishes at t and at every odd
+    index below it makes the degree-t moment exactly 0, so an exact report
+    gives moment residual 0 there without running the probes (see
+    ``verify_spherical_Tm``).
     """
 
     index_set: tuple[int, ...]
@@ -441,12 +456,26 @@ def verify_spherical_Tm(X: SphericalConfig, m: int) -> SphericalDesignReport:
     between the routes is recorded in ``diagnostics``.  The zero tests use
     the configuration's tolerance: exact configurations get exact zero tests
     (tolerance None in the report), float ones X.tolerance.
+
+    Exact configurations compute the pair sums first.  Before t0, the first
+    index whose exact pair sum is nonzero, every pair sum through t vanishes,
+    which makes every degree-t moment exactly 0 (module docstring), so the
+    moment residual there is 0 and the probes run on the indices from t0
+    only; for a design they do not run.  Approximate configurations run the
+    probes at every index.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     tol, n, ts = X.near_tol, len(X), range(1, 2 * m, 2)
+    pairs = _pair_sums(X, ts)
+    t0 = 0
+    if X.is_exact:
+        t0 = next((i for i, pair in enumerate(pairs) if pair), len(ts))
+    moments = [Fraction(0)] * t0
+    if t0 < len(ts):
+        moments += _moment_residuals(X, ts[t0:])
     checks, diagnostics = [], []
-    for t, pair, worst in zip(ts, _pair_sums(X, ts), _moment_residuals(X, ts)):
+    for t, pair, worst in zip(ts, pairs, moments):
         geg_res = Fraction(pair, n * n) if X.is_exact else pair / (n * n)
         geg_ok, mom_ok = near(geg_res, 0, tol), near(worst, 0, tol)
         if mom_ok and not geg_ok:

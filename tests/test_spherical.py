@@ -160,6 +160,19 @@ def float_set(rng, d, n, antipodal):
     return SphericalConfig(tuple(pts))
 
 
+def exact_antipodal_design(rng, d, k):
+    """k distinct rational antipodal pairs in seeded order, as the
+    ``sphere`` benchmark draws them."""
+    half = []
+    while len(half) < k:
+        p = unit_exact(rng, d)
+        if p not in half and tuple(-c for c in p) not in half:
+            half.append(p)
+    pts = half + [tuple(-c for c in p) for p in half]
+    rng.shuffle(pts)
+    return tuple(pts)
+
+
 def benchmark_sized_configs():
     """(X, m) beyond ``pinned_configs``: the float d = 8, n = 40 and exact
     n = 12, m = 6 sets of the ``sphere`` benchmark, signed zeros, integer
@@ -172,15 +185,8 @@ def benchmark_sized_configs():
     rng = random.Random(1983)
     for antipodal in (True, False):
         yield float_set(rng, 8, 40, antipodal), 3
-    for d in (4, 6):  # distinct antipodal pairs, as the benchmark draws them
-        half = []
-        while len(half) < 6:
-            p = unit_exact(rng, d)
-            if p not in half and tuple(-c for c in p) not in half:
-                half.append(p)
-        pts = half + [tuple(-c for c in p) for p in half]
-        rng.shuffle(pts)
-        yield SphericalConfig(tuple(pts)), 6
+    for d in (4, 6):
+        yield SphericalConfig(exact_antipodal_design(rng, d, 6)), 6
     for d in (3, 4, 5):
         for antipodal in (True, False):
             X = float_set(rng, d, 12, antipodal)
@@ -807,6 +813,130 @@ class TestCertifyAntipodalPinned:
                 error = HypothesisError if kind == "broken" else PreconditionError
                 assert got[0] is error
         assert min(kinds.values()) > 0
+
+
+def reference_verify_spherical_Tm(X, m):
+    """``verify_spherical_Tm`` with the moment probes run at every index."""
+    tol, n, ts = X.near_tol, len(X), range(1, 2 * m, 2)
+    pairs, moments = spherical._pair_sums(X, ts), spherical._moment_residuals(X, ts)
+    checks, diagnostics = [], []
+    for t, pair, worst in zip(ts, pairs, moments):
+        geg = F(pair, n * n) if X.is_exact else pair / (n * n)
+        geg_ok, mom_ok = near(geg, 0, tol), near(worst, 0, tol)
+        if mom_ok and not geg_ok:
+            diagnostics.append(f"t={t}: moment residual passed while the pair sum failed")
+        checks.append(spherical.SphericalIndexCheck(t, geg, worst, geg_ok, mom_ok))
+    geg_verdict = all(c.gegenbauer_ok for c in checks)
+    mom_verdict = all(c.moment_ok for c in checks)
+    if geg_verdict != mom_verdict:
+        diagnostics.append(
+            f"route verdicts disagree over T_{m}: pair sums "
+            f"{'pass' if geg_verdict else 'fail'}, moments "
+            f"{'pass' if mom_verdict else 'fail'}"
+        )
+    failing = next((c.t for c in checks if not (c.gegenbauer_ok and c.moment_ok)), None)
+    return spherical.SphericalDesignReport(
+        tuple(ts), tuple(checks), failing is None, geg_verdict, mom_verdict, tol,
+        spherical._CONVENTIONS, tuple(diagnostics), failing,
+    )
+
+
+def certify_outcome(X, m):
+    """The pairs, or the error's type, message and failing index."""
+    try:
+        return certify_antipodal(X, m).pairs
+    except (HypothesisError, PreconditionError, ToleranceError, InternalDefectError) as exc:
+        return type(exc), str(exc), getattr(exc, "failing_index", None)
+
+
+def probe_blind_sets():
+    """The sets the coordinate and sign probes cannot see, in d = 3 and 5."""
+    a, b, z = F(3, 5), F(4, 5), F(0)
+    base = [(a, b, z), (a, -b, z), (-a, z, b), (-a, z, -b)]
+    yield [p[-s:] + p[:-s] for p in base for s in range(3)]
+    yield [(a, b, z, z, z), (a, -b, z, z, z), (-a, z, b, z, z), (-a, z, -b, z, z)]
+
+
+def exact_skip_corpus():
+    """Seeded rational point lists: antipodal designs, designs plus one
+    point, designs with one point replaced and random sets, d = 2..6, then
+    the probe-blind sets."""
+    rng = random.Random(2027)
+    for d in range(2, 7):
+        for _ in range(4):
+            half = [unit_exact(rng, d) for _ in range(rng.randint(1, 4))]
+            design = half + [tuple(-c for c in p) for p in half]
+            rng.shuffle(design)
+            replaced = list(design)
+            replaced[rng.randrange(len(replaced))] = unit_exact(rng, d)
+            yield design
+            yield design + [unit_exact(rng, d)]
+            yield replaced
+            yield [unit_exact(rng, d) for _ in range(rng.randint(1, 8))]
+    yield from probe_blind_sets()
+
+
+class TestExactProbeSkip:
+    """Exact verification runs the moment probes only from the first index
+    whose pair sum is nonzero; every report and certificate is the one the
+    probes at every index give."""
+
+    def test_reports_and_certificates_match_the_full_probes(self):
+        checked = skipped = failed = 0
+        for pts in exact_skip_corpus():
+            # approximate mode runs every probe: a float pair sum can round
+            # to 0.0 where a probe sum rounds to a nonzero float
+            floats = tuple(tuple(map(float, p)) for p in pts)
+            for X in (
+                SphericalConfig(tuple(pts)),
+                SphericalConfig(tuple(pts), mode="approximate"),
+                SphericalConfig(floats),
+            ):
+                for m in sorted({0, 1, 2, 3, (len(X) + 1) // 2}):
+                    got, want = verify_spherical_Tm(X, m), reference_verify_spherical_Tm(X, m)
+                    got_json, want_json = got.to_json(), want.to_json()
+                    assert got_json.keys() == want_json.keys()
+                    for key in want_json:
+                        assert got_json[key] == want_json[key], key
+                    for c, r in zip(got.checks, want.checks):
+                        assert same(c.moment_residual, r.moment_residual)
+                    assert got.failing_index == want.failing_index
+                    with mock.patch.object(
+                        spherical, "verify_spherical_Tm", reference_verify_spherical_Tm
+                    ):
+                        want_cert = certify_outcome(X, m)
+                    assert certify_outcome(X, m) == want_cert
+                    checked += 1
+                    if X.is_exact and m > 0:
+                        first = got.failing_index
+                        skipped += first is None or first > 1
+                        failed += first is not None
+        assert checked > 500 and skipped > 50 and failed > 50
+
+    def test_an_exact_design_runs_no_probe(self, monkeypatch):
+        def probes(*args):
+            raise AssertionError("moment probes ran on an exact design")
+
+        monkeypatch.setattr(spherical, "_moment_residuals", probes)
+        rng = random.Random(2029)
+        for d in range(2, 7):
+            half = [unit_exact(rng, d) for _ in range(3)]
+            X = SphericalConfig(tuple(half + [tuple(-c for c in p) for p in half]))
+            for m in (1, 3, 6):
+                report = verify_spherical_Tm(X, m)
+                assert report.verdict and report.moment_verdict
+                assert all(c.moment_residual == 0 for c in report.checks)
+            assert certify_antipodal(X, 3).check(X)
+        with pytest.raises(AssertionError, match="moment probes ran"):
+            verify_spherical_Tm(SphericalConfig(((F(1), F(0)),)), 1)
+
+    def test_certify_at_degree_seventy_nine(self):
+        # d = 4, n = 12, m = 40: the d <= 4 tensor through degree 79 took
+        # seconds and hundreds of MB; an exact design needs the pair sums only
+        X = SphericalConfig(exact_antipodal_design(random.Random(2031), 4, 6))
+        cert = certify_antipodal(X, 40)
+        assert cert.check(X) and len(cert.pairs) == 6
+        assert cert.pairs == is_antipodal(X)[1].pairs
 
 
 class TestPolygonOnCircle:
