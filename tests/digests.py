@@ -1,7 +1,6 @@
 """Output digests of the benchmark's job streams, with the standard library only.
 
     python3 tests/digests.py --seeds 1 2 3
-    python3 tests/digests.py --seeds 1 --workloads sphere search
 
 Run from any directory; the package is imported from the checkout's
 ``src/``.  For each workload and seed the script generates the job stream of
@@ -78,11 +77,10 @@ def stream_digest(workload: str, seed: int, workdir: Path):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     recorded = recorded_digests()
     print(f"CPython {sys.version.split()[0]}")
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 hexdigest = stream_digest(workload, seed, Path(tmp)).hexdigest()
