@@ -15,10 +15,7 @@ preserved) so certificates can cite positions.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -32,7 +29,6 @@ from .scalars import (
     DEFAULT_TOL,
     Arithmetic,
     Scalar,
-    all_exact,
     clear_denominators,
     format_scalar,
     in_unit_interval,
@@ -40,7 +36,7 @@ from .scalars import (
     read_document,
     resolve_mode,
 )
-from .symfun import extend_odd_power_sums, folded_odd_sums, power_scales
+from .symfun import extend_odd_power_sums, odd_moments
 
 
 @dataclass(frozen=True)
@@ -101,23 +97,22 @@ class WeightedConfiguration(Arithmetic):
         for x in self.support:
             if not in_unit_interval(x, tol):
                 raise DomainError(f"support point {format_scalar(x)} outside [-1, 1]")
-        # Each message names the first support point that recurs later.
-        if tol is None:  # exact values are equal iff their (p, q) are
-            keys = [(x.numerator, x.denominator) for x in self.support]
-            count = Counter(keys)
-            dups = [x for x, key in zip(self.support, keys) if count[key] > 1]
-        else:
-            # Float subtraction rounds monotonically, so a point between two
-            # near points is near both: the first point with a later near
-            # one is the earlier position of some pair of neighbours in
-            # value order.
-            xs = self.support
-            order = sorted(range(len(xs)), key=lambda i: (float(xs[i]), i))
-            pairs = zip(order, order[1:])
-            firsts = sorted(min(i, j) for i, j in pairs if near(xs[i], xs[j], tol))
-            dups = [xs[i] for i in firsts]
-        if dups:
-            raise DomainError(f"duplicate support point {format_scalar(dups[0])}")
+        # The message names the first support point that recurs later, the
+        # earlier position of some pair of neighbours in key order (ties by
+        # position): equal exact values share (p, q), and float subtraction
+        # rounds monotonically, so a point between two near points is near
+        # both.
+        xs = self.support
+        key = (
+            (lambda i: (xs[i].numerator, xs[i].denominator, i))
+            if tol is None
+            else (lambda i: (float(xs[i]), i))
+        )
+        order = sorted(range(len(xs)), key=key)
+        pairs = zip(order, order[1:])
+        firsts = [min(i, j) for i, j in pairs if near(xs[i], xs[j], tol)]
+        if firsts:
+            raise DomainError(f"duplicate support point {format_scalar(xs[min(firsts)])}")
         if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
             raise DomainError("weights must be finite")
         if any(near(w, 0, tol) for w in self.weights):
@@ -225,39 +220,9 @@ def verify_interval_design(config: Configuration, m: int) -> DesignReport:
 def _odd_moments(
     xs: Sequence[Scalar], ws: Sequence[Scalar], m: int, tol: float | None
 ) -> DesignReport:
-    """Residuals sum_i w_i x_i^k for k = 1, 3, ..., 2m-1, and the first k
-    whose residual is not zero at scale ``power_scale(xs, k, ws)``.
-
-    Exact values run on integers: with a_i = L x_i and b_i = W w_i cleared
-    separately, the k-th residual is sum a_i^k b_i / (L^k W), and the
-    integer sum comes folded by |a_i| (``folded_odd_sums``).  Float values
-    run the power loop on the floats.
-    """
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    """The test of ``symfun.odd_moments`` as a report over T_m."""
+    residuals, failing = odd_moments(xs, ws, m, tol)
     index_set = tuple(range(1, 2 * m, 2))
-    residuals = []
-    if all_exact(xs) and all_exact(ws):
-        L, a = clear_denominators(xs)
-        W, b = clear_denominators(ws)
-        den, step = L * W, L * L
-        for r in folded_odd_sums(a, b, m):
-            residuals.append(Fraction(r, den))
-            den *= step
-    else:
-        powers = list(xs)
-        for k in range(1, 2 * m):
-            if k > 1:
-                powers = list(map(mul, powers, xs))
-            if k % 2 == 1:
-                residuals.append(sum(map(mul, powers, ws)))
-    # near ignores the scale in exact mode.
-    scale = None if tol is None else power_scales(xs, ws)
-    tests = (
-        near(r, 0, tol, 1.0 if tol is None else scale(k))
-        for k, r in zip(index_set, residuals)
-    )
-    failing = next((k for k, ok in zip(index_set, tests) if not ok), None)
     return DesignReport(index_set, tuple(residuals), failing is None, tol, failing)
 
 

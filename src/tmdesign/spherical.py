@@ -476,7 +476,7 @@ def verify_spherical_Tm(X: SphericalConfig, m: int) -> SphericalDesignReport:
         moments += _moment_residuals(X, ts[t0:])
     checks, diagnostics = [], []
     for t, pair, worst in zip(ts, pairs, moments):
-        geg_res = Fraction(pair, n * n) if X.is_exact else pair / (n * n)
+        geg_res = pair / (n * n)
         geg_ok, mom_ok = near(geg_res, 0, tol), near(worst, 0, tol)
         if mom_ok and not geg_ok:
             # the probes are not a complete family for d >= 5: there a
@@ -517,9 +517,7 @@ def verify_spherical_t_design_full(X: SphericalConfig, t: int) -> DesignReport:
     if t < 1:
         raise DomainError("t must be a positive integer")
     tol, n, ks = X.near_tol, len(X), range(1, t + 1)
-    residuals = tuple(
-        Fraction(s, n * n) if X.is_exact else s / (n * n) for s in _pair_sums(X, ks)
-    )
+    residuals = tuple(s / (n * n) for s in _pair_sums(X, ks))
     failing = next((k for k, r in zip(ks, residuals) if not near(r, 0, tol)), None)
     return DesignReport(tuple(ks), residuals, failing is None, tol, failing)
 
@@ -592,14 +590,20 @@ def certify_antipodal(X: SphericalConfig, m: int) -> AntipodalCertificate:
     to nothing (``folded_odd_sums``): a verified design has no nonzero odd
     power sum there.  Each pair is then checked coordinatewise, the rule of
     ``AntipodalCertificate.check``.  Every test uses the configuration's
-    tolerance.
+    tolerance.  An exact X that is not a T_m design fails at t0, the index
+    of its first nonzero pair sum (``verify_spherical_Tm``), so the pair
+    sums alone name that index and no moment probe runs.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     tol, n = X.near_tol, len(X)
     if n > 2 * m:
         raise PreconditionError(f"requires n <= 2m; got n={n} > 2m={2 * m}")
-    bad = verify_spherical_Tm(X, m).failing_index
+    if X.is_exact:  # T_m fails first at t0, the first nonzero pair sum
+        ts = range(1, 2 * m, 2)
+        bad = next((t for t, pair in zip(ts, _pair_sums(X, ts)) if pair), None)
+    else:
+        bad = verify_spherical_Tm(X, m).failing_index
     if bad is not None:
         raise HypothesisError(
             f"configuration fails the design condition at index {bad}",

@@ -19,6 +19,11 @@ test.  The Newton recursions run the same way on the graded numerators
 L^k p_k and L^k e_k (``_graded``).  Float input runs the same loops on the
 values themselves.  Whether a computation is exact is read from its values:
 exact inputs yield exact outputs.
+
+The T_m condition on [-1, 1], that sum_i w_i x_i^k vanishes for every odd
+k through 2m-1, is tested in one place, ``odd_moments``: the interval
+verifiers, ``extend_odd_power_sums`` and ``odd_equivalence_check`` all run
+it, the last two at unit weights.
 """
 
 from __future__ import annotations
@@ -276,6 +281,45 @@ def power_scale(values: Sequence[Scalar], k: int, weights=None) -> float:
     return power_scales(values, weights)(k)
 
 
+def odd_moments(
+    values: Sequence[Scalar], weights: Sequence[Scalar], m: int, tol: float | None
+) -> tuple[list[Scalar], int | None]:
+    """Residuals sum_i w_i x_i^k for k = 1, 3, ..., 2m-1, and the first k
+    whose residual is not zero (None if all are): the test of the interval
+    theorem, that the points and weights make a T_m design.
+
+    The zero test is r == 0 when ``tol is None``, else ``near`` at tol and
+    scale ``power_scale(values, k, weights)``.  Exact values and weights
+    run on integers: with a_i = L x_i and b_i = W w_i cleared separately,
+    the k-th residual is sum a_i^k b_i / (L^k W), and the integer sum comes
+    folded by |a_i| (``folded_odd_sums``); no value is converted to a float
+    unless ``tol`` is given.  Other input runs the power loop on the values
+    as they are.
+    """
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    residuals = []
+    if all_exact(values) and all_exact(weights):
+        L, a = clear_denominators(values)
+        W, b = clear_denominators(weights)
+        den, step = L * W, L * L
+        for r in folded_odd_sums(a, b, m):
+            residuals.append(Fraction(r, den))
+            den *= step
+    else:
+        powers = list(values)
+        for k in range(1, 2 * m):
+            if k > 1:
+                powers = list(map(mul, powers, values))
+            if k % 2 == 1:
+                residuals.append(sum(map(mul, powers, weights)))
+    scale = None if tol is None else power_scales(values, weights)
+    for k, r in zip(range(1, 2 * m, 2), residuals):
+        if not (r == 0 if scale is None else near(r, 0, tol, scale(k))):
+            return residuals, k
+    return residuals, None
+
+
 @dataclass(frozen=True)
 class OddEquivalence:
     odd_p_all_zero: bool
@@ -289,25 +333,24 @@ def odd_equivalence_check(
     index 2m-1 all vanish.
 
     Requires 2m-1 <= n; under that hypothesis the two booleans always agree,
-    so a mismatch in exact arithmetic is a defect.
+    so a mismatch in exact arithmetic is a defect.  The power sums are
+    tested by ``odd_moments`` at unit weights.
     """
     vals = tuple(values)
     n = len(vals)
     if 2 * m - 1 > n:
         raise PreconditionError(f"requires 2m-1 <= n; got 2m-1={2 * m - 1} > n={n}")
+    if not vals:
+        raise DomainError("power sums of an empty multiset are undefined")
+    e = elementary_symmetric(vals, 2 * m - 1)
     exact = all_exact(vals)
     tol = None if exact else tol
-    p = power_sums(vals, 2 * m - 1)
-    e = elementary_symmetric(vals, 2 * m - 1)
-    odd = range(1, 2 * m, 2)
+    p_zero = odd_moments(vals, (1,) * n, m, tol)[1] is None
     # near ignores the scale in exact mode.
     mags = None if exact else [abs(float(v)) for v in vals]
-    p_scale = None if exact else power_scales(mags)
-    p_zero = all(
-        near(p.p(k), 0, tol, 1.0 if exact else p_scale(k)) for k in odd
-    )
     e_zero = all(
-        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(mags, k)) for k in odd
+        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(mags, k))
+        for k in range(1, 2 * m, 2)
     )
     if exact and p_zero != e_zero:
         raise InternalDefectError(
@@ -327,24 +370,20 @@ def extend_odd_power_sums(
 ) -> tuple[Scalar, ...]:
     """Odd power sums p_1, p_3, ..., p_{2K-1}, all certified zero.
 
-    Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m (verified here
-    with ``near`` at tolerance ``tol``: scale-aware for a float, exactly for
-    None, which also checks that the forced odd e_1, e_3, ... through e_n
-    come out zero).  The odd sums past 2m-1 are then forced: for
-    2k-1 > n the k >= n recursion splits into a sum of odd-index e's times
-    even-index p's and a sum of even-index e's times lower odd-index p's,
-    and both families of odd-index factors vanish.  K = m asks for the
-    hypothesis alone; K > m also runs that recursion, on the even sums
-    through 2K-2.
+    Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m, tested by
+    ``odd_moments`` at unit weights and tolerance ``tol`` (scale-aware for
+    a float, exactly for None, which also checks that the forced odd e_1,
+    e_3, ... through e_n come out zero, on the cleared numerators
+    E_j = L^j e_j of exact values).  The odd sums past 2m-1 are then
+    forced: for 2k-1 > n the k >= n recursion splits into a sum of
+    odd-index e's times even-index p's and a sum of even-index e's times
+    lower odd-index p's, and both families of odd-index factors vanish.
+    K <= m asks for the hypothesis alone; K > m also runs that recursion,
+    on the values of the e's and of the even sums through 2K-2.
 
-    Exact values run on their cleared numerators P_k = L^k p_k and
-    E_j = L^j e_j: the odd P_k through 2m-1 come folded by |value|
-    (``folded_odd_sums``), and the recursion is homogeneous of degree 2k-1
-    in them, so it yields L^(2k-1) p_(2k-1), and every exact zero test is
-    an integer one.  Float values run the power-sum loop on the floats.
-
-    Returns the K odd sums in order; entry k-1 is p_{2k-1}.  Raises with the
-    smallest violating odd index if the hypothesis fails.
+    Returns the K odd sums in order; entry k-1 is p_{2k-1}, the residual of
+    ``odd_moments`` for k <= m.  Raises with the smallest violating odd
+    index if the hypothesis fails.
     """
     vals = tuple(values)
     n = len(vals)
@@ -355,32 +394,16 @@ def extend_odd_power_sums(
     if n > 2 * m:
         raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
     exact = tol is None
-    L, nums = _numerators(vals)
-
-    def value(num: Scalar, k: int) -> Scalar:
-        return num if L is None else Fraction(num, L**k)
-
-    if L is None:
-        P = _power_sum_nums(nums, max(2 * K - 2, 2 * m - 1, 1))
-        odd = P[0 : 2 * m - 1 : 2]
-    else:
-        odd = folded_odd_sums(nums, [1] * n, m)
-        P = _power_sum_nums(nums, 2 * K - 2) if K > m else []
-    scale = None if exact else power_scales(vals)
-    for k in range(1, m + 1):
-        idx = 2 * k - 1
-        if exact:
-            ok = odd[k - 1] == 0
-        else:
-            ok = near(value(odd[k - 1], idx), 0, tol, scale(idx))
-        if not ok:
-            raise HypothesisError(
-                f"odd power sum p_{idx} = {value(odd[k - 1], idx)} is nonzero",
-                failing_index=idx,
-            )
-
+    odd, idx = odd_moments(vals, (1,) * n, m, tol)
+    if idx is not None:
+        raise HypothesisError(
+            f"odd power sum p_{idx} = {odd[idx // 2]} is nonzero", failing_index=idx
+        )
     # The e's are built only where they are tested (exact) or used (K > m).
-    E = _elem_nums(nums, n) if exact or K > m else []
+    if K <= m and not exact:
+        return tuple(odd[:K])
+    L, nums = _numerators(vals)
+    E = _elem_nums(nums, n)
     if exact:
         for j in range(1, n + 1, 2):
             if E[j] != 0:
@@ -388,17 +411,19 @@ def extend_odd_power_sums(
                     f"e_{j} nonzero although all odd power sums through "
                     f"{2 * m - 1} vanish"
                 )
+    if K <= m:
+        return tuple(odd[:K])
+    e, P = _over(L, E, 0), _over(L, _power_sum_nums(nums, 2 * K - 2), 1)
 
     def e_at(j: int) -> Scalar:
-        return E[j] if j <= n else 0
+        return e[j] if j <= n else 0
 
-    out: list[Scalar] = odd[:K]
     for k in range(m + 1, K + 1):
         acc: Scalar = 0
         for i in range(1, m + 1):
             acc = acc + e_at(2 * i - 1) * P[2 * (k - i) - 1]
-            acc = acc - e_at(2 * i) * out[k - i - 1]
-        out.append(acc)
+            acc = acc - e_at(2 * i) * odd[k - i - 1]
+        odd.append(acc)
         if exact and acc != 0:
             raise InternalDefectError(f"extended odd power sum p_{2 * k - 1} nonzero")
-    return tuple(value(num, 2 * k - 1) for k, num in enumerate(out, 1))
+    return tuple(odd)

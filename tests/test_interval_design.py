@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from tmdesign import (
     verify_interval_design,
     verify_weighted_design,
 )
-from tmdesign.scalars import near
+from tmdesign.scalars import format_scalar, near
 from tmdesign.symfun import power_scale
 
 
@@ -326,6 +327,40 @@ class TestWeightedConfiguration:
         with pytest.raises(DomainError, match="duplicate support point -1$"):
             WeightedConfiguration((F(1, 2), -1, F(-1)), (1, 1, 1))
         assert len(WeightedConfiguration((F(1, 2), F(-1, 2), 0), (1, 1, 1))) == 3
+
+    def test_duplicate_message_matches_the_count_rule(self):
+        # the message names the first support point whose value recurs, as
+        # a Counter of (p, q) named it; floats drawn far apart are near
+        # exactly when equal, so the count rule holds for them too
+        rng = random.Random(1041)
+        raised = 0
+        for case in range(400):
+            exact = case % 2 == 0
+            values = []
+            while len(values) < rng.randint(1, 12):
+                if exact:
+                    q = rng.randint(1, 12)
+                    x = F(rng.randint(-q, q), q)
+                    x = int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+                else:
+                    x = rng.choice((rng.uniform(-1.0, 1.0), 0.0, -0.0))
+                if all(abs(x - y) > 1e-6 for y in values):
+                    values.append(x)
+            support = values + [rng.choice(values) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(support)
+            key = (lambda x: (x.numerator, x.denominator)) if exact else (lambda x: x)
+            count = Counter(map(key, support))
+            dups = [x for x in support if count[key(x)] > 1]
+            want = f"duplicate support point {format_scalar(dups[0])}" if dups else None
+            mode = "exact" if exact else "approximate"
+            try:
+                WeightedConfiguration(support, (1,) * len(support), mode=mode)
+                got = None
+            except DomainError as exc:
+                got = str(exc)
+            assert got == want, support
+            raised += got is not None
+        assert 100 < raised < 400
 
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError, match="nonzero"):

@@ -930,6 +930,30 @@ class TestExactProbeSkip:
         with pytest.raises(AssertionError, match="moment probes ran"):
             verify_spherical_Tm(SphericalConfig(((F(1), F(0)),)), 1)
 
+    def test_exact_certify_fails_without_probes(self, monkeypatch):
+        # an exact set that is not a design fails where the full report of
+        # the probes at every index fails, with that report's message
+        want = []
+        for pts in exact_skip_corpus():
+            X = SphericalConfig(tuple(pts))
+            for m in sorted({(len(X) + 1) // 2, (len(X) + 1) // 2 + 2, 6}):
+                bad = reference_verify_spherical_Tm(X, m).failing_index
+                if bad is not None:
+                    message = f"configuration fails the design condition at index {bad}"
+                    want.append((X, m, (HypothesisError, message, bad)))
+
+        def probes(*args):
+            raise AssertionError("moment probes ran")
+
+        monkeypatch.setattr(spherical, "_moment_residuals", probes)
+        for X, m, expected in want:
+            assert certify_outcome(X, m) == expected
+        assert len(want) > 50 and len({e[2] for _, _, e in want}) > 1
+        # float input keeps the full report, probes included
+        floats = SphericalConfig(tuple(tuple(map(float, p)) for p in want[0][0].points))
+        with pytest.raises(AssertionError, match="moment probes ran"):
+            certify_antipodal(floats, want[0][1])
+
     def test_certify_at_degree_seventy_nine(self):
         # d = 4, n = 12, m = 40: the d <= 4 tensor through degree 79 took
         # seconds and hundreds of MB; an exact design needs the pair sums only

@@ -501,15 +501,15 @@ class TestIntervalKernelPinned:
         verify_interval_design(config, 2)
         assert len(calls) == 2  # the points and their unit weights
         extend_odd_power_sums(pts[:2], 1, 3, tol=1e-9)
-        assert len(calls) == 3
+        assert len(calls) == 5  # the same two, then the points for K > m
         w = WeightedConfiguration(
             pts, (1, F(1, 2), 3), tolerance=1e-9, mode="approximate"
         )
         verify_weighted_design(w, 2)
-        assert len(calls) == 5  # support and weights apart
+        assert len(calls) == 7  # support and weights apart
         verify_interval_design(Configuration((0.5, -0.5, F(1, 3))), 1)
         power_sums((F(1, 2), 1, 0.25), 3)
-        assert len(calls) == 5
+        assert len(calls) == 7
 
 
 def per_index_scale(values, k, weights=None):
