@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, interval_design, spherical, symfun
@@ -102,7 +101,7 @@ def cmd_construct(args) -> int:
         precision = (
             parse_scalar(args.precision, exact_only=True)
             if args.precision
-            else Fraction(1, 10**12)
+            else constructions.DEFAULT_PRECISION
         )
         result = constructions.perturbed_interval_design(args.m, eps, precision)
         report = interval_design.verify_interval_design(result.points, args.m)

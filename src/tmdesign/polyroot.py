@@ -20,8 +20,9 @@ point has already computed, differs from the sign at the left end of the
 bracket holding it.  The tree runs on integers: its points are dyadic
 multiples of the Cauchy bound, held as integer pairs and compared with
 bracket ends by cross-multiplication, and Fractions are built only for the
-intervals it returns.  An even polynomial has its half left of 0 mirrored
-from the right one wherever the two halves split alike.
+intervals it returns.  Nothing here uses symmetry: an even polynomial is
+split on both sides of 0, and its intervals come in mirror pairs whenever
+every split took the middle.
 Refinement finds the cell of the bisection grid that holds the root by
 integer false position instead of halving to it.  Counts are for the
 half-open interval (lo, hi].
@@ -188,10 +189,6 @@ def _eval_sign(c: list[int], x: Fraction) -> int:
     return _sign(_homogeneous(c, x.numerator, x.denominator))
 
 
-def _is_even(c: list[int]) -> bool:
-    return not any(c[1::2])
-
-
 class _SturmChain:
     """Sturm chain over Z of a nonzero squarefree polynomial, queried at
     rational points; ``chain[0]`` is its primitive integer multiple."""
@@ -249,10 +246,10 @@ def sturm_root_count(poly: RationalPolynomial, lo: Scalar, hi: Scalar) -> int:
 
 def _split_point(
     c: list[int], N: int, D: int, lo: tuple[int, int], hi: tuple[int, int]
-) -> tuple[tuple[int, int], int, int]:
-    """A point near the middle of (lo, hi) that is not a root of c, the sign
-    of c there, and the k of that point lo + (hi - lo) k/128, tried in the
-    order 64, 65, 63, 66, ...  Points are tree points (``_split_tree``)."""
+) -> tuple[tuple[int, int], int]:
+    """A point lo + (hi - lo) k/128 that is not a root of c, for k tried in
+    the order 64, 65, 63, 66, ..., and the sign of c there.  Points are
+    tree points (``_split_tree``)."""
     (a, ea), (b, eb) = lo, hi
     e = max(ea, eb)
     a <<= e - ea
@@ -267,7 +264,7 @@ def _split_point(
             v, f = v >> shift, f - shift
         sign = _sign(_homogeneous(c, N * v, D << f))
         if sign != 0:
-            return (v, f), sign, k
+            return (v, f), sign
     raise InternalDefectError("could not find a non-root split point")
 
 
@@ -281,16 +278,9 @@ def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
     intervals returned.  ``rank(p, q, s)`` is, up to a constant, the number
     of roots <= p/q (q > 0), for a point that is not a root, where c has the
     sign s; the number of roots in (lo, hi] is rank(hi) - rank(lo).  An
-    interval with two or more roots is split at ``_split_point``, its left
-    half pushed first and its right half popped first, so the intervals
-    come out in descending order.
-
-    For even c with c(0) != 0 the first split is at 0, and the left half is
-    the mirror image of the right one wherever no right split had to leave
-    the middle (k = 64): then the left half makes the same choices at the
-    negated points.  So only the right half is split, and the left one too
-    only if some right split left the middle.  The mirrored intervals are
-    the ones the left half would give, as no tree point is a root.
+    interval with two or more roots is split at ``_split_point``, its right
+    half pushed first and its left half popped first, so the intervals
+    come out in ascending order.
     """
     lead = abs(c[-1])
     N = lead + max(abs(x) for x in c[:-1])
@@ -304,36 +294,21 @@ def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
         p, q = at(pt)
         return rank(p, q, _sign(_homogeneous(c, p, q)))
 
-    def walk(node) -> tuple[list, bool]:
-        """Intervals of the subtree at ``node``, descending, and whether
-        every split in it took the middle."""
-        stack, out, middle = [node], [], True
-        while stack:
-            lo, hi, rlo, rhi = stack.pop()
-            cnt = rhi - rlo
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                out.append(IsolatingInterval(Fraction(*at(lo)), Fraction(*at(hi))))
-                continue
-            mid, sign, k = _split_point(c, N, D, lo, hi)
-            middle = middle and k == 64
-            rmid = rank(*at(mid), sign)
-            stack.append((lo, mid, rlo, rmid))
-            stack.append((mid, hi, rmid, rhi))
-        return out, middle
-
-    lo, zero, hi = (-1, 0), (0, 0), (1, 0)
-    rlo, rhi = ranked(lo), ranked(hi)
-    if rhi - rlo < 2 or c[0] == 0 or not _is_even(c):
-        return walk((lo, hi, rlo, rhi))[0][::-1]
-    r0 = ranked(zero)
-    right, middle = walk((zero, hi, r0, rhi))
-    if middle:
-        left = [IsolatingInterval(-iv.hi, -iv.lo) for iv in right]
-    else:
-        left = walk((lo, zero, rlo, r0))[0][::-1]
-    return left + right[::-1]
+    stack = [((-1, 0), (1, 0), ranked((-1, 0)), ranked((1, 0)))]
+    out = []
+    while stack:
+        lo, hi, rlo, rhi = stack.pop()
+        cnt = rhi - rlo
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append(IsolatingInterval(Fraction(*at(lo)), Fraction(*at(hi))))
+            continue
+        mid, sign = _split_point(c, N, D, lo, hi)
+        rmid = rank(*at(mid), sign)
+        stack.append((mid, hi, rmid, rhi))
+        stack.append((lo, mid, rlo, rmid))
+    return out
 
 
 def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
@@ -365,16 +340,13 @@ def isolate_in_brackets(
     los = [(iv.lo.numerator, iv.lo.denominator) for iv in brackets]
     if any(h * ld > l * hd for (h, hd), (l, ld) in zip(his, los[1:])):
         raise DomainError("brackets must be ascending and disjoint")
-    even = _is_even(c)
     signs: dict[tuple[int, int], int] = {}
 
     def sign_at(p: int, q: int) -> int:
-        # once per end that two brackets share; an even c has one sign at
-        # x and -x
-        key = (abs(p) if even else p, q)
-        if key not in signs:
-            signs[key] = _sign(_homogeneous(c, *key))
-        return signs[key]
+        # once per end that two brackets share
+        if (p, q) not in signs:
+            signs[p, q] = _sign(_homogeneous(c, p, q))
+        return signs[p, q]
 
     left_signs = [sign_at(*x) for x in los]
     if any(s * sign_at(*x) >= 0 for s, x in zip(left_signs, his)):

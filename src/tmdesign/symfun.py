@@ -346,10 +346,14 @@ def odd_equivalence_check(
     exact = all_exact(vals)
     tol = None if exact else tol
     p_zero = odd_moments(vals, (1,) * n, m, tol)[1] is None
-    # near ignores the scale in exact mode.
-    mags = None if exact else [abs(float(v)) for v in vals]
+    # The scale of e_k is 1 + e_k(|x_1|, ..., |x_n|), built in approximate
+    # mode only: near ignores it in exact mode, where the float of a value
+    # can overflow.
+    abs_e = (
+        None if exact else elementary_symmetric([abs(float(v)) for v in vals], 2 * m - 1)
+    )
     e_zero = all(
-        near(e.e(k), 0, tol, 1.0 if exact else _elem_scale(mags, k))
+        near(e.e(k), 0, tol, 1.0 if exact else 1.0 + float(abs_e.e(k)))
         for k in range(1, 2 * m, 2)
     )
     if exact and p_zero != e_zero:
@@ -360,11 +364,6 @@ def odd_equivalence_check(
     return OddEquivalence(p_zero, e_zero)
 
 
-def _elem_scale(mags: list[float], k: int) -> float:
-    abs_e = elementary_symmetric(mags, k)
-    return 1.0 + float(abs_e.e(k))
-
-
 def extend_odd_power_sums(
     values: Sequence[Scalar], m: int, K: int, tol: float | None = DEFAULT_TOL
 ) -> tuple[Scalar, ...]:
@@ -372,14 +371,18 @@ def extend_odd_power_sums(
 
     Hypothesis: |values| <= 2m and p_{2k-1} = 0 for k = 1..m, tested by
     ``odd_moments`` at unit weights and tolerance ``tol`` (scale-aware for
-    a float, exactly for None, which also checks that the forced odd e_1,
-    e_3, ... through e_n come out zero, on the cleared numerators
-    E_j = L^j e_j of exact values).  The odd sums past 2m-1 are then
-    forced: for 2k-1 > n the k >= n recursion splits into a sum of
-    odd-index e's times even-index p's and a sum of even-index e's times
-    lower odd-index p's, and both families of odd-index factors vanish.
-    K <= m asks for the hypothesis alone; K > m also runs that recursion,
-    on the values of the e's and of the even sums through 2K-2.
+    a float, exactly for None).  The odd sums past 2m-1 are then forced:
+    for 2k-1 > n the k >= n recursion splits into a sum of odd-index e's
+    times even-index p's and a sum of even-index e's times lower odd-index
+    p's, and both families of odd-index factors vanish.  K <= m asks for
+    the hypothesis alone; K > m also runs that recursion, on the values of
+    the e's and of the even sums through 2K-2.
+
+    Exact values under ``tol`` None also have those identities checked:
+    the odd e_1, e_3, ... through e_n, on the cleared numerators
+    E_j = L^j e_j, and every extended sum must be zero, or
+    ``InternalDefectError`` is raised.  Other values skip the check, as
+    rounded e's need not vanish.
 
     Returns the K odd sums in order; entry k-1 is p_{2k-1}, the residual of
     ``odd_moments`` for k <= m.  Raises with the smallest violating odd
@@ -393,7 +396,7 @@ def extend_odd_power_sums(
         raise DomainError("K must be a positive integer")
     if n > 2 * m:
         raise PreconditionError(f"requires |values| <= 2m; got n={n} > 2m={2 * m}")
-    exact = tol is None
+    exact = tol is None and all_exact(vals)
     odd, idx = odd_moments(vals, (1,) * n, m, tol)
     if idx is not None:
         raise HypothesisError(

@@ -339,8 +339,8 @@ def _even_poly_with_known_roots(rng):
 
 class TestSplitTreePinned:
     """The split tree on integer points gives the intervals of the Fraction
-    tree with both counters; an even polynomial has its left half mirrored
-    only where every right split took the middle."""
+    tree with both counters; an even polynomial is split on both sides of 0,
+    and its intervals mirror each other where every split took the middle."""
 
     @pytest.mark.parametrize("make", [_poly_with_known_roots, _even_poly_with_known_roots])
     def test_random_squarefree_polynomials(self, make):
@@ -361,26 +361,26 @@ class TestSplitTreePinned:
 
         def recorded(c, N, D, lo, hi):
             out = split_point(c, N, D, lo, hi)
-            points.append((F(N * out[0][0], D << out[0][1]), out[2]))
+            points.append(F(N * out[0][0], D << out[0][1]))
             return out
 
         monkeypatch.setattr(polyroot, "_split_point", recorded)
         return points
 
     def test_middle_splits_mirror_the_left_half(self, monkeypatch):
-        # roots +-1/2, +-3/2 and Cauchy bound 1 + 5/2: every right split
-        # takes the middle, so no split point is left of 0
+        # roots +-1/2, +-3/2 and Cauchy bound 1 + 5/2: every split takes the
+        # middle, so the two halves split at negated points
         poly = monic_from_roots([F(-3, 2), F(-1, 2), F(1, 2), F(3, 2)])
         points = self._splits(monkeypatch)
         ivs = isolate_real_roots(poly)
         assert ivs == ref_isolate_real_roots(poly)
-        assert points == [(F(7, 4), 64), (F(7, 8), 64)]
+        assert points == [0, F(-7, 4), F(-7, 8), F(7, 4), F(7, 8)]
         assert ivs[:2] == [IsolatingInterval(-iv.hi, -iv.lo) for iv in reversed(ivs[2:])]
 
     def test_root_at_the_middle_takes_the_direct_left_path(self, monkeypatch):
         # (x^2 - 1/4)(x^2 - 1)(x^2 + 1) has Cauchy bound 2, so the middle of
-        # (0, 2] is the root 1; the right split takes k = 65 and the left half
-        # is split on its own, at points that mirror no right split
+        # (0, 2] is the root 1; both halves split at their k = 65, -63/64 on
+        # the left and 65/64 then 65/128 on the right, so no split mirrors
         poly = RationalPolynomial.from_coeffs(
             _times(_times([F(-1, 4), 0, 1], [F(-1), 0, 1]), [F(1), 0, 1])
         )
@@ -388,7 +388,7 @@ class TestSplitTreePinned:
         points = self._splits(monkeypatch)
         ivs = isolate_real_roots(poly)
         assert ivs == ref_isolate_real_roots(poly)
-        assert (F(65, 64), 65) in points and (F(-63, 64), 65) in points
+        assert points == [0, F(-63, 64), F(65, 64), F(65, 128)]
         assert ivs[:2] != [IsolatingInterval(-iv.hi, -iv.lo) for iv in reversed(ivs[2:])]
         brackets = _brackets([-1, -0.5, 0.5, 1])
         assert isolate_in_brackets(poly, brackets) == ivs

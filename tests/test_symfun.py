@@ -193,6 +193,41 @@ class TestExtendOddPowerSums:
         with pytest.raises(PreconditionError):
             extend_odd_power_sums([F(1, 2), F(-1, 2), 0], 1, 3)
 
+    def test_antipodal_floats_under_none_raise_no_defect(self):
+        # Exactly antipodal float sets whose odd sums round to 0 while their
+        # odd e's do not: under None the sums are tested for exact zeros,
+        # and the rounded e's are not checked.
+        rounded = 0
+        for seed in range(1, 21):
+            rng = random.Random(seed)
+            for _ in range(5):
+                h = [rng.uniform(-1, 1) for _ in range(3)]
+                pts = h + [-a for a in h]
+                for K in (1, 3, 5):
+                    try:
+                        out = extend_odd_power_sums(pts, 3, K, tol=None)
+                    except HypothesisError:
+                        continue
+                    assert len(out) == K and all(isinstance(x, float) for x in out)
+                    rounded += any(symfun._elem_nums(pts, 6)[1::2])
+        assert rounded > 0
+
+    def test_exact_values_under_none_check_the_odd_e(self, monkeypatch):
+        elem_nums = symfun._elem_nums
+
+        def broken(nums, K):
+            e = elem_nums(nums, K)
+            e[1] += 1
+            return e
+
+        monkeypatch.setattr(symfun, "_elem_nums", broken)
+        pts = [F(1, 2), F(-1, 2)]
+        with pytest.raises(InternalDefectError, match="e_1 nonzero"):
+            extend_odd_power_sums(pts, 1, 1, tol=None)
+        # float values, and a tolerance, skip the check
+        assert extend_odd_power_sums([0.5, -0.5], 1, 3, tol=None)[0] == 0.0
+        assert extend_odd_power_sums(pts, 1, 3, tol=1e-9)[0] == 0
+
     def test_agrees_with_direct_power_sums(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -449,9 +484,12 @@ class TestIntervalKernelPinned:
     def test_extension_under_every_tolerance(self, case):
         _, pts, m, _ = case
         for tol in (None, 1e-9):
+            # under None, float values test their sums for exact zeros but
+            # check no identity: the reference does that at tolerance 0
+            ref_tol = 0.0 if tol is None and not all_exact(pts) else tol
             for K in (1, len(pts), len(pts) + 4):
                 new = outcome(extend_odd_power_sums, pts, m, K, tol)
-                ref = outcome(ref_extend_odd_power_sums, pts, m, K, tol)
+                ref = outcome(ref_extend_odd_power_sums, pts, m, K, ref_tol)
                 if new and new[0] == "raised":
                     assert new == ref
                 else:
