@@ -13,12 +13,15 @@ p_{2k+1}(X) collapses to an identity in those shared power sums.  The m
 residuals are therefore computable exactly from g's coefficients, with no
 root extraction, and come out identically zero; the 2m+1 points themselves
 are only needed approximately and are the points certified bisection gives
-(``refine_root``).  f is built once, on integers, in the scaled variable
-y = 2m x, where its roots are the odd integers; the default epsilon comes
-from the critical values of f (``choose_epsilon``), evaluated on those
-integers, and the same critical points bracket the roots of g for their
-isolation.  The certificate's Newton sums run on g's integer coefficients
-in y.
+(``refine_root``).  Each of those exact grid searches, and those of the
+critical points of f, starts from a float prediction made in the product
+form f(x) = prod_k (x^2 - r_k^2) and only confirms its cell, so a
+prediction changes the cost, never a point.  f is built once, on
+integers, in the scaled variable y = 2m x, where its roots are the odd
+integers; the default epsilon comes from the critical values of f
+(``choose_epsilon``), evaluated on those integers, and the same critical
+points bracket the roots of g for their isolation.  The certificate's
+Newton sums run on g's integer coefficients in y.
 
 Also here: the regular-polygon cosine design, the alternating binomial sum
 with its closed form, the rational binomial weighted design, padding
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, inf, nan
 from typing import Sequence
 
 from .errors import (
@@ -45,8 +48,8 @@ from .polyroot import (
     IsolatingInterval,
     RationalPolynomial,
     _homogeneous,
+    _refine_near,
     isolate_in_brackets,
-    refine_root,
     sturm_root_count,
 )
 from .scalars import (
@@ -65,6 +68,37 @@ DEFAULT_EPSILON_START = Fraction(1, 16)
 
 #: Default output precision of the perturbed design's approximate points.
 DEFAULT_PRECISION = Fraction(1, 10**12)
+
+
+def _newton(fn, za: float, zb: float, z: float, rising: bool) -> float:
+    """A float zero of fn in (za, zb) by Newton's method from z, where fn
+    changes sign once, from negative to positive if ``rising``; a step that
+    would leave the bracket, which each value narrows, is a bisection step.
+    ``fn(z)`` returns the value and the derivative.  Only a start: its
+    result is confirmed by the exact grid search; NaN when the bracket has
+    no float inside."""
+    if not za < z < zb:
+        z = 0.5 * (za + zb)
+        if not za < z < zb:
+            return nan
+    for _ in range(100):
+        v, dv = fn(z)
+        if v == 0:
+            break
+        if (v > 0) == rising:
+            zb = z
+        else:
+            za = z
+        step = v / dv if dv else inf
+        if abs(step) <= 4e-16 * abs(z):
+            break
+        nz = z - step
+        if not za < nz < zb:
+            nz = 0.5 * (za + zb)
+            if not za < nz < zb:
+                break
+        z = nz
+    return z
 
 
 def base_roots(m: int) -> list[Fraction]:
@@ -88,6 +122,11 @@ class _Unperturbed:
     right end > 0 (the others are their mirror images), ``crit`` the roots
     of f' in them refined to width (b - a)/2^20, and ``depth`` the values
     -f there, from the integers of F (``_depth``).
+
+    ``sq`` holds the floats of r_k^2 for the m positive roots r_k of f, so
+    that f(x) = h0(x^2) for h0(z) = prod_k (z - r_k^2): the product form in
+    which the float predictions of critical points (``_critical_point``) and
+    of the roots of g (``root_start``) are made.
     """
 
     def __init__(self, m: int):
@@ -99,6 +138,7 @@ class _Unperturbed:
             for i in range(len(z) - 1):
                 z[i] -= a * z[i + 1]
         self.z = z
+        self.sq = [(2 * k - 1) ** 2 / (4 * m * m) for k in range(1, m + 1)]
         self.F = [0] * (2 * m + 1)
         self.F[::2] = z
         s = 2 * m
@@ -115,7 +155,57 @@ class _Unperturbed:
         self.depth = [self._depth(c) for c in self.crit]
 
     def _critical_point(self, a: Fraction, b: Fraction, bits: int) -> Fraction:
-        return refine_root(self.df, IsolatingInterval(a, b), (b - a) / 2**bits)
+        """The root of f' in the well (a, b), refined to width (b - a)/2^bits
+        from a float start: 0 in the well around 0, and otherwise the zero of
+        f'(x) / (2x f(x)) = sum_k 1/(x^2 - r_k^2), which falls from +inf to
+        -inf over (a^2, b^2), by Newton in z = x^2."""
+        start = 0.0
+        if a > 0:
+
+            def s(z: float) -> tuple[float, float]:
+                v = dv = 0.0
+                for r in self.sq:
+                    t = 1 / (z - r)
+                    v += t
+                    dv -= t * t
+                return v, dv
+
+            za, zb = float(a) ** 2, float(b) ** 2
+            start = _newton(s, za, zb, 0.5 * (za + zb), False) ** 0.5
+        return _refine_near(self.df, IsolatingInterval(a, b), (b - a) / 2**bits, start)
+
+    def root_start(self, eps: Fraction, i: int, iv: IsolatingInterval) -> float:
+        """A float prediction of the i-th positive root of g = f + eps
+        (i = 0 .. m-1), the one that the interval iv, of ends >= 0, holds.
+
+        The roots of g and of f pair off in order, and g's i-th positive
+        root is the one near r_i, at the end of a well, where g = eps.  In
+        z = x^2 it is the zero of h(z) = h0(z) + eps, which h crosses
+        upwards when an even number of roots of f lie right of r_i, found by
+        Newton within (lo^2, hi^2) from one Newton step off r_i^2, where
+        h(r_i^2) = eps and h'(r_i^2) = prod_(k != i) (r_i^2 - r_k^2).  NaN
+        when iv reaches below 0.
+        """
+        if iv.lo < 0:
+            return nan
+        e, sq = float(eps), self.sq
+        r = sq[i]
+        slope = 1.0
+        for k, t in enumerate(sq):
+            if k != i:
+                slope *= r - t
+
+        def h(z: float) -> tuple[float, float]:
+            v, dv = 1.0, 0.0
+            for t in sq:
+                d = z - t
+                dv = dv * d + v
+                v *= d
+            return v + e, dv
+
+        z = r - e / slope if slope else r
+        rising = (len(sq) - i) % 2 == 1
+        return _newton(h, float(iv.lo) ** 2, float(iv.hi) ** 2, z, rising) ** 0.5
 
     def _depth(self, x: Fraction) -> Fraction:
         """-f(x) = -F(s x) / s^s for s = 2m, on integers: with x = p/q and
@@ -270,11 +360,18 @@ class PerturbedDesignResult:
 
 
 def _refine_mirrored(
-    g: RationalPolynomial, intervals: Sequence[IsolatingInterval], precision: Fraction
+    g: RationalPolynomial,
+    intervals: Sequence[IsolatingInterval],
+    precision: Fraction,
+    starts: Sequence[float],
 ) -> list[Fraction]:
     """``refine_root`` on each of the 2m ascending intervals of the even g,
     run only on the right half where the left interval i is the mirror image
-    (-hi, -lo) of interval 2m-1-i; the root there is the negation.
+    (-hi, -lo) of interval 2m-1-i; the root there is the negation.  The grid
+    search on right interval i starts from ``starts[i]``, a float prediction
+    of its root (``_Unperturbed.root_start``), and on an unmirrored left
+    interval from the negated start of its mirror; a start changes the
+    search, never the rational returned.
 
     No interval end is a root of g (g = eps at the roots of f, g < 0 at the
     critical points, and split points are not roots), so both intervals of
@@ -283,10 +380,12 @@ def _refine_mirrored(
     the search path.
     """
     half = len(intervals) // 2
-    right = [refine_root(g, iv, precision) for iv in intervals[half:]]
+    right = [_refine_near(g, iv, precision, x) for iv, x in zip(intervals[half:], starts)]
     left = [
-        -r if (iv.lo, iv.hi) == (-mirror.hi, -mirror.lo) else refine_root(g, iv, precision)
-        for iv, mirror, r in zip(intervals[:half], reversed(intervals[half:]), reversed(right))
+        -r if (iv.lo, iv.hi) == (-mirror.hi, -mirror.lo) else _refine_near(g, iv, precision, -x)
+        for iv, mirror, r, x in zip(
+            intervals[:half], reversed(intervals[half:]), reversed(right), reversed(starts)
+        )
     ]
     return left + right
 
@@ -352,7 +451,8 @@ def perturbed_interval_design(
         certificate.append(r)
 
     intervals = tuple(isolate_in_brackets(g, base.brackets(eps)))
-    approx_roots = _refine_mirrored(g, intervals, prec / 64)
+    starts = [base.root_start(eps, i, iv) for i, iv in enumerate(intervals[m:])]
+    approx_roots = _refine_mirrored(g, intervals, prec / 64, starts)
     shift = Fraction(-1, s)
     points = tuple(r + shift for r in approx_roots) + (Fraction(1),)
     config = Configuration(
@@ -532,23 +632,29 @@ def chebyshev_gauss_check(
 
     The arcsine moments on [-1, 1] are 0 for odd s and C(s, s/2)/2^s for
     even s; the rule is exact through degree 2n-1, so s_max may not exceed
-    that.  Odd-s means vanish exactly (see ``chebyshev_gauss_nodes``); even-s
-    means are compared within ``tolerance``.
+    that.  Even-s means are compared within ``tolerance``.
+
+    The sum runs over the first n // 2 nodes x_k, in k order, and adds each
+    mirror pair's term: the other half holds the exact negations -x_k and an
+    odd middle node is 0.0 (``chebyshev_gauss_nodes``), and float
+    multiplication is sign-symmetric (``_float_powers``).  For odd s a pair
+    adds x_k^s + (-x_k^s) = 0.0, so the mean is exactly 0.0; for even s it
+    adds 2.0 x_k^s, exactly the sum of its two terms, and the middle node
+    adds nothing.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not 1 <= s_max <= 2 * n - 1:
         raise DomainError(f"degree error: require 1 <= s_max <= 2n-1 = {2 * n - 1}")
     nodes = chebyshev_gauss_nodes(n)
-    powers = [_float_powers(x, s_max) for x in nodes]
+    powers = [_float_powers(x, s_max) for x in nodes[: n // 2]]
     entries = []
     ok = True
     for s in range(1, s_max + 1):
         acc = 0.0
-        for k in range(n // 2):
-            acc += powers[k][s] + powers[n - 1 - k][s]
-        if n % 2:
-            acc += powers[n // 2][s]
+        if s % 2 == 0:
+            for pw in powers:
+                acc += 2.0 * pw[s]
         mean = acc / n
         target = Fraction(0) if s % 2 else Fraction(comb(s, s // 2), 2**s)
         err = abs(mean - float(target))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalDefectError, NotSquarefreeError
@@ -391,6 +391,19 @@ def refine_root(
     interval with several sign changes still gives a point within precision
     of one of those roots, but not always the one bisection would pick.
     """
+    return _refine_near(poly, interval, precision, None)
+
+
+def _refine_near(
+    poly: RationalPolynomial,
+    interval: IsolatingInterval,
+    precision: Scalar,
+    start: float | None,
+) -> Fraction:
+    """``refine_root``, with the grid search begun at the cell that holds the
+    float ``start``, a caller's prediction of the root (``_grid_cell``).  On
+    an interval that holds one root the result is ``refine_root``'s for
+    every start; a good start saves most of the search."""
     prec = as_fraction(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
@@ -423,26 +436,38 @@ def refine_root(
                 break
     if (vlo > 0) == (vhi > 0):
         raise DomainError("interval does not bracket a sign change")
-    return _grid_cell(c, lo, hi, vlo, vhi, prec)
+    return _grid_cell(c, lo, hi, vlo, vhi, prec, start)
 
 
 def _grid_cell(
-    c: list[int], lo: Fraction, hi: Fraction, vlo: int, vhi: int, prec: Fraction
+    c: list[int],
+    lo: Fraction,
+    hi: Fraction,
+    vlo: int,
+    vhi: int,
+    prec: Fraction,
+    start: float | None,
 ) -> Fraction:
     """Midpoint of the level-k bisection cell of (lo, hi) that holds the root.
 
     The grid points are x_t = (A + B t) / D, t = 0 .. 2^k, with integers A, B
     and D = lcm(denominators) 2^k, so D^d c(x_t) is the integer kernel
     ``_homogeneous`` on the coefficients c_i D^(d-i) at A + B t.  The index
-    bracket [jl, jh] starts at [0, 2^k] and shrinks by integer false position
-    with the Illinois rule: after r > 1 false-position steps in a row have
-    moved the same end, the other end's value is halved r - 1 times for the
-    next one.  A false-position step that fails to halve the bracket is
-    followed by a bisection step, so every two evaluations at least halve
-    it: at most 2k evaluations.  The search stops at jh - jl = 1.  A grid
-    point that is an exact root is returned as it is; bisection meets it as
-    a midpoint.  ``vlo`` and ``vhi`` are q^d c(p/q) at lo = p/q and hi, of
-    opposite signs.
+    bracket [jl, jh] starts at [0, 2^k].  A finite ``start`` in [lo, hi]
+    names the cell [j0, j0 + 1] that holds it, and the values at its grid
+    points j0 and j0 + 1, where they lie inside the bracket, narrow the
+    bracket first: to that cell, at two evaluations, when the start is in the
+    root's cell.  Any other start is ignored.  The bracket then shrinks by
+    integer false position with the Illinois rule: after r > 1
+    false-position steps in a row have moved the same end, the other end's
+    value is halved r - 1 times for the next one.  A false-position step that
+    fails to halve the bracket is followed by a bisection step, so every two
+    evaluations at least halve it: at most 2k evaluations, 2 more with a
+    start.  The search stops at jh - jl = 1.  The cell that holds the root is
+    fixed by (lo, hi, k), so a start changes the cost, never the result.  A
+    grid point that is an exact root is returned as it is; bisection meets
+    it as a midpoint.  ``vlo`` and ``vhi`` are q^d c(p/q) at lo = p/q and
+    hi, of opposite signs.
     """
     d = len(c) - 1
     ratio = (hi - lo) / prec
@@ -461,6 +486,21 @@ def _grid_cell(
     fh = vhi * (D // hi.denominator) ** d
     left_positive = vlo > 0
     jl, jh = 0, 1 << k
+    if start is not None and isfinite(start):
+        # start = p/q lies at grid index (p D - A q) / (B q)
+        p, q = start.as_integer_ratio()
+        t = p * D - A * q
+        if 0 <= t <= B * q * jh:
+            j0 = min(t // (B * q), jh - 1)
+            for j in (j0, j0 + 1):
+                if jl < j < jh:
+                    v = _homogeneous(cs, A + B * j, 1)
+                    if v == 0:
+                        return Fraction(A + B * j, D)
+                    if (v > 0) == left_positive:
+                        jl, fl = j, v
+                    else:
+                        jh, fh = j, v
     run = 0  # consecutive false-position steps that moved jl (> 0) or jh (< 0)
     bisect = False
     while jh - jl > 1:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -249,6 +250,20 @@ class TestIsolationFromBrackets:
         roots = [x + F(1, 2 * m) for x in result.points.points[:m]]
         assert roots == [polyroot.refine_root(g, iv, prec) for iv in intervals[:m]]
 
+    @pytest.mark.slow
+    def test_eighty_predicted_cells(self):
+        # every grid search that starts from a float prediction, of a root
+        # of g or of a critical point of f, ends where refine_root does
+        m = 80
+        result = perturbed_interval_design(m)
+        base = constructions._Unperturbed(m)
+        for (a, b), c in zip(base.wells, base.crit):
+            well = polyroot.IsolatingInterval(a, b)
+            assert c == polyroot.refine_root(base.df, well, (b - a) / 2**20)
+        prec = result.precision / 64
+        roots = [x + F(1, 2 * m) for x in result.points.points[:-1]]
+        assert roots == [polyroot.refine_root(result.g, iv, prec) for iv in result.intervals]
+
     @pytest.mark.parametrize(
         "m, eps, refined",
         [
@@ -287,9 +302,9 @@ class TestIsolationFromBrackets:
 
         def counted(*args):
             calls.append(args)
-            return polyroot.refine_root(*args)
+            return polyroot._refine_near(*args)
 
-        monkeypatch.setattr(constructions, "refine_root", counted)
+        monkeypatch.setattr(constructions, "_refine_near", counted)
         result = perturbed_interval_design(m)
         assert sum(args[0] == result.g for args in calls) == m  # the rest refine f's
         prec = result.precision / 64
@@ -302,7 +317,9 @@ class TestIsolationFromBrackets:
         intervals = list(result.intervals)
         r = polyroot.refine_root(result.g, intervals[0], prec)
         intervals[0] = polyroot.IsolatingInterval(r - 2 * prec, r + 3 * prec)
-        roots = constructions._refine_mirrored(result.g, intervals, prec)
+        base = constructions._Unperturbed(3)
+        starts = [base.root_start(result.epsilon, i, iv) for i, iv in enumerate(intervals[3:])]
+        roots = constructions._refine_mirrored(result.g, intervals, prec, starts)
         assert roots[0] == polyroot.refine_root(result.g, intervals[0], prec) != r
         assert roots[1:] == [polyroot.refine_root(result.g, iv, prec) for iv in intervals[1:]]
 
@@ -492,7 +509,42 @@ def reference_node_mean(nodes, s):
     return acc / n
 
 
+def reference_quadrature(n, s_max):
+    """The entries of ``chebyshev_gauss_check(n, s_max)`` by the summation
+    over all n nodes: each mirror pair's two powers, then the middle node."""
+    nodes = chebyshev_gauss_nodes(n)
+    powers = [constructions._float_powers(x, s_max) for x in nodes]
+    entries = []
+    for s in range(1, s_max + 1):
+        acc = 0.0
+        for k in range(n // 2):
+            acc += powers[k][s] + powers[n - 1 - k][s]
+        if n % 2:
+            acc += powers[n // 2][s]
+        mean = acc / n
+        target = F(0) if s % 2 else F(math.comb(s, s // 2), 2**s)
+        err = abs(mean - float(target))
+        entries.append(constructions.QuadratureCheckEntry(s, mean, target, err))
+    return entries
+
+
 class TestChebyshevGauss:
+    @pytest.mark.slow
+    def test_half_sum_equals_the_full_sum(self, monkeypatch):
+        # odd means are 0.0 and even ones sum 2.0 x^s over half the nodes,
+        # to the last bit of the full loop; the nodes are computed once per n
+        monkeypatch.setattr(constructions, "cos_turns", functools.cache(constructions.cos_turns))
+        for n in range(1, 121):
+            entries = reference_quadrature(n, 2 * n - 1)
+            full = chebyshev_gauss_check(n, 2 * n - 1).entries
+            assert [(e.node_mean.hex(), e.error.hex()) for e in full] == [
+                (e.node_mean.hex(), e.error.hex()) for e in entries
+            ]
+            for s_max in range(1, 2 * n):
+                report = chebyshev_gauss_check(n, s_max)
+                assert list(report.entries) == entries[:s_max], (n, s_max)
+                assert report.verdict == all(e.error <= 1e-12 for e in entries[:s_max])
+
     def test_power_table_matches_binary_exponentiation(self):
         rng = random.Random(2024)
         for _ in range(2000):
