@@ -16,12 +16,16 @@ are only needed approximately and are the points certified bisection gives
 (``refine_root``).  Each of those exact grid searches, and those of the
 critical points of f, starts from a float prediction made in the product
 form f(x) = prod_k (x^2 - r_k^2) and only confirms its cell, so a
-prediction changes the cost, never a point.  f is built once, on
-integers, in the scaled variable y = 2m x, where its roots are the odd
-integers; the default epsilon comes from the critical values of f
-(``choose_epsilon``), evaluated on those integers, and the same critical
-points bracket the roots of g for their isolation.  The certificate's
-Newton sums run on g's integer coefficients in y.
+prediction changes the cost, never a point.  The signs of g that the
+isolation and the ends of each refinement read come from a floating-point
+filter in the same product form (``_Unperturbed.g_sign``), and from the
+integer kernel only where its proven error bound does not decide; each
+cell is still confirmed by the kernel's values at both its ends.  f is
+built once, on integers, in the scaled variable y = 2m x, where its roots
+are the odd integers; the default epsilon comes from the critical values
+of f (``choose_epsilon``), evaluated on those integers, and the same
+critical points bracket the roots of g for their isolation.  The
+certificate's Newton sums run on g's integer coefficients in y.
 
 Also here: the regular-polygon cosine design, the alternating binomial sum
 with its closed form, the rational binomial weighted design, padding
@@ -48,8 +52,9 @@ from .polyroot import (
     IsolatingInterval,
     RationalPolynomial,
     _homogeneous,
+    _isolate_in_brackets,
+    _kernel_sign,
     _refine_near,
-    isolate_in_brackets,
     sturm_root_count,
 )
 from .scalars import (
@@ -126,7 +131,8 @@ class _Unperturbed:
     ``sq`` holds the floats of r_k^2 for the m positive roots r_k of f, so
     that f(x) = h0(x^2) for h0(z) = prod_k (z - r_k^2): the product form in
     which the float predictions of critical points (``_critical_point``) and
-    of the roots of g (``root_start``) are made.
+    of the roots of g (``root_start``) are made, and the signs of g are
+    filtered (``g_sign``).
     """
 
     def __init__(self, m: int):
@@ -206,6 +212,64 @@ class _Unperturbed:
         z = r - e / slope if slope else r
         rising = (len(sq) - i) % 2 == 1
         return _newton(h, float(iv.lo) ** 2, float(iv.hi) ** 2, z, rising) ** 0.5
+
+    def g_sign(self, g: RationalPolynomial, eps: Fraction):
+        """``sign(p, q)``, the sign of g = f + eps at p/q (q > 0), for
+        0 < eps < 1, from floats where a proven error bound decides it and
+        from ``_homogeneous`` on g's integer coefficients otherwise (a
+        floating-point filter: Fortune and Van Wyk, 1993; Shewchuk, 1997).
+
+        For |p| >= q every factor x^2 - r_k^2 is positive, as r_k < 1, so
+        g > 0; this is also where the float product could overflow.
+        Otherwise, with u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
+        "Accuracy and Stability of Numerical Algorithms", 2002, ch. 3), the
+        floats are x^ = fl(p/q), t = fl(x^ x^), s_k = ``sq[k]``, e = fl(eps),
+        the factors d_k = fl(t - s_k), v_0 = 1, v_k = fl(v_(k-1) d_k), and
+        w = fl(v_m + e).  Int and Fraction divisions round correctly, so
+        x^ = x(1 + a), s_k = r_k^2 (1 + a') and e = eps(1 + a''), each |a| <= u,
+        and t = x^2 (1 + theta) with |theta| <= gamma_3.  Hence
+        |t - x^2| <= 3u/(1 - 6u) t, |s_k - r_k^2| <= gamma_1 s_k and the
+        subtraction errs by at most u max(t, s_k), so with
+        b_k = gamma_6 (t + s_k):
+
+            |d_k - (x^2 - r_k^2)| + u |d_k| <= b_k.
+
+        For P_k = prod_(i<=k) (x^2 - r_i^2), v_k = v_(k-1) d_k (1 + a) gives
+        |v_k - P_k| <= |v_(k-1)| (|d_k - (x^2 - r_k^2)| + u |d_k|) +
+        |v_(k-1) - P_(k-1)| |x^2 - r_k^2|, so the running bound
+
+            E_0 = 0,  E_k = |v_(k-1)| b_k + E_(k-1) (|d_k| + b_k)
+
+        has |v_m - P_m| <= E_m, and |w - g(x)| <= E_m + gamma_1 (e + |w|).
+        The floats compute E_m and the test below with about 4m + 4 more
+        roundings, all on nonnegative terms, so the factor 2 covers them
+        while m u is small; 7u >= gamma_6 and 2^-52 >= gamma_1.  Underflow
+        loses at most 2^-1075 per operation, and no factor or partial
+        product exceeds 1 + 14u in magnitude, so all of it stays under
+        2^-1000, which is added.  When |w| exceeds the bound, w has g's
+        sign; otherwise the sign comes from the integers.  A sign from here
+        never decides a printed point by itself: the refinement confirms
+        each cell by the kernel's values at both its ends.
+        """
+        sq, e, exact = self.sq, float(eps), _kernel_sign(g._ints)
+
+        def sign(p: int, q: int) -> int:
+            if abs(p) >= q:
+                return 1
+            x = p / q
+            t = x * x
+            v, err = 1.0, 0.0
+            for s in sq:
+                d = t - s
+                b = 7 * 2.0**-53 * (t + s)
+                err = err * (abs(d) + b) + abs(v) * b
+                v *= d
+            w = v + e
+            if abs(w) > 2.0 * (err + 2.0**-52 * (e + abs(w))) + 2.0**-1000:
+                return 1 if w > 0 else -1
+            return exact(p, q)
+
+        return sign
 
     def _depth(self, x: Fraction) -> Fraction:
         """-f(x) = -F(s x) / s^s for s = 2m, on integers: with x = p/q and
@@ -364,6 +428,7 @@ def _refine_mirrored(
     intervals: Sequence[IsolatingInterval],
     precision: Fraction,
     starts: Sequence[float],
+    sign=None,
 ) -> list[Fraction]:
     """``refine_root`` on each of the 2m ascending intervals of the even g,
     run only on the right half where the left interval i is the mirror image
@@ -377,12 +442,17 @@ def _refine_mirrored(
     critical points, and split points are not roots), so both intervals of
     a mirrored pair take the grid path of ``refine_root`` on mirrored grids,
     and the cell midpoint or exact grid root it returns does not depend on
-    the search path.
+    the search path.  ``sign``, g's sign at p/q (``_Unperturbed.g_sign``),
+    is read at the interval ends when given.
     """
     half = len(intervals) // 2
-    right = [_refine_near(g, iv, precision, x) for iv, x in zip(intervals[half:], starts)]
+    right = [
+        _refine_near(g, iv, precision, x, sign) for iv, x in zip(intervals[half:], starts)
+    ]
     left = [
-        -r if (iv.lo, iv.hi) == (-mirror.hi, -mirror.lo) else _refine_near(g, iv, precision, -x)
+        -r
+        if (iv.lo, iv.hi) == (-mirror.hi, -mirror.lo)
+        else _refine_near(g, iv, precision, -x, sign)
         for iv, mirror, r, x in zip(
             intervals[:half], reversed(intervals[half:]), reversed(right), reversed(starts)
         )
@@ -450,9 +520,10 @@ def perturbed_interval_design(
             raise InternalDefectError(f"exact residual at odd index {n} is {r}, not 0")
         certificate.append(r)
 
-    intervals = tuple(isolate_in_brackets(g, base.brackets(eps)))
+    sign = base.g_sign(g, eps)
+    intervals = tuple(_isolate_in_brackets(g, base.brackets(eps), sign))
     starts = [base.root_start(eps, i, iv) for i, iv in enumerate(intervals[m:])]
-    approx_roots = _refine_mirrored(g, intervals, prec / 64, starts)
+    approx_roots = _refine_mirrored(g, intervals, prec / 64, starts, sign)
     shift = Fraction(-1, s)
     points = tuple(r + shift for r in approx_roots) + (Fraction(1),)
     config = Configuration(

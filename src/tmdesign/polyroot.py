@@ -2,11 +2,16 @@
 isolation and refinement.
 
 Polynomials are immutable tuples of Fractions in ascending degree order.
-Every value and sign comes from one integer kernel, ``_homogeneous``
-(q^d c(p/q) by homogeneous Horner on primitive integer coefficients c, a
-positive multiple of the polynomial, cleared once per polynomial), so every
-count, every isolating interval and every refinement step is an exact
-certificate rather than a floating-point estimate.
+Every value comes from one integer kernel, ``_homogeneous`` (q^d c(p/q) by
+homogeneous Horner on primitive integer coefficients c, a positive multiple
+of the polynomial, cleared once per polynomial), so every count, every
+isolating interval and every refinement step is an exact certificate
+rather than a floating-point estimate.  Isolation and the two ends of a
+refinement read only signs; by default those are the kernel's too, and a
+caller that can certify signs more cheaply passes them through the private
+entries ``_isolate_in_brackets`` and ``_refine_near`` as ``sign(p, q)``.
+The cell a refinement returns is always confirmed by the kernel's values
+at both its ends.
 
 Isolation is one split tree: from the Cauchy bound, an interval holding
 two or more roots is split at a non-root point near its middle, depth
@@ -16,7 +21,7 @@ chain computed over Z (primitive pseudo-remainders with positive scale
 factors).  ``isolate_in_brackets`` takes brackets from the caller, each
 holding exactly one root, and counts the brackets left of a split point,
 plus one where the sign at the split point, which the search for that
-point has already computed, differs from the sign at the left end of the
+point has already read, differs from the sign at the left end of the
 bracket holding it.  The tree runs on integers: its points are dyadic
 multiples of the Cauchy bound, held as integer pairs and compared with
 bracket ends by cross-multiplication, and Fractions are built only for the
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
@@ -244,17 +249,24 @@ def sturm_root_count(poly: RationalPolynomial, lo: Scalar, hi: Scalar) -> int:
     return _SturmChain(poly).count(flo, fhi)
 
 
+def _kernel_sign(c: list[int]):
+    """``sign(p, q)`` of c at p/q (q > 0) from the integer kernel."""
+    return lambda p, q: _sign(_homogeneous(c, p, q))
+
+
 def _split_point(
-    c: list[int], N: int, D: int, lo: tuple[int, int], hi: tuple[int, int]
+    sign, N: int, D: int, lo: tuple[int, int], hi: tuple[int, int]
 ) -> tuple[tuple[int, int], int]:
-    """A point lo + (hi - lo) k/128 that is not a root of c, for k tried in
-    the order 64, 65, 63, 66, ..., and the sign of c there.  Points are
-    tree points (``_split_tree``)."""
+    """A point lo + (hi - lo) k/128 that is not a root, for k tried in the
+    order 64, 65, 63, 66, ..., 127, 1, and the polynomial's sign there,
+    ``sign(p, q)`` at p/q.  Points are tree points (``_split_tree``).  At
+    most d of the 127 points are roots of a polynomial of degree d, so for
+    d < 127 the search ends within d + 1 of them."""
     (a, ea), (b, eb) = lo, hi
     e = max(ea, eb)
     a <<= e - ea
     b <<= e - eb
-    for j in range(len(c) + 1):
+    for j in range(127):
         k = 64 + (j + 1) // 2 * (1 if j % 2 else -1)
         v, f = (a << 7) + (b - a) * k, e + 7
         if v == 0:
@@ -262,25 +274,26 @@ def _split_point(
         else:
             shift = min((v & -v).bit_length() - 1, f)
             v, f = v >> shift, f - shift
-        sign = _sign(_homogeneous(c, N * v, D << f))
-        if sign != 0:
-            return (v, f), sign
+        s = sign(N * v, D << f)
+        if s != 0:
+            return (v, f), s
     raise InternalDefectError("could not find a non-root split point")
 
 
-def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
+def _split_tree(c: list[int], rank, sign) -> list[IsolatingInterval]:
     """The isolating intervals of the split tree of c from the Cauchy bound.
 
     The tree runs on integers: each of its points is x = B v / 2^e, held as
     the pair (v, e), for integers v and e >= 0, v odd unless e = 0, and the
     Cauchy bound B = N/D = 1 + max |c_i| / |c_d| in lowest terms; x reaches
-    c and ``rank`` as p/q = N v / (D 2^e).  Fractions are built only for the
-    intervals returned.  ``rank(p, q, s)`` is, up to a constant, the number
-    of roots <= p/q (q > 0), for a point that is not a root, where c has the
-    sign s; the number of roots in (lo, hi] is rank(hi) - rank(lo).  An
-    interval with two or more roots is split at ``_split_point``, its right
-    half pushed first and its left half popped first, so the intervals
-    come out in ascending order.
+    ``sign`` and ``rank`` as p/q = N v / (D 2^e).  Fractions are built only
+    for the intervals returned.  ``sign(p, q)`` is the sign of c at p/q
+    (q > 0).  ``rank(p, q, s)`` is, up to a constant, the number of roots
+    <= p/q, for a point that is not a root, where c has the sign s; the
+    number of roots in (lo, hi] is rank(hi) - rank(lo).  An interval with
+    two or more roots is split at ``_split_point``, its right half pushed
+    first and its left half popped first, so the intervals come out in
+    ascending order.
     """
     lead = abs(c[-1])
     N = lead + max(abs(x) for x in c[:-1])
@@ -292,7 +305,7 @@ def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
 
     def ranked(pt: tuple[int, int]) -> int:
         p, q = at(pt)
-        return rank(p, q, _sign(_homogeneous(c, p, q)))
+        return rank(p, q, sign(p, q))
 
     stack = [((-1, 0), (1, 0), ranked((-1, 0)), ranked((1, 0)))]
     out = []
@@ -304,8 +317,8 @@ def _split_tree(c: list[int], rank) -> list[IsolatingInterval]:
         if cnt == 1:
             out.append(IsolatingInterval(Fraction(*at(lo)), Fraction(*at(hi))))
             continue
-        mid, sign = _split_point(c, N, D, lo, hi)
-        rmid = rank(*at(mid), sign)
+        mid, s = _split_point(sign, N, D, lo, hi)
+        rmid = rank(*at(mid), s)
         stack.append((mid, hi, rmid, rhi))
         stack.append((lo, mid, rlo, rmid))
     return out
@@ -316,7 +329,8 @@ def isolate_real_roots(poly: RationalPolynomial) -> list[IsolatingInterval]:
     chain = _SturmChain(poly)
     if poly.degree == 0:
         return []
-    return _split_tree(poly._ints, lambda p, q, s: -chain.variations(p, q))
+    c = poly._ints
+    return _split_tree(c, lambda p, q, s: -chain.variations(p, q), _kernel_sign(c))
 
 
 def isolate_in_brackets(
@@ -331,11 +345,19 @@ def isolate_in_brackets(
     gives wrong intervals.  Split points are compared with the bracket ends
     by cross-multiplication.
     """
+    return _isolate_in_brackets(poly, brackets, _kernel_sign(poly._ints))
+
+
+def _isolate_in_brackets(
+    poly: RationalPolynomial, brackets: Sequence[IsolatingInterval], sign
+) -> list[IsolatingInterval]:
+    """``isolate_in_brackets``, reading every sign, at the bracket ends and
+    in the split tree, from ``sign(p, q)``, the polynomial's sign at p/q
+    (q > 0)."""
     if poly.is_zero:
         raise DomainError("zero polynomial")
     if not brackets:
         return []
-    c = poly._ints
     his = [(iv.hi.numerator, iv.hi.denominator) for iv in brackets]
     los = [(iv.lo.numerator, iv.lo.denominator) for iv in brackets]
     if any(h * ld > l * hd for (h, hd), (l, ld) in zip(his, los[1:])):
@@ -345,7 +367,7 @@ def isolate_in_brackets(
     def sign_at(p: int, q: int) -> int:
         # once per end that two brackets share
         if (p, q) not in signs:
-            signs[p, q] = _sign(_homogeneous(c, p, q))
+            signs[p, q] = sign(p, q)
         return signs[p, q]
 
     left_signs = [sign_at(*x) for x in los]
@@ -368,7 +390,7 @@ def isolate_in_brackets(
             i += 1
         return i
 
-    return _split_tree(c, rank)
+    return _split_tree(poly._ints, rank, sign)
 
 
 def refine_root(
@@ -399,22 +421,27 @@ def _refine_near(
     interval: IsolatingInterval,
     precision: Scalar,
     start: float | None,
+    sign=None,
 ) -> Fraction:
     """``refine_root``, with the grid search begun at the cell that holds the
     float ``start``, a caller's prediction of the root (``_grid_cell``).  On
     an interval that holds one root the result is ``refine_root``'s for
-    every start; a good start saves most of the search."""
+    every start; a good start saves most of the search.  ``sign(p, q)``,
+    when given, is the polynomial's sign at p/q (q > 0), read at the ends
+    of the interval in place of their values."""
     prec = as_fraction(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
     if poly.is_zero:
         raise DomainError("zero polynomial")
     c = poly._ints
+    # q^d c(p/q) at p/q, or only its sign
+    at = partial(_homogeneous, c) if sign is None else sign
     lo, hi = interval.lo, interval.hi
-    vhi = _homogeneous(c, hi.numerator, hi.denominator)
+    vhi = at(hi.numerator, hi.denominator)
     if vhi == 0:
         return hi
-    vlo = _homogeneous(c, lo.numerator, lo.denominator)
+    vlo = at(lo.numerator, lo.denominator)
     if vlo == 0:
         # Just right of lo, c has the sign of its first derivative that is
         # nonzero at lo; the steps below end only if that differs from hi's.
@@ -428,7 +455,7 @@ def _refine_near(
         while True:
             step /= 2
             cand = lo + step
-            vlo = _homogeneous(c, cand.numerator, cand.denominator)
+            vlo = at(cand.numerator, cand.denominator)
             if vlo == 0:
                 return cand
             if (vlo > 0) != (vhi > 0):
@@ -436,56 +463,64 @@ def _refine_near(
                 break
     if (vlo > 0) == (vhi > 0):
         raise DomainError("interval does not bracket a sign change")
-    return _grid_cell(c, lo, hi, vlo, vhi, prec, start)
+    return _grid_cell(c, lo, hi, vlo > 0, prec, start, (vlo, vhi) if sign is None else None)
 
 
 def _grid_cell(
     c: list[int],
     lo: Fraction,
     hi: Fraction,
-    vlo: int,
-    vhi: int,
+    left_positive: bool,
     prec: Fraction,
     start: float | None,
+    ends: tuple[int, int] | None,
 ) -> Fraction:
     """Midpoint of the level-k bisection cell of (lo, hi) that holds the root.
 
     The grid points are x_t = (A + B t) / D, t = 0 .. 2^k, with integers A, B
     and D = lcm(denominators) 2^k, so D^d c(x_t) is the integer kernel
-    ``_homogeneous`` on the coefficients c_i D^(d-i) at A + B t.  The index
-    bracket [jl, jh] starts at [0, 2^k].  A finite ``start`` in [lo, hi]
-    names the cell [j0, j0 + 1] that holds it, and the values at its grid
-    points j0 and j0 + 1, where they lie inside the bracket, narrow the
-    bracket first: to that cell, at two evaluations, when the start is in the
-    root's cell.  Any other start is ignored.  The bracket then shrinks by
-    integer false position with the Illinois rule: after r > 1
+    ``_homogeneous`` on the coefficients c_i D^(d-i) at A + B t.  c is
+    positive at lo if ``left_positive`` and has the opposite sign at hi.
+    The index bracket [jl, jh] starts at [0, 2^k].  A finite ``start`` in
+    [lo, hi] names the cell [j0, j0 + 1] that holds it, and the values at
+    its grid points j0 and j0 + 1, where they lie inside the bracket, narrow
+    the bracket first: to that cell, at two evaluations, when the start is
+    in the root's cell.  Any other start is ignored.  The bracket then
+    shrinks by integer false position with the Illinois rule: after r > 1
     false-position steps in a row have moved the same end, the other end's
-    value is halved r - 1 times for the next one.  A false-position step that
-    fails to halve the bracket is followed by a bisection step, so every two
-    evaluations at least halve it: at most 2k evaluations, 2 more with a
-    start.  The search stops at jh - jl = 1.  The cell that holds the root is
-    fixed by (lo, hi, k), so a start changes the cost, never the result.  A
-    grid point that is an exact root is returned as it is; bisection meets
-    it as a midpoint.  ``vlo`` and ``vhi`` are q^d c(p/q) at lo = p/q and
-    hi, of opposite signs.
+    value is halved r - 1 times for the next one.  A false-position step
+    that fails to halve the bracket is followed by a bisection step, so
+    every two evaluations at least halve it: at most 2k evaluations, 2 more
+    with a start.  The search stops at jh - jl = 1.  The cell that holds the
+    root is fixed by (lo, hi, k), so a start changes the cost, never the
+    result.  A grid point that is an exact root is returned as it is;
+    bisection meets it as a midpoint.
+
+    False position needs the values at the bracket ends, which are lo or hi
+    until a value moves them; those two are scaled from ``ends``, the values
+    q^d c(p/q) at lo = p/q and at hi when the caller has them, and are
+    otherwise evaluated when the first false-position step runs.  Where the
+    caller gave only signs, an end of the returned cell that is still lo or
+    hi is evaluated before the return, so that the kernel's values show the
+    sign change across the cell at both its ends; a value of the wrong sign
+    raises ``InternalDefectError``.
     """
     d = len(c) - 1
-    ratio = (hi - lo) / prec
-    k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
     M = lcm(lo.denominator, hi.denominator)
-    D = M << k
     left = lo.numerator * (M // lo.denominator)
-    A = left << k
     B = hi.numerator * (M // hi.denominator) - left
+    # the least k >= 0 with (hi - lo) / 2^k = B / (M 2^k) <= prec
+    k = (-(-B * prec.denominator // (M * prec.numerator)) - 1).bit_length()
+    D = M << k
+    A = left << k
     cs = [0] * (d + 1)
     dpow = 1
     for i in range(d, -1, -1):
         cs[i] = c[i] * dpow
         dpow *= D
-    fl = vlo * (D // lo.denominator) ** d
-    fh = vhi * (D // hi.denominator) ** d
-    left_positive = vlo > 0
-    jl, jh = 0, 1 << k
+    top = 1 << k
+    fl = fh = None  # values at jl and jh, once known
+    jl, jh = 0, top
     if start is not None and isfinite(start):
         # start = p/q lies at grid index (p D - A q) / (B q)
         p, q = start.as_integer_ratio()
@@ -508,6 +543,18 @@ def _grid_cell(
         if bisect:
             j = (jl + jh) // 2
         else:
+            if fl is None:
+                fl = (
+                    ends[0] * (D // lo.denominator) ** d
+                    if ends
+                    else _end_value(cs, A, left_positive)
+                )
+            if fh is None:
+                fh = (
+                    ends[1] * (D // hi.denominator) ** d
+                    if ends
+                    else _end_value(cs, A + B * top, not left_positive)
+                )
             wl, wh = fl, fh
             if run > 1:
                 wh >>= run - 1
@@ -525,7 +572,21 @@ def _grid_cell(
         if not bisect:
             run = run + moved if run * moved > 0 else moved
         bisect = not bisect and 2 * (jh - jl) > width
+    if ends is None:
+        if fl is None:
+            _end_value(cs, A, left_positive)
+        if fh is None:
+            _end_value(cs, A + B * top, not left_positive)
     return Fraction(2 * A + B * (2 * jl + 1), 2 * D)
+
+
+def _end_value(cs: list[int], p: int, positive: bool) -> int:
+    """``_homogeneous(cs, p, 1)`` at an end of the interval, where the caller
+    gave only a sign: positive if ``positive``, else negative."""
+    v = _homogeneous(cs, p, 1)
+    if v == 0 or (v > 0) != positive:
+        raise InternalDefectError("the sign given at an end of the interval is wrong")
+    return v
 
 
 def power_sums_from_coeffs(

@@ -378,11 +378,12 @@ def extend_odd_power_sums(
     the hypothesis alone; K > m also runs that recursion, on the values of
     the e's and of the even sums through 2K-2.
 
-    Exact values under ``tol`` None also have those identities checked:
-    the odd e_1, e_3, ... through e_n, on the cleared numerators
-    E_j = L^j e_j, and every extended sum must be zero, or
+    Exact values under ``tol`` None also have the odd e_1, e_3, ...
+    through e_n checked on the cleared numerators E_j = L^j e_j, or
     ``InternalDefectError`` is raised.  Other values skip the check, as
-    rounded e's need not vanish.
+    rounded e's need not vanish.  Each extended sum is then exactly zero:
+    every product in it has a zero factor, an odd-index e or a lower odd
+    sum.
 
     Returns the K odd sums in order; entry k-1 is p_{2k-1}, the residual of
     ``odd_moments`` for k <= m.  Raises with the smallest violating odd
@@ -427,6 +428,4 @@ def extend_odd_power_sums(
             acc = acc + e_at(2 * i - 1) * P[2 * (k - i) - 1]
             acc = acc - e_at(2 * i) * odd[k - i - 1]
         odd.append(acc)
-        if exact and acc != 0:
-            raise InternalDefectError(f"extended odd power sum p_{2 * k - 1} nonzero")
     return tuple(odd)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -33,6 +34,7 @@ from tmdesign import (
 from tmdesign import cli, constructions, polyroot
 from tmdesign.constructions import DEFAULT_EPSILON_START
 
+from digests import run_job
 from test_polyroot import ref_isolate_in_brackets, ref_isolate_real_roots
 
 
@@ -354,6 +356,82 @@ class TestIsolationFromBrackets:
         assert cli.main(argv) == 2
         assert "does not leave 2m simple roots" in capsys.readouterr().err
         assert len(calls) == 1
+
+
+class TestSignFilter:
+    """``_Unperturbed.g_sign`` reads g's sign from floats where its error
+    bound decides and from the integer kernel elsewhere; on a seeded corpus
+    every sign it gives is the kernel's, and both ways are taken."""
+
+    @staticmethod
+    def _corpus(base, g, rng):
+        """Points within 1e-15 of each root of g and the floats next to it,
+        the roots and critical points of f, |x| >= 1, tiny and subnormal
+        x, and seeded points in (-1, 1)."""
+        pts = []
+        for iv in isolate_in_brackets(g, base.brackets(g.coeffs[0] - base.f.coeffs[0])):
+            r = polyroot.refine_root(g, iv, F(1, 2**64))
+            x = float(r)
+            pts += [r, r + F(1, 10**15), r - F(1, 10**15), r + F(1, 10**16), r - F(1, 10**16)]
+            pts += [F(x), F(math.nextafter(x, -2)), F(math.nextafter(x, 2))]
+        pts += base.roots + base.crit + [-c for c in base.crit]
+        pts += [F(1), F(-1), 1 + F(1, 2**60), F(-3, 2), F(10**400, 3)]
+        tiny = [0, math.ulp(0.0), 2**-1022, 3 * 2**-1076, F(1, 10**300), F(1, 10**400)]
+        pts += [F(t) for t in tiny] + [-F(t) for t in tiny]
+        for q in (7, 1000, 2**53 + 1, 10**30):
+            pts += [F(rng.randint(1 - q, q - 1), q) for _ in range(8)]
+        return pts
+
+    def _check(self, m, eps, monkeypatch):
+        base = constructions._Unperturbed(m)
+        g = base.f.plus_constant(eps)
+        pts = self._corpus(base, g, random.Random(m))
+        expected = [polyroot._eval_sign(g._ints, x) for x in pts]
+        sign = base.g_sign(g, eps)
+        kernel, calls = polyroot._homogeneous, []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(polyroot, "_homogeneous", counted)
+        assert [sign(x.numerator, x.denominator) for x in pts] == expected
+        assert 0 < len(calls) < len(pts)
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_agrees_with_the_kernel(self, m, monkeypatch):
+        self._check(m, choose_epsilon(m), monkeypatch)
+
+    def test_tiny_epsilon(self, monkeypatch):
+        self._check(9, F(1, 10**10), monkeypatch)
+
+
+class TestPerturbedOutputPinned:
+    """The stdout of ``construct perturbed`` for m = 1..60 and for five
+    explicit epsilons, hashed as ``argv \\t exit code \\n stdout``.  The
+    digest is that of the construction before its signs came from the float
+    filter, whose signs therefore changed no printed byte."""
+
+    EPSILONS = [
+        ("1", "3/16"),
+        ("5", "27907/312500000"),
+        ("4", "43453/50728021"),
+        ("12", "44/539099849023"),
+        ("9", "1/10000000000"),
+    ]
+    DIGEST = "7c98de4068ce73548fcc95f3c18a791d963c8ae499ab40af19a3b7ed7b42f452"
+
+    @pytest.mark.slow
+    def test_digest(self):
+        cases = [["--m", str(m)] for m in range(1, 61)]
+        cases += [["--m", m, "--epsilon", eps] for m, eps in self.EPSILONS]
+        digest = hashlib.sha256()
+        for args in cases:
+            argv = ["construct", "perturbed", *args]
+            code, out = run_job(argv)
+            assert code == 0, argv
+            digest.update(f"{' '.join(argv)}\t{code}\n{out}".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestPolygonWeightedDesign:

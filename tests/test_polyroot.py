@@ -651,6 +651,28 @@ class TestGridCellSearch:
                 halvings += _halvings(iv, prec)
         assert len(kernel_calls) <= halvings / 4
 
+    def test_signs_at_the_ends_give_the_same_cell(self):
+        # a caller's end signs in place of the end values change no result
+        for poly, iv, prec in _seeded_cases():
+            sign = polyroot._kernel_sign(poly._ints)
+            expected = refine_root(poly, iv, prec)
+            for start in (None, float(expected), float(iv.lo), math.nan):
+                assert polyroot._refine_near(poly, iv, prec, start, sign) == expected
+
+    @pytest.mark.parametrize("start", [None, 0.9, 0.8, 0.99])
+    def test_a_wrong_end_sign_is_caught_by_the_kernel(self, start):
+        # (x - 1/3)(x - 2/3) > 0 on [4/5, 1]; signs that claim a change there
+        # reach the kernel at lo, for the false-position steps or for the
+        # final cell, and are refused before a point is returned
+        poly = monic_from_roots([F(1, 3), F(2, 3)])
+        iv = IsolatingInterval(F(4, 5), F(1))
+
+        def lying(p, q):
+            return -1 if F(p, q) == iv.lo else 1
+
+        with pytest.raises(polyroot.InternalDefectError, match="sign given"):
+            polyroot._refine_near(poly, iv, F(1, 1000), start, lying)
+
 
 def test_no_sign_change_right_of_a_root_at_lo_rejected():
     # Roots 1/3 and 2: lo = 1/3 is a root and (1/3, 1/2] holds no sign
