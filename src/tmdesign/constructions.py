@@ -318,12 +318,12 @@ class _Unperturbed:
 
         g = eps > 0 at the roots of f, so (a, c) and (c, b) hold one root
         each for a well (a, b) with g(c) < 0 at its critical point c.  Where
-        g(c) >= 0, which can happen after the doubling in ``choose_epsilon``
-        or for an explicit epsilon, c is refined further, each time to twice
-        as many bits: -f at the exact critical point is at least eps* >
-        eps, so this ends.  g is even, so g(-c) = g(c).  As g has degree 2m
-        and changes sign in each of the 2m intervals, they hold all its
-        roots.
+        g(c) >= 0, which can happen for an eps in [beta, eps*) that a Sturm
+        count in ``choose_epsilon`` has accepted, c is refined further, each
+        time to twice as many bits: -f at the exact critical point is at
+        least eps* > eps, so this ends.  g is even, so g(-c) = g(c).  As g
+        has degree 2m and changes sign in each of the 2m intervals, they
+        hold all its roots.
         """
         out = []
         for (a, b), c, depth in zip(self.wells, self.crit, self.depth):
@@ -350,46 +350,33 @@ def choose_epsilon(
     local minimum.  Let eps* > 0 be the smallest |f| at these minima.
     g = f + eps is positive outside those intervals and has two simple roots
     in each when eps < eps*; at eps = eps* a root is double, and beyond it at
-    least two roots are lost.  The halving sequence enters (0, eps*) after
-    finitely many steps, and its first valid element is also the largest
-    valid one, so the perturbed roots stay as well separated as the sequence
-    allows.  The point 1/(2m) is automatically avoided: g(1/(2m)) = epsilon.
+    least two roots are lost.  The first valid element of the sequence is
+    also its largest valid one, so the perturbed roots stay as well
+    separated as the sequence allows.  The point 1/(2m) is automatically
+    avoided: g(1/(2m)) = epsilon.
 
-    That element is found from the critical values instead of one Sturm
-    chain per halving.  f is even, so only the negative intervals (a, b)
-    with b > 0 are needed; on each, x is the root of f' refined to width
-    (b - a)/2^20, and beta = min -f(x) <= eps*.  Halving start until
-    epsilon < beta gives a valid epsilon with no Sturm chain: g is +epsilon
-    at the roots of f and g(x) = f(x) + epsilon < 0 at each x and at -x, so
-    g changes sign 2m times inside the window and, being of degree 2m, has
-    2m simple roots there.  Because the valid set is an interval, doubling
-    epsilon back towards start while 2 epsilon is still valid ends on the
-    first valid element of the sequence.  2 epsilon >= beta there, and it
-    is invalid, with no count, once it reaches ``depth_bound`` >= eps*, an
-    exact bound on -f over the cell that holds a critical point.  Only a
-    2 epsilon in [beta, depth_bound), a window at most about 2.5e-6 eps*
-    wide, takes a Sturm count: of m <= 40 and starts 1, 3/7, 1/16 and
-    10^-9, just m = 2, where 2 epsilon = 1/16 = eps*.  The same points x
-    and -x split the intervals into brackets of the roots of g, which
-    ``perturbed_interval_design`` isolates without a Sturm chain of g; it
-    passes the f and the x it has built as ``base``.
+    Two exact bounds from the critical points of f (``_Unperturbed``) place
+    eps*: beta = min ``depth`` <= eps* <= ``depth_bound``.  Every element
+    >= ``depth_bound`` is invalid, and one division by a power of two skips
+    them all.  Every element < beta is valid, with no count: g is +epsilon
+    at the roots of f and below 0 at each refined critical point x and at
+    -x, so it changes sign 2m times inside the window and, being of degree
+    2m, has 2m simple roots there.  Only an element in [beta, depth_bound),
+    a window at most about 2.5e-6 eps* wide, takes a Sturm count: of
+    m <= 40 and starts 1, 3/7, 1/16 and 10^-9, just m = 2, where 1/16 = eps*.
+    ``perturbed_interval_design`` passes the f it has built as ``base``.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
-    start = eps = as_fraction(start)
+    eps = as_fraction(start)
     if eps <= 0:
         raise DomainError("start must be positive")
     if base is None:
         base = _Unperturbed(m)
     beta = min(base.depth)
-    while eps >= beta:
+    eps /= 1 << (eps // base.depth_bound).bit_length()
+    while eps >= beta and base.window_root_count(eps) != 2 * m:
         eps /= 2
-    while (
-        eps < start
-        and 2 * eps < base.depth_bound
-        and base.window_root_count(2 * eps) == 2 * m
-    ):
-        eps *= 2
     return eps
 
 
@@ -482,7 +469,8 @@ def perturbed_interval_design(
     ``isolate_real_roots`` would give, and refined a good deal tighter than
     ``precision`` so that direct floating summation over the emitted points
     stays within a few units of precision of zero.  An explicit epsilon is
-    checked by a Sturm count.
+    accepted iff ``choose_epsilon`` started from it returns it, that is iff
+    it lies in (0, eps*).
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -496,7 +484,7 @@ def perturbed_interval_design(
         eps = as_fraction(epsilon)
         if eps <= 0:
             raise DomainError("epsilon must be positive")
-        if base.window_root_count(eps) != 2 * m:
+        if choose_epsilon(m, eps, base=base) != eps:
             raise DomainError(
                 f"epsilon {format_scalar(eps)} does not leave 2m simple roots "
                 "in the working window"

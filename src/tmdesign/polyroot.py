@@ -28,9 +28,12 @@ bracket ends by cross-multiplication, and Fractions are built only for the
 intervals it returns.  Nothing here uses symmetry: an even polynomial is
 split on both sides of 0, and its intervals come in mirror pairs whenever
 every split took the middle.
-Refinement finds the cell of the bisection grid that holds the root by
-integer false position instead of halving to it.  Counts are for the
-half-open interval (lo, hi].
+Refinement is one routine, ``_refine_near``: it finds the cell of the
+bisection grid that holds the root by integer false position instead of
+halving to it, from a caller's float start when there is one.  Its end
+values are the kernel values its end signs were read from, or, where a
+caller gave only signs, kernel values computed when first needed.  Counts
+are for the half-open interval (lo, hi].
 """
 
 from __future__ import annotations
@@ -404,7 +407,7 @@ def refine_root(
     (lo + w j/2^k, lo + w (j+1)/2^k) that holds the root and returns its
     midpoint, or an earlier midpoint that is an exact root.  Here j is found
     without the halvings, by an integer false-position search over the grid
-    (``_grid_cell``): typically 10 to 15 evaluations where bisection makes k,
+    (``_refine_near``): typically 10 to 15 evaluations where bisection makes k,
     and the same rational to the last bit.
 
     If lo itself is a root, just outside (lo, hi], lo first steps inside by
@@ -424,11 +427,38 @@ def _refine_near(
     sign=None,
 ) -> Fraction:
     """``refine_root``, with the grid search begun at the cell that holds the
-    float ``start``, a caller's prediction of the root (``_grid_cell``).  On
-    an interval that holds one root the result is ``refine_root``'s for
-    every start; a good start saves most of the search.  ``sign(p, q)``,
-    when given, is the polynomial's sign at p/q (q > 0), read at the ends
-    of the interval in place of their values."""
+    float ``start``, a caller's prediction of the root.  On an interval that
+    holds one root the result is ``refine_root``'s for every start; a good
+    start saves most of the search.  ``sign(p, q)``, when given, is the
+    polynomial's sign at p/q (q > 0), read at the ends of the interval in
+    place of their values.
+
+    The search runs on the level-k grid x_t = (A + B t) / D, t = 0 .. 2^k,
+    of (lo, hi), with integers A, B and D = lcm(denominators) 2^k, so
+    D^d c(x_t) is the integer kernel ``_homogeneous`` on the coefficients
+    c_i D^(d-i) at A + B t.  The index bracket [jl, jh] starts at [0, 2^k].
+    A finite ``start`` in [lo, hi] names the cell [j0, j0 + 1] that holds
+    it, and the values at its grid points j0 and j0 + 1, where they lie
+    inside the bracket, narrow the bracket first: to that cell, at two
+    evaluations, when the start is in the root's cell.  Any other start is
+    ignored.  The bracket then shrinks by integer false position with the
+    Illinois rule: after r > 1 false-position steps in a row have moved the
+    same end, the other end's value is halved r - 1 times for the next one.
+    A false-position step that fails to halve the bracket is followed by a
+    bisection step, so every two evaluations at least halve it: at most 2k
+    evaluations, 2 more with a start.  The search stops at jh - jl = 1.
+    The cell that holds the root is fixed by (lo, hi, k), so a start
+    changes the cost, never the result.  A grid point that is an exact root
+    is returned as it is; bisection meets it as a midpoint.
+
+    False position needs the values at the bracket ends, which are lo or hi
+    until a value moves them.  Each is taken, when first needed, from the
+    kernel value its sign was read from, scaled to the grid; where only a
+    sign was given, it is evaluated by the kernel, and a value of the wrong
+    sign raises ``InternalDefectError``.  So that the kernel's values show
+    the sign change across the returned cell at both its ends, an end of
+    that cell that is still lo or hi is evaluated then as well.
+    """
     prec = as_fraction(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
@@ -463,48 +493,7 @@ def _refine_near(
                 break
     if (vlo > 0) == (vhi > 0):
         raise DomainError("interval does not bracket a sign change")
-    return _grid_cell(c, lo, hi, vlo > 0, prec, start, (vlo, vhi) if sign is None else None)
-
-
-def _grid_cell(
-    c: list[int],
-    lo: Fraction,
-    hi: Fraction,
-    left_positive: bool,
-    prec: Fraction,
-    start: float | None,
-    ends: tuple[int, int] | None,
-) -> Fraction:
-    """Midpoint of the level-k bisection cell of (lo, hi) that holds the root.
-
-    The grid points are x_t = (A + B t) / D, t = 0 .. 2^k, with integers A, B
-    and D = lcm(denominators) 2^k, so D^d c(x_t) is the integer kernel
-    ``_homogeneous`` on the coefficients c_i D^(d-i) at A + B t.  c is
-    positive at lo if ``left_positive`` and has the opposite sign at hi.
-    The index bracket [jl, jh] starts at [0, 2^k].  A finite ``start`` in
-    [lo, hi] names the cell [j0, j0 + 1] that holds it, and the values at
-    its grid points j0 and j0 + 1, where they lie inside the bracket, narrow
-    the bracket first: to that cell, at two evaluations, when the start is
-    in the root's cell.  Any other start is ignored.  The bracket then
-    shrinks by integer false position with the Illinois rule: after r > 1
-    false-position steps in a row have moved the same end, the other end's
-    value is halved r - 1 times for the next one.  A false-position step
-    that fails to halve the bracket is followed by a bisection step, so
-    every two evaluations at least halve it: at most 2k evaluations, 2 more
-    with a start.  The search stops at jh - jl = 1.  The cell that holds the
-    root is fixed by (lo, hi, k), so a start changes the cost, never the
-    result.  A grid point that is an exact root is returned as it is;
-    bisection meets it as a midpoint.
-
-    False position needs the values at the bracket ends, which are lo or hi
-    until a value moves them; those two are scaled from ``ends``, the values
-    q^d c(p/q) at lo = p/q and at hi when the caller has them, and are
-    otherwise evaluated when the first false-position step runs.  Where the
-    caller gave only signs, an end of the returned cell that is still lo or
-    hi is evaluated before the return, so that the kernel's values show the
-    sign change across the cell at both its ends; a value of the wrong sign
-    raises ``InternalDefectError``.
-    """
+    left_positive = vlo > 0
     d = len(c) - 1
     M = lcm(lo.denominator, hi.denominator)
     left = lo.numerator * (M // lo.denominator)
@@ -519,6 +508,16 @@ def _grid_cell(
         cs[i] = c[i] * dpow
         dpow *= D
     top = 1 << k
+
+    def value_at_end(x: Fraction, v: int, j: int) -> int:
+        # the value at grid index j, the end x where c has value or sign v
+        if sign is None:
+            return v * (D // x.denominator) ** d
+        w = _homogeneous(cs, A + B * j, 1)
+        if w == 0 or (w > 0) != (v > 0):
+            raise InternalDefectError("the sign given at an end of the interval is wrong")
+        return w
+
     fl = fh = None  # values at jl and jh, once known
     jl, jh = 0, top
     if start is not None and isfinite(start):
@@ -544,17 +543,9 @@ def _grid_cell(
             j = (jl + jh) // 2
         else:
             if fl is None:
-                fl = (
-                    ends[0] * (D // lo.denominator) ** d
-                    if ends
-                    else _end_value(cs, A, left_positive)
-                )
+                fl = value_at_end(lo, vlo, 0)
             if fh is None:
-                fh = (
-                    ends[1] * (D // hi.denominator) ** d
-                    if ends
-                    else _end_value(cs, A + B * top, not left_positive)
-                )
+                fh = value_at_end(hi, vhi, top)
             wl, wh = fl, fh
             if run > 1:
                 wh >>= run - 1
@@ -572,21 +563,12 @@ def _grid_cell(
         if not bisect:
             run = run + moved if run * moved > 0 else moved
         bisect = not bisect and 2 * (jh - jl) > width
-    if ends is None:
+    if sign is not None:
         if fl is None:
-            _end_value(cs, A, left_positive)
+            value_at_end(lo, vlo, 0)
         if fh is None:
-            _end_value(cs, A + B * top, not left_positive)
+            value_at_end(hi, vhi, top)
     return Fraction(2 * A + B * (2 * jl + 1), 2 * D)
-
-
-def _end_value(cs: list[int], p: int, positive: bool) -> int:
-    """``_homogeneous(cs, p, 1)`` at an end of the interval, where the caller
-    gave only a sign: positive if ``positive``, else negative."""
-    v = _homogeneous(cs, p, 1)
-    if v == 0 or (v > 0) != positive:
-        raise InternalDefectError("the sign given at an end of the interval is wrong")
-    return v
 
 
 def power_sums_from_coeffs(

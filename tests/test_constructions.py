@@ -106,10 +106,18 @@ class TestChooseEpsilon:
             eps /= 2
         return eps
 
-    @pytest.mark.parametrize("start", [F(1), F(3, 7), F(1, 16), F(1, 10**9)])
+    @pytest.mark.parametrize(
+        "start", [F(1), F(3, 7), F(1, 16), F(1, 10**9), "beta", "depth_bound"]
+    )
     def test_matches_the_halving_loop(self, start):
+        # the named starts are the two bounds on eps* that choose_epsilon reads
         for m in range(1, 17):
-            assert choose_epsilon(m, start) == self._halving_reference(m, start)
+            if isinstance(start, str):
+                base = constructions._Unperturbed(m)
+                eps = min(base.depth) if start == "beta" else base.depth_bound
+            else:
+                eps = start
+            assert choose_epsilon(m, eps) == self._halving_reference(m, eps)
 
     def test_at_most_one_sturm_count(self, monkeypatch):
         # The halving loop made one count per halving: 43 at m = 16.
@@ -343,7 +351,16 @@ class TestIsolationFromBrackets:
             assert result.g not in chains
             assert len(chains) <= 1
 
-    def test_invalid_epsilon_exits_through_a_sturm_count(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "m, eps, counts",
+        [
+            # at or past depth_bound: refused with no count
+            ("5", "1/1000", 0),
+            # eps* itself, where a root is double, lies in [beta, depth_bound)
+            ("2", "1/16", 1),
+        ],
+    )
+    def test_invalid_epsilon_exits_two(self, m, eps, counts, monkeypatch, capsys):
         calls = []
         count = constructions.sturm_root_count
 
@@ -352,10 +369,23 @@ class TestIsolationFromBrackets:
             return count(*args)
 
         monkeypatch.setattr(constructions, "sturm_root_count", counted)
-        argv = ["construct", "perturbed", "--m", "5", "--epsilon", "1/1000"]
+        argv = ["construct", "perturbed", "--m", m, "--epsilon", eps]
         assert cli.main(argv) == 2
         assert "does not leave 2m simple roots" in capsys.readouterr().err
-        assert len(calls) == 1
+        assert len(calls) == counts
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_explicit_epsilon_accepted_iff_valid(self, m):
+        base = constructions._Unperturbed(m)
+        beta, bound = min(base.depth), base.depth_bound
+        epsilons = [beta, beta / 2, 2 * beta, bound, bound / 2]
+        epsilons += [F(eps) for _, eps in TestPerturbedOutputPinned.EPSILONS]
+        for eps in epsilons:
+            if TestChooseEpsilon._leaves_2m_simple_roots(m, eps):
+                assert perturbed_interval_design(m, eps).epsilon == eps
+            else:
+                with pytest.raises(DomainError, match="does not leave 2m simple roots"):
+                    perturbed_interval_design(m, eps)
 
 
 class TestSignFilter:
